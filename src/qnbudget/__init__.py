@@ -21,7 +21,7 @@ from .ifo import (IoRelation, NoiseSpectrum, arm_bandwidth,
                   effective_internal_loss, effective_src_loss,
                   homodyne_spectrum, io_relation, loop_matrix,
                   optimal_spectrum, ponderomotive_gain, qcrb_lossless,
-                  total_covariance)
+                  resolve_band, total_covariance)
 from .limits import (ALPHA_INTERNAL, ALPHA_NO_INTERNAL, LimitParams,
                      limit_params, loss_limit, metrology_limit, qcrb_from_spp,
                      signal_response_ratio, spp_from_qcrb, sql,

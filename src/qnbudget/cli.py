@@ -21,7 +21,7 @@ from .config import (DEFAULT_BAND_HZ, MIN_FREQUENCY_HZ, IfoConfig,
 from .constants import C_LIGHT, HBAR
 from .curves import evaluate_curve, frequency_grid, parse_curve_name
 from .errors import ConfigError, DegeneracyError
-from .ifo import NoiseSpectrum
+from .ifo import NoiseSpectrum, resolve_band
 from .validation import run_validation
 
 MAX_POINTS = 10**6
@@ -37,7 +37,6 @@ class BudgetRequest:
     curves: tuple = ("sql", "loss_limit_a4")
     out_path: str | None = None
     fmt: str = "csv"
-    seed: int = 42
 
     def __post_init__(self):
         lo, hi = (float(self.band_hz[0]), float(self.band_hz[1]))
@@ -85,7 +84,6 @@ def _json_text(req: BudgetRequest, f_hz: np.ndarray, spectra: dict) -> str:
             "band_hz": list(req.band_hz),
             "points": req.points,
             "curves": list(req.curves),
-            "seed": req.seed,
         },
         "columns": {
             "f_hz": [float(_fmt(x)) for x in f_hz],
@@ -102,9 +100,10 @@ def run_budget(req: BudgetRequest) -> dict:
     Returns the curves as {name: NoiseSpectrum}, in request order.
     """
     f_hz = frequency_grid(req.band_hz[0], req.band_hz[1], req.points)
+    cfg = resolve_band(req.config, req.band_hz)
     spectra = {}
     for name in req.curves:
-        values = evaluate_curve(name, req.config, f_hz, src_band=req.band_hz)
+        values = evaluate_curve(name, cfg, f_hz)
         spectra[name] = NoiseSpectrum(frequencies=f_hz, values=values, label=name)
     if req.out_path is not None:
         text = (_csv_text(f_hz, spectra) if req.fmt == "csv"
@@ -138,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated curve names")
     budget.add_argument("--out", help="output file path (default: stdout)")
     budget.add_argument("--format", choices=("csv", "json"), default="csv")
-    budget.add_argument("--seed", type=int, default=42)
 
     validate = sub.add_parser(
         "validate", help="run the cross-module consistency checks")
@@ -170,7 +168,6 @@ def main(argv=None) -> int:
             curves=tuple(s.strip() for s in args.curves.split(",") if s.strip()),
             out_path=args.out,
             fmt=args.format,
-            seed=args.seed,
         )
         spectra = run_budget(req)
         if req.out_path is None:

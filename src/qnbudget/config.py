@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import C_LIGHT
+from .constants import C_LIGHT, TWO_PI
 from .errors import ConfigError
 
 DEFAULT_BAND_HZ = (5.0, 5000.0)
 MIN_FREQUENCY_HZ = 0.1
-TWO_PI_C = 2.0 * math.pi * C_LIGHT
+TWO_PI_C = TWO_PI * C_LIGHT
 
 INTERNAL_SQZ_MODES = ("none", "fixed", "ponderomotive")
 

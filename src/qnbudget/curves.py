@@ -24,9 +24,8 @@ import numpy as np
 
 from . import fdt, ifo, limits
 from .config import IfoConfig, value_at
+from .constants import TWO_PI
 from .errors import ConfigError, DegeneracyError
-
-TWO_PI = 2.0 * math.pi
 
 BASE_CURVES = (
     "sql",
@@ -77,8 +76,7 @@ def _expansion_inputs(cfg: IfoConfig, omega: float):
     return theta_rot, r, -2.0 * theta_m
 
 
-def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray,
-                   src_band=None) -> np.ndarray:
+def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:
     """Evaluate one named curve as a PSD array over the frequency grid."""
     kind, param = parse_curve_name(name)
     out = np.empty(len(f_hz))
@@ -90,16 +88,13 @@ def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray,
             elif kind == "qcrb":
                 out[i] = ifo.qcrb_lossless(cfg, omega)
             elif kind == "loss_limit_a1":
-                out[i] = limits.loss_limit(cfg, omega, limits.ALPHA_INTERNAL,
-                                           src_band=src_band)
+                out[i] = limits.loss_limit(cfg, omega, limits.ALPHA_INTERNAL)
             elif kind == "loss_limit_a4":
-                out[i] = limits.loss_limit(cfg, omega, limits.ALPHA_NO_INTERNAL,
-                                           src_band=src_band)
+                out[i] = limits.loss_limit(cfg, omega, limits.ALPHA_NO_INTERNAL)
             elif kind == "full_optimal":
-                out[i] = ifo.optimal_spectrum(cfg, omega, src_band=src_band)[0]
+                out[i] = ifo.optimal_spectrum(cfg, omega)[0]
             elif kind == "full_fixed_zeta":
-                out[i] = ifo.homodyne_spectrum(cfg, omega, param,
-                                               src_band=src_band)
+                out[i] = ifo.homodyne_spectrum(cfg, omega, param)
             elif kind == "fdt_floor":
                 out[i] = fdt.loss_floor_fdt(cfg, omega)
             elif kind == "taylor_qcrb_internal":
@@ -112,10 +107,10 @@ def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray,
                 out[i] = limits.taylor_qcrb_no_internal(
                     cfg.T_src, theta_rot, cfg.r_input, cfg.L, cfg.omega0, cfg.P)
             elif kind == "taylor_loss_internal":
-                out[i] = limits.taylor_loss_internal(cfg, omega, src_band=src_band)
+                out[i] = limits.taylor_loss_internal(cfg, omega)
             else:
-                out[i] = limits.taylor_loss_no_internal(cfg, omega,
-                                                        src_band=src_band)
+                out[i] = limits.taylor_loss_no_internal(cfg, omega)
         except DegeneracyError as exc:
-            raise type(exc)(f"curve {name!r} failed at {f:.6g} Hz: {exc}")
+            raise type(exc)(
+                f"curve {name!r} failed at {f:.6g} Hz: {exc}") from exc
     return out

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_BAND_HZ, FreqTable, IfoConfig, value_at
-from .constants import C_LIGHT, HBAR
+from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
                      LasingThresholdError)
 from .quadrature import (adjoint, det2, mat_inv, ponderomotive_decompose,
                          rotation_matrix, squeeze_matrix, vec2)
 
-TWO_PI = 2.0 * math.pi
+# log-spaced samples of the band searched for the recycling-loss minimum
+BAND_SAMPLES = 512
 
 # |det| below this is treated as a hit on the lasing threshold
 LASING_DET_TOL = 1e-14
@@ -96,23 +95,7 @@ def ponderomotive_gain(cfg: IfoConfig, omega: float) -> float:
     return 16.0 * cfg.P * cfg.omega0 / (cfg.M * C_LIGHT**2 * omega**2)
 
 
-@lru_cache(maxsize=None)
-def _effective_src_loss_cached(channels: tuple, band_hz: tuple, samples: int) -> float:
-    lo, hi = band_hz
-    if all(not isinstance(ch, FreqTable) for ch in channels):
-        return float(sum(channels))
-    grid = list(np.geomspace(lo, hi, samples))
-    for ch in channels:
-        if isinstance(ch, FreqTable):
-            grid.extend(f for f in ch.f_hz if lo <= f <= hi)
-    grid = np.unique(np.asarray(grid))
-    totals = np.zeros_like(grid)
-    for ch in channels:
-        totals += np.array([value_at(ch, f) for f in grid])
-    return float(totals.min())
-
-
-def effective_src_loss(channels, band_hz=DEFAULT_BAND_HZ, samples: int = 512) -> float:
+def effective_src_loss(channels, band_hz=DEFAULT_BAND_HZ) -> float:
     """Effective recycling-cavity loss: min over the band of the summed channels.
 
     channels is a sequence of constants and/or FreqTables; the minimum is
@@ -124,25 +107,50 @@ def effective_src_loss(channels, band_hz=DEFAULT_BAND_HZ, samples: int = 512) ->
     lo, hi = (float(band_hz[0]), float(band_hz[1]))
     if not (0.0 < lo <= hi) or not math.isfinite(hi):
         raise ConfigError(f"band: need 0 < f_lo <= f_hi, got {band_hz!r}")
+    tables = []
     for i, ch in enumerate(channels):
-        if isinstance(ch, FreqTable) and not ch.covers(lo, hi):
-            raise ConfigError(
-                f"eps_src_channels[{i}]: table does not cover the band "
-                f"{lo:g}..{hi:g} Hz")
-    return _effective_src_loss_cached(channels, (lo, hi), samples)
+        if isinstance(ch, FreqTable):
+            if not ch.covers(lo, hi):
+                raise ConfigError(
+                    f"eps_src_channels[{i}]: table does not cover the band "
+                    f"{lo:g}..{hi:g} Hz")
+            tables.append(ch)
+    if not tables:
+        return float(sum(channels))
+    knots = [f for table in tables for f in table.f_hz if lo <= f <= hi]
+    grid = np.unique(np.concatenate([np.geomspace(lo, hi, BAND_SAMPLES), knots]))
+    totals = sum(np.array([value_at(ch, f) for f in grid]) for ch in channels)
+    return float(totals.min())
 
 
-def effective_internal_loss(cfg: IfoConfig, omega: float,
-                            src_band=None) -> float:
+def resolve_band(cfg: IfoConfig, band_hz) -> IfoConfig:
+    """The config with its recycling-loss channels fixed for one analysis band.
+
+    Tabulated channels are replaced by their effective_src_loss over band_hz;
+    a config without tables comes back unchanged.
+    """
+    if not any(isinstance(ch, FreqTable) for ch in cfg.eps_src_channels):
+        return cfg
+    eps_src = effective_src_loss(cfg.eps_src_channels, band_hz)
+    if eps_src >= 1.0:
+        raise ConfigError(
+            f"eps_src_channels: summed loss is at least {eps_src:.6g} over the "
+            f"band {band_hz[0]:g}..{band_hz[1]:g} Hz; it must stay below 1")
+    return replace(cfg, eps_src_channels=(eps_src,))
+
+
+def effective_internal_loss(cfg: IfoConfig, omega: float) -> float:
     """Lower bound on the internal loss seen from the recycling cavity.
 
     eps_arm enters directly; the recycling-cavity loss is suppressed by
     T_itm/4 at low frequency but grows as (1 + Omega^2/gamma^2) once the
-    sideband leaves the arm bandwidth gamma.
+    sideband leaves the arm bandwidth gamma.  Tabulated recycling-loss
+    channels not yet fixed by resolve_band are minimised over
+    DEFAULT_BAND_HZ.
     """
     if omega < 0:
         raise ValueError("sideband frequency must be >= 0")
-    eps_src = effective_src_loss(cfg.eps_src_channels, src_band or DEFAULT_BAND_HZ)
+    eps_src = effective_src_loss(cfg.eps_src_channels)
     gamma = arm_bandwidth(cfg)
     return cfg.eps_arm + 0.25 * cfg.T_itm * (1.0 + (omega / gamma) ** 2) * eps_src
 
@@ -183,7 +191,7 @@ def loop_matrix(cfg: IfoConfig, omega: float) -> np.ndarray:
     return x
 
 
-def io_relation(cfg: IfoConfig, omega: float, src_band=None) -> IoRelation:
+def io_relation(cfg: IfoConfig, omega: float) -> IoRelation:
     """Input-output relation of the effective cavity at one frequency.
 
     Raises LasingThresholdError when the round-trip gain of the loop hits
@@ -200,7 +208,7 @@ def io_relation(cfg: IfoConfig, omega: float, src_band=None) -> IoRelation:
     m_io = -sqrt_r_src * np.eye(2) + cfg.T_src * (m_c @ x)
     beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
     v = math.sqrt(cfg.T_src) * (m_c @ vec2(0.0, beta))
-    eps_int = effective_internal_loss(cfg, omega, src_band=src_band)
+    eps_int = effective_internal_loss(cfg, omega)
     return IoRelation(
         M_io=m_io, M_c=m_c, v=v,
         internal_coupling=math.sqrt(cfg.T_src * eps_int),
@@ -216,13 +224,13 @@ def _covariance_from(cfg: IfoConfig, io: IoRelation) -> np.ndarray:
     return 0.5 * (sigma + adjoint(sigma))
 
 
-def total_covariance(cfg: IfoConfig, omega: float, src_band=None) -> np.ndarray:
+def total_covariance(cfg: IfoConfig, omega: float) -> np.ndarray:
     """Hermitian covariance of the output quadratures.
 
     Sum of the (possibly squeezed) input transferred through M_io, the
     internal loss channel through M_c, and the external loss channel.
     """
-    io = io_relation(cfg, omega, src_band=src_band)
+    io = io_relation(cfg, omega)
     return _covariance_from(cfg, io)
 
 
@@ -243,19 +251,18 @@ def _homodyne_from(io: IoRelation, sigma: np.ndarray, zeta):
     return s
 
 
-def homodyne_spectrum(cfg: IfoConfig, omega: float, zeta, src_band=None):
+def homodyne_spectrum(cfg: IfoConfig, omega: float, zeta):
     """Strain-referred PSD when reading out the quadrature at angle zeta.
 
     zeta may be a scalar or an array of angles [rad]; an angle orthogonal to
     the signal response raises BlindQuadratureError.
     """
-    io = io_relation(cfg, omega, src_band=src_band)
+    io = io_relation(cfg, omega)
     sigma = _covariance_from(cfg, io)
     return _homodyne_from(io, sigma, zeta)
 
 
-def optimal_spectrum(cfg: IfoConfig, omega: float,
-                     src_band=None) -> tuple[float, float]:
+def optimal_spectrum(cfg: IfoConfig, omega: float) -> tuple[float, float]:
     """Minimum strain-referred PSD over readout angles, and the optimal angle.
 
     Returns (1 / (v^dag Sigma^-1 v), zeta_opt) with zeta_opt in [0, pi).
@@ -266,7 +273,7 @@ def optimal_spectrum(cfg: IfoConfig, omega: float,
     covariance, which stays accurate under the extreme squeezing ratios a
     near-nulled configuration produces.
     """
-    io = io_relation(cfg, omega, src_band=src_band)
+    io = io_relation(cfg, omega)
     sq_in = squeeze_matrix(cfg.r_input, cfg.theta_input)
     # Sigma = F F^dag; the minimum-norm solution y of F y = v then has
     # |y|^2 = v^dag Sigma^-1 v
@@ -283,20 +290,20 @@ def optimal_spectrum(cfg: IfoConfig, omega: float,
             f"degenerate covariance quadratic form at Omega = {omega:.6g} rad/s")
     s_min = 1.0 / quad
 
-    # the best real readout direction maximises |q.v|^2 / (q Sigma q^T)
-    sigma = _covariance_from(cfg, io)
-    a = np.real(sigma)
+    # a real readout direction q sees noise q.A.q and signal q.B.q; the best
+    # q spans the null space of B - lam A for the larger root lam of
+    # det(B - lam A) = det(A) lam^2 - p lam + det(B) = 0.  Scaling by det(A)
+    # keeps a singular A finite: it then yields A's null direction.
+    a = np.real(factor @ adjoint(factor))
     a = 0.5 * (a + a.T)
-    if np.abs(np.imag(sigma)).max() <= 1e-12 * np.abs(sigma).max() \
-            and np.abs(np.imag(io.v)).max() <= 1e-12 * np.abs(io.v).max():
-        u, _, _, _ = np.linalg.lstsq(a, np.real(io.v), rcond=None)
-        zeta_opt = math.atan2(u[1], u[0]) % math.pi
-    else:
-        b = np.real(np.outer(io.v, io.v.conj()))
-        b = 0.5 * (b + b.T)
-        _, vecs = scipy.linalg.eigh(b, a)
-        q_opt = vecs[:, -1]
-        zeta_opt = math.atan2(q_opt[1], q_opt[0]) % math.pi
+    b = np.real(np.outer(io.v, io.v.conj()))
+    det_a = det2(a)
+    p = a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0] - 2.0 * a[0, 1] * b[0, 1]
+    lam_scaled = 0.5 * (p + math.sqrt(max(p * p - 4.0 * det_a * det2(b), 0.0)))
+    c = det_a * b - lam_scaled * a
+    # q is orthogonal to the larger row of the rank-one matrix c
+    row = c[np.argmax(np.abs(c).sum(axis=1))]
+    zeta_opt = math.atan2(-row[0], row[1]) % math.pi
     return s_min, zeta_opt
 
 

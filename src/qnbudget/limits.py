@@ -81,26 +81,29 @@ def sql(mirror_mass: float, arm_length: float, omega: float) -> float:
     return 8.0 * HBAR / (mirror_mass * omega**2 * arm_length**2)
 
 
+def _power_bound_map(x: float, arm_length: float, what: str) -> float:
+    # hbar^2 c^2 / (2 x L^2) maps S_PP to S_hh and back: it is its own inverse
+    if x <= 0:
+        raise ValueError(f"{what} must be positive")
+    return HBAR**2 * C_LIGHT**2 / (2.0 * x * arm_length**2)
+
+
 def qcrb_from_spp(s_pp: float, arm_length: float) -> float:
     """Sensitivity bound hbar^2 c^2 / (2 S_PP L^2) from arm power fluctuation."""
-    if s_pp <= 0:
-        raise ValueError("power fluctuation spectral density must be positive")
-    return HBAR**2 * C_LIGHT**2 / (2.0 * s_pp * arm_length**2)
+    return _power_bound_map(s_pp, arm_length,
+                            "power fluctuation spectral density")
 
 
 def spp_from_qcrb(s_hh: float, arm_length: float) -> float:
     """Arm power fluctuation implied by a sensitivity bound; inverse of qcrb_from_spp."""
-    if s_hh <= 0:
-        raise ValueError("sensitivity bound must be positive")
-    return HBAR**2 * C_LIGHT**2 / (2.0 * s_hh * arm_length**2)
+    return _power_bound_map(s_hh, arm_length, "sensitivity bound")
 
 
 def _prefactor(cfg: IfoConfig) -> float:
     return HBAR * C_LIGHT**2 / (4.0 * cfg.L**2 * cfg.omega0 * cfg.P)
 
 
-def loss_limit(cfg: IfoConfig, omega: float, alpha: float,
-               src_band=None) -> float:
+def loss_limit(cfg: IfoConfig, omega: float, alpha: float) -> float:
     """First-order-in-loss sensitivity floor [1/Hz].
 
     prefactor * [eps_arm + (1 + Omega^2/gamma^2) T_itm eps_src / 4
@@ -110,7 +113,7 @@ def loss_limit(cfg: IfoConfig, omega: float, alpha: float,
     """
     if alpha not in _ALPHAS:
         raise ValueError(f"alpha must be one of {_ALPHAS}, got {alpha!r}")
-    eps_int = effective_internal_loss(cfg, omega, src_band=src_band)
+    eps_int = effective_internal_loss(cfg, omega)
     return _prefactor(cfg) * (eps_int + alpha * cfg.T_src * cfg.eps_ext)
 
 
@@ -160,7 +163,7 @@ def taylor_qcrb_no_internal(t_src: float, theta_rot: float, r_input: float,
             / (16.0 * t_src * arm_length**2 * omega0 * power))
 
 
-def taylor_loss_internal(cfg: IfoConfig, omega: float, src_band=None) -> float:
+def taylor_loss_internal(cfg: IfoConfig, omega: float) -> float:
     """Loss floor at the squeeze strength that nulls the lossless bound.
 
     prefactor * (eps_int + T_src eps_ext); the theta-minimised alpha = 1
@@ -168,12 +171,10 @@ def taylor_loss_internal(cfg: IfoConfig, omega: float, src_band=None) -> float:
     """
     _warn_regime(T_src=(cfg.T_src, REGIME_T_SRC),
                  Theta=(_max_theta(cfg), REGIME_THETA))
-    eps_int = effective_internal_loss(cfg, omega, src_band=src_band)
-    return _prefactor(cfg) * (eps_int + cfg.T_src * cfg.eps_ext)
+    return loss_limit(cfg, omega, ALPHA_INTERNAL)
 
 
-def taylor_loss_no_internal(cfg: IfoConfig, omega: float,
-                            src_band=None) -> float:
+def taylor_loss_no_internal(cfg: IfoConfig, omega: float) -> float:
     """Loss floor without internal squeezing, minimised over detuning.
 
     prefactor * (eps_int + T_src eps_ext / 4); the alpha = 1/4 branch,
@@ -181,8 +182,7 @@ def taylor_loss_no_internal(cfg: IfoConfig, omega: float,
     """
     _warn_regime(T_src=(cfg.T_src, REGIME_T_SRC),
                  Theta=(_max_theta(cfg), REGIME_THETA))
-    eps_int = effective_internal_loss(cfg, omega, src_band=src_band)
-    return _prefactor(cfg) * (eps_int + 0.25 * cfg.T_src * cfg.eps_ext)
+    return loss_limit(cfg, omega, ALPHA_NO_INTERNAL)
 
 
 def signal_response_ratio(theta: float, theta0: float) -> float:

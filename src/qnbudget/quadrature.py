@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .constants import TWO_PI
 
 # symplectic form J on (a1, a2); real symplectic matrices satisfy M J M^T = J
 SYMPLECTIC_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])

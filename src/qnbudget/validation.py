@@ -14,11 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fdt, ifo, limits
-from .config import IfoConfig, InternalSqueeze, config_hash
+from .config import DEFAULT_BAND_HZ, IfoConfig, InternalSqueeze, config_hash
+from .constants import TWO_PI
 from .quadrature import (SYMPLECTIC_FORM, ponderomotive_decompose,
                          ponderomotive_matrix, rotation_matrix, squeeze_matrix)
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -179,14 +178,15 @@ def _check_first_order_split(cfg) -> CheckResult:
 def run_validation(cfg: IfoConfig, seed: int = 42) -> ValidationReport:
     """Run the cross-check suite against a configuration."""
     rng = np.random.default_rng(seed)
+    resolved = ifo.resolve_band(cfg, DEFAULT_BAND_HZ)
     checks = (
         _check_symplectic(rng),
         _check_decomposition(rng),
-        _check_optimal_vs_grid(cfg, rng),
+        _check_optimal_vs_grid(resolved, rng),
         _check_monotonicity(rng),
-        _check_fdt(cfg),
-        _check_taylor_vs_exact(cfg),
-        _check_first_order_split(cfg),
+        _check_fdt(resolved),
+        _check_taylor_vs_exact(resolved),
+        _check_first_order_split(resolved),
     )
     return ValidationReport(config_sha256=config_hash(cfg), seed=seed,
                             checks=checks)

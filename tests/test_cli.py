@@ -5,8 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qnbudget import (BudgetRequest, ConfigError, config_to_dict,
-                      default_config, run_budget, run_validation)
+from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
+                      BlindQuadratureError, BudgetRequest, ConfigError,
+                      config_hash, config_to_dict, default_config,
+                      evaluate_curve, frequency_grid, load_config, loss_limit,
+                      resolve_band, run_budget, run_validation)
 from qnbudget.cli import main
 from qnbudget.curves import parse_curve_name
 
@@ -97,8 +100,8 @@ class TestRunBudget:
         run_budget(BudgetRequest(config=cfg, points=8, curves=("sql",),
                                  out_path=str(out), fmt="json"))
         doc = json.loads(out.read_text())
-        from qnbudget import config_hash
         assert doc["metadata"]["config_sha256"] == config_hash(cfg)
+        assert "seed" not in doc["metadata"]
 
     def test_fixed_zeta_curve(self, cfg):
         req = BudgetRequest(config=cfg, points=8,
@@ -113,6 +116,54 @@ class TestRunBudget:
         spectra = run_budget(req)
         assert np.all(spectra["full_optimal"].values
                       > spectra["loss_limit_a4"].values)
+
+
+class TestBandResolution:
+    # recycling loss with its minimum on the 100 Hz knot, below the band
+    V_CHANNELS = [5e-4, {"f_hz": [1.0, 100.0, 10000.0],
+                         "values": [3e-3, 1e-3, 3e-3]}]
+
+    def test_cli_resolves_at_requested_band_edge(self, cfg, tmp_path):
+        doc = config_to_dict(cfg)
+        doc["eps_src_channels"] = self.V_CHANNELS
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "v.csv"
+        assert main(["budget", "--config", path, "--fmin", "300", "--fmax",
+                     "1000", "--points", "16", "--curves", "loss_limit_a4",
+                     "--out", str(out)]) == 0
+        got = np.genfromtxt(out, delimiter=",", names=True)["loss_limit_a4"]
+        loaded = load_config(path)
+        f_hz = frequency_grid(300.0, 1000.0, 16)
+
+        def column(c):
+            values = [loss_limit(c, 2 * math.pi * f, ALPHA_NO_INTERNAL)
+                      for f in f_hz]
+            return [float(f"{x:.11e}") for x in values]   # CSV precision
+
+        assert list(got) == column(resolve_band(loaded, (300.0, 1000.0)))
+        assert np.all(got > column(resolve_band(loaded, DEFAULT_BAND_HZ)))
+
+    def test_json_hashes_unresolved_config(self, cfg, tmp_path):
+        doc = config_to_dict(cfg)
+        doc["eps_src_channels"] = self.V_CHANNELS
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "v.json"
+        assert main(["budget", "--config", path, "--fmin", "300", "--fmax",
+                     "1000", "--points", "4", "--curves", "sql",
+                     "--out", str(out), "--format", "json"]) == 0
+        meta = json.loads(out.read_text())["metadata"]
+        assert meta["config_sha256"] == config_hash(load_config(path))
+
+    def test_band_loss_reaching_one_exits_2(self, cfg, tmp_path, capsys):
+        doc = config_to_dict(cfg)
+        doc["eps_src_channels"] = [0.5, {"f_hz": [1.0, 10000.0],
+                                         "values": [0.6, 0.9]}]
+        path = write_config(tmp_path, doc)
+        rc = main(["budget", "--config", path, "--points", "4",
+                   "--curves", "sql", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "eps_src_channels" in err and "5..5000 Hz" in err
 
 
 class TestCliExitCodes:
@@ -148,6 +199,19 @@ class TestCliExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "5" in err  # offending frequency is reported
+
+    def test_degeneracy_chains_original_error(self, cfg):
+        with pytest.raises(BlindQuadratureError) as info:
+            evaluate_curve("full_fixed_zeta(0.0)", cfg, np.array([100.0]))
+        cause = info.value.__cause__
+        assert isinstance(cause, BlindQuadratureError)
+        assert str(info.value).endswith(str(cause))
+        assert "at 100 Hz" in str(info.value)
+
+    def test_budget_seed_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["budget", "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        assert info.value.code == 2
 
     def test_blind_quadrature_exits_3(self, tmp_path):
         rc = main(["budget", "--points", "8", "--curves",

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qnbudget import (BlindQuadratureError, ConfigError, FreqTable,
+from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
+                      BlindQuadratureError, ConfigError, FreqTable,
                       InternalSqueeze, LasingThresholdError, NoiseSpectrum,
                       adjoint, arm_bandwidth, default_config,
                       effective_internal_loss, effective_src_loss,
                       homodyne_spectrum, io_relation, loss_limit,
                       optimal_spectrum, ponderomotive_gain, qcrb_lossless,
-                      random_config, total_covariance)
+                      random_config, resolve_band, total_covariance)
 from qnbudget.constants import C_LIGHT, HBAR
 
 TWO_PI = 2 * math.pi
@@ -98,6 +99,46 @@ class TestEffectiveLosses:
         c = replace(cfg, eps_src_channels=(0.0,))
         for omega in (OMEGA, 100 * OMEGA):
             assert effective_internal_loss(c, omega) == cfg.eps_arm
+
+
+# recycling loss with its minimum (1e-3) on the 100 Hz knot
+V_TABLE = FreqTable(f_hz=(1.0, 100.0, 10000.0), values=(3e-3, 1e-3, 3e-3))
+
+
+class TestResolveBand:
+    def test_constant_channels_unchanged(self, cfg):
+        c = replace(cfg, eps_src_channels=(4e-4, 6e-4))
+        assert resolve_band(c, (300.0, 1000.0)) is c
+
+    def test_table_replaced_by_band_minimum(self, cfg):
+        c = replace(cfg, eps_src_channels=(5e-4, V_TABLE))
+        got = resolve_band(c, (300.0, 1000.0))
+        # the V's minimum lies below the band, so the band edge wins
+        assert got.eps_src_channels == (
+            effective_src_loss(c.eps_src_channels, (300.0, 1000.0)),)
+        assert got.eps_src_channels[0] == pytest.approx(
+            5e-4 + V_TABLE.at(300.0), rel=1e-15)
+        assert replace(got, eps_src_channels=c.eps_src_channels) == c
+
+    def test_unresolved_call_uses_default_band(self, cfg):
+        c = replace(cfg, eps_src_channels=(5e-4, V_TABLE))
+        resolved = resolve_band(c, DEFAULT_BAND_HZ)
+        assert resolved.eps_src_channels[0] == pytest.approx(1.5e-3, rel=1e-15)
+        for omega in (TWO_PI * 7.0, OMEGA, TWO_PI * 3000.0):
+            assert optimal_spectrum(c, omega) == optimal_spectrum(resolved, omega)
+            assert homodyne_spectrum(c, omega, 1.0) == \
+                homodyne_spectrum(resolved, omega, 1.0)
+            assert loss_limit(c, omega, ALPHA_NO_INTERNAL) == \
+                loss_limit(resolved, omega, ALPHA_NO_INTERNAL)
+
+    def test_sum_reaching_one_rejected(self, cfg):
+        table = FreqTable(f_hz=(1.0, 10000.0), values=(0.5, 0.9))
+        c = replace(cfg, eps_src_channels=(0.5, table))
+        with pytest.raises(ConfigError,
+                           match=r"eps_src_channels.*1\.\.100 Hz"):
+            resolve_band(c, (1.0, 100.0))
+        below = replace(c, eps_src_channels=(0.4999, table))
+        assert resolve_band(below, (1.0, 100.0)).eps_src_channels[0] < 1.0
 
 
 class TestIoRelation:
@@ -213,6 +254,32 @@ class TestOptimal:
         s, zeta = optimal_spectrum(c, OMEGA)
         assert s == pytest.approx(1.0 / np.linalg.norm(io.v)**2, rel=1e-12)
         assert zeta == pytest.approx(math.pi / 2, abs=1e-9)
+
+    def test_complex_angle_matches_generalised_eigenvector(self):
+        from scipy.linalg import eigh   # test-only reference
+        rng = np.random.default_rng(8)
+        n = 20000
+        zetas = (np.arange(n) + 0.5) * math.pi / n
+        for i in range(20):
+            c = replace(random_config(rng),
+                        residual_phase=rng.uniform(0.005, 0.05))
+            if i % 2:
+                c = replace(c, internal_sqz=InternalSqueeze("ponderomotive"))
+            omega = TWO_PI * 10 ** rng.uniform(math.log10(5), math.log10(5e3))
+            io = io_relation(c, omega)
+            assert np.abs(np.imag(io.v)).max() > 1e-6 * np.abs(io.v).max()
+            # reference: largest generalised eigenvector of B q = lam A q
+            a = np.real(total_covariance(c, omega))
+            b = np.real(np.outer(io.v, io.v.conj()))
+            q = eigh(b, a)[1][:, -1]
+            want = math.atan2(q[1], q[0]) % math.pi
+            _, zeta = optimal_spectrum(c, omega)
+            assert 0 <= zeta < math.pi
+            gap = abs(zeta - want) % math.pi
+            assert min(gap, math.pi - gap) < 1e-9
+            grid_best = zetas[np.argmin(homodyne_spectrum(c, omega, zetas))]
+            gap = abs(zeta - grid_best) % math.pi
+            assert min(gap, math.pi - gap) <= math.pi / n
 
     def test_equals_qcrb_when_lossless(self, lossless):
         assert optimal_spectrum(lossless, OMEGA)[0] == pytest.approx(

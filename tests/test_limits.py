@@ -67,8 +67,10 @@ class TestQcrbConversion:
             pytest.approx(s_pp, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="power fluctuation"):
             qcrb_from_spp(0.0, 4000.0)
+        with pytest.raises(ValueError, match="sensitivity bound"):
+            spp_from_qcrb(-1.0, 4000.0)
 
 
 class TestLossLimit:
@@ -213,14 +215,18 @@ class TestTaylorQcrb:
 
 class TestTaylorLoss:
     def test_internal_equals_alpha1_loss_limit(self, cfg):
-        c = replace(cfg, T_src=1e-3)
-        assert taylor_loss_internal(c, OMEGA) == pytest.approx(
-            loss_limit(c, OMEGA, ALPHA_INTERNAL), rel=1e-14)
+        for t_src in (1e-3, 0.14):
+            c = replace(cfg, T_src=t_src)
+            for f in (1.0, 100.0, 4000.0):
+                assert taylor_loss_internal(c, TWO_PI * f) == \
+                    loss_limit(c, TWO_PI * f, ALPHA_INTERNAL)
 
     def test_no_internal_equals_alpha4_loss_limit(self, cfg):
-        c = replace(cfg, T_src=1e-3)
-        assert taylor_loss_no_internal(c, OMEGA) == pytest.approx(
-            loss_limit(c, OMEGA, ALPHA_NO_INTERNAL), rel=1e-14)
+        for t_src in (1e-3, 0.14):
+            c = replace(cfg, T_src=t_src)
+            for f in (1.0, 100.0, 4000.0):
+                assert taylor_loss_no_internal(c, TWO_PI * f) == \
+                    loss_limit(c, TWO_PI * f, ALPHA_NO_INTERNAL)
 
     def test_external_term_four_times_larger(self, cfg):
         c = replace(cfg, T_src=1e-3)
