@@ -23,6 +23,18 @@ TWO_PI_C = TWO_PI * C_LIGHT
 
 INTERNAL_SQZ_MODES = ("none", "fixed", "ponderomotive")
 
+# real number types a config value may have (bool is excluded separately)
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _number(name: str, x) -> float:
+    """x as a float; a boolean or a non-number is a ConfigError naming it."""
+    if type(x) is float:
+        return x
+    if isinstance(x, bool) or not isinstance(x, _REAL_TYPES):
+        raise ConfigError(f"{name}: expected a number, got {x!r}")
+    return float(x)
+
 
 @dataclass(frozen=True)
 class FreqTable:
@@ -36,8 +48,8 @@ class FreqTable:
     values: tuple
 
     def __post_init__(self):
-        f = tuple(float(x) for x in self.f_hz)
-        v = tuple(float(x) for x in self.values)
+        f = tuple(_number("table f_hz", x) for x in self.f_hz)
+        v = tuple(_number("table values", x) for x in self.values)
         if len(f) != len(v):
             raise ConfigError("table: f_hz and values must have equal length")
         if len(f) < 2:
@@ -50,30 +62,40 @@ class FreqTable:
             raise ConfigError("table: values must be finite")
         object.__setattr__(self, "f_hz", f)
         object.__setattr__(self, "values", v)
+        # interpolation knots, derived once from the immutable fields
+        object.__setattr__(self, "_log_f", np.log10(f))
+        object.__setattr__(self, "_v", np.array(v))
 
     def covers(self, f_lo_hz: float, f_hi_hz: float | None = None) -> bool:
         hi = f_lo_hz if f_hi_hz is None else f_hi_hz
         return self.f_hz[0] <= f_lo_hz and hi <= self.f_hz[-1]
 
-    def at(self, f_hz: float) -> float:
-        if not self.covers(f_hz):
+    def at(self, f_hz):
+        """The table at a frequency [Hz], or at each of an array of them."""
+        f = np.asarray(f_hz, dtype=float)[()]
+        inside = (f >= self.f_hz[0]) & (f <= self.f_hz[-1])
+        if not (inside.all() if f.ndim else inside):
+            bad = np.asarray(f)[~inside].flat[0]
             raise ConfigError(
-                f"table does not cover {f_hz:g} Hz (tabulated "
+                f"table does not cover {bad:g} Hz (tabulated "
                 f"{self.f_hz[0]:g}..{self.f_hz[-1]:g} Hz); extrapolation is forbidden")
-        return float(np.interp(math.log10(f_hz),
-                               np.log10(np.asarray(self.f_hz)),
-                               np.asarray(self.values)))
+        values = np.interp(np.log10(f), self._log_f, self._v)
+        return values if f.ndim else float(values)
 
 
-def value_at(quantity, f_hz: float) -> float:
-    """Evaluate a constant-or-tabulated quantity at a frequency [Hz]."""
+def value_at(quantity, f_hz):
+    """Evaluate a constant-or-tabulated quantity at a frequency [Hz].
+
+    For an array of frequencies a table gives an array; a constant comes
+    back as a float, which broadcasts against it.
+    """
     if isinstance(quantity, FreqTable):
         return quantity.at(f_hz)
     return float(quantity)
 
 
 def _check_loss(name: str, x) -> float:
-    x = float(x)
+    x = _number(name, x)
     if not math.isfinite(x) or not 0.0 <= x < 1.0:
         raise ConfigError(f"{name}: loss must be in [0, 1), got {x!r}")
     return x
@@ -100,7 +122,7 @@ class InternalSqueeze:
             q = getattr(self, name)
             if isinstance(q, FreqTable):
                 continue
-            q = float(q)
+            q = _number(f"internal_sqz.{name}", q)
             if not math.isfinite(q):
                 raise ConfigError(f"internal_sqz.{name}: must be finite")
             object.__setattr__(self, name, q)
@@ -149,15 +171,15 @@ class IfoConfig:
 
     def __post_init__(self):
         for name in ("L", "M", "P", "omega0"):
-            x = float(getattr(self, name))
+            x = _number(name, getattr(self, name))
             if not math.isfinite(x) or x <= 0.0:
                 raise ConfigError(f"{name}: must be positive and finite, got {x!r}")
             object.__setattr__(self, name, x)
-        t_itm = float(self.T_itm)
+        t_itm = _number("T_itm", self.T_itm)
         if not 0.0 < t_itm < 1.0:
             raise ConfigError(f"T_itm: must be in (0, 1), got {t_itm!r}")
         object.__setattr__(self, "T_itm", t_itm)
-        t_src = float(self.T_src)
+        t_src = _number("T_src", self.T_src)
         if not 0.0 < t_src <= 1.0:
             raise ConfigError(f"T_src: must be in (0, 1], got {t_src!r}")
         object.__setattr__(self, "T_src", t_src)
@@ -177,11 +199,11 @@ class IfoConfig:
                 checked.append(_check_loss(f"eps_src_channels[{i}]", ch))
         object.__setattr__(self, "eps_src_channels", tuple(checked))
 
-        r_in = float(self.r_input)
+        r_in = _number("r_input", self.r_input)
         if not math.isfinite(r_in) or abs(r_in) > 20.0:
             raise ConfigError(f"r_input: must be finite with |r| <= 20, got {r_in!r}")
         object.__setattr__(self, "r_input", r_in)
-        th_in = float(self.theta_input)
+        th_in = _number("theta_input", self.theta_input)
         if not math.isfinite(th_in):
             raise ConfigError("theta_input: must be finite")
         object.__setattr__(self, "theta_input", th_in)
@@ -192,7 +214,7 @@ class IfoConfig:
             q = getattr(self, name)
             if isinstance(q, FreqTable):
                 continue
-            q = float(q)
+            q = _number(name, q)
             if not math.isfinite(q):
                 raise ConfigError(f"{name}: must be finite")
             object.__setattr__(self, name, q)
@@ -219,9 +241,15 @@ def _quantity_from_json(name: str, obj):
         if extra:
             raise ConfigError(f"{name}: unknown table keys {sorted(extra)}")
         try:
-            return FreqTable(tuple(obj["f_hz"]), tuple(obj["values"]))
+            f_hz, values = obj["f_hz"], obj["values"]
         except KeyError as exc:
             raise ConfigError(f"{name}: table needs 'f_hz' and 'values'") from exc
+        if not (isinstance(f_hz, list) and isinstance(values, list)):
+            raise ConfigError(f"{name}: table 'f_hz' and 'values' must be lists")
+        try:
+            return FreqTable(tuple(f_hz), tuple(values))
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return float(obj)
     raise ConfigError(f"{name}: expected a number or a frequency table")
@@ -251,7 +279,7 @@ def config_from_dict(doc: dict) -> IfoConfig:
     if "omega0" in doc:
         omega0 = doc["omega0"]
     elif "lambda0" in doc:
-        lam = float(doc["lambda0"])
+        lam = _number("lambda0", doc["lambda0"])
         if lam <= 0:
             raise ConfigError("lambda0: must be positive")
         omega0 = TWO_PI_C / lam

@@ -80,17 +80,18 @@ def gw_coupling(power: float, omega0: float, arm_length: float) -> float:
     return 2.0 * math.sqrt(power * omega0 / (HBAR * arm_length * C_LIGHT))
 
 
-def loss_floor_fdt(cfg: IfoConfig, omega: float) -> float:
+def loss_floor_fdt(cfg: IfoConfig, omega):
     """Arm-loss sensitivity floor from the fluctuation-dissipation relation.
 
     Evaluates 2 Im[chi_22] / (hbar g^2 L^2 |chi_21|^2) at the absolute
     frequency omega0 + Omega, which reduces to
     hbar c^2 eps_arm / (4 L^2 omega0 P) deep inside the validity regime.
     The ratio of the two susceptibilities is formed from a shared
-    denominator, so near-resonance cancellation does not degrade it.
+    denominator, so near-resonance cancellation does not degrade it.  An
+    array of omega gives an array.
     """
     if cfg.eps_arm == 0.0:
-        return 0.0
+        return 0.0 * omega
     mode = mode_for(cfg)
     w_abs = cfg.omega0 + omega
     cpp = chi_phase_phase(mode, w_abs)

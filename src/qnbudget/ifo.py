@@ -4,8 +4,10 @@ Builds the frequency-domain input-output relation of the effective cavity
 (recycling mirror + internal rotation/squeeze loop), the output covariance
 including internal and external loss channels, and the signal-referred noise
 spectra for fixed or optimal homodyne readout.  All evaluations are pure
-functions of (config, sideband angular frequency) and are safe to run
-concurrently across a frequency grid.
+functions of (config, sideband angular frequency).  Each takes a scalar
+omega or a 1-D array of them: an array is evaluated in one pass of stacked
+2x2 algebra, and a scalar runs the same code on numpy scalars, giving plain
+2x2 matrices and floats.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from .config import DEFAULT_BAND_HZ, FreqTable, IfoConfig, value_at
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
                      LasingThresholdError)
-from .quadrature import (adjoint, det2, mat_inv, ponderomotive_decompose,
-                         rotation_matrix, squeeze_matrix, vec2)
+from .quadrature import (adjoint, all_true, any_true, det2, entries, mat_inv,
+                         ponderomotive_decompose, rotation_matrix,
+                         squeeze_matrix)
 
 # log-spaced samples of the band searched for the recycling-loss minimum
 BAND_SAMPLES = 512
@@ -31,6 +34,14 @@ LASING_DET_TOL = 1e-14
 # readout angles this close to orthogonal to the signal are called blind
 BLIND_TOL = 1e-12
 
+# rank test of the covariance factor F (2 x 6): numpy's lstsq default,
+# machine epsilon times the larger dimension of F
+_RANK_TOL = 6.0 * np.finfo(float).eps
+_ONES4 = np.ones(4)
+
+_EYE = np.eye(2)
+_EYE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class IoRelation:
@@ -39,7 +50,8 @@ class IoRelation:
     M_io maps the input field to the output, M_c maps intra-cavity noise to
     the output, v is the strain response vector, and the coupling factors
     scale the internal (sqrt(T_src * eps_int)) and external (sqrt(eps_ext))
-    loss channels.
+    loss channels.  For a batch of N frequencies the matrices, v and the
+    internal coupling are stacked along a leading axis of length N.
     """
 
     M_io: np.ndarray
@@ -84,13 +96,13 @@ def arm_bandwidth(cfg: IfoConfig) -> float:
     return C_LIGHT * cfg.T_itm / (4.0 * cfg.L)
 
 
-def ponderomotive_gain(cfg: IfoConfig, omega: float) -> float:
+def ponderomotive_gain(cfg: IfoConfig, omega):
     """Radiation-pressure gain 16 P omega0 / (M c^2 Omega^2).
 
     Diverges as the sideband frequency goes to zero, so omega = 0 is
-    rejected.
+    rejected.  An array of omega gives an array.
     """
-    if not math.isfinite(omega) or omega <= 0.0:
+    if not all_true(np.isfinite(omega) & (omega > 0.0)):
         raise ValueError("sideband frequency must be positive (gain diverges at 0)")
     return 16.0 * cfg.P * cfg.omega0 / (cfg.M * C_LIGHT**2 * omega**2)
 
@@ -99,7 +111,8 @@ def effective_src_loss(channels, band_hz=DEFAULT_BAND_HZ) -> float:
     """Effective recycling-cavity loss: min over the band of the summed channels.
 
     channels is a sequence of constants and/or FreqTables; the minimum is
-    taken over a dense log-spaced sample of the band (plus table knots).
+    taken over a dense log-spaced sample of the band (plus table knots),
+    with one table lookup per channel over the whole sample.
     """
     channels = tuple(channels)
     if not channels:
@@ -119,7 +132,7 @@ def effective_src_loss(channels, band_hz=DEFAULT_BAND_HZ) -> float:
         return float(sum(channels))
     knots = [f for table in tables for f in table.f_hz if lo <= f <= hi]
     grid = np.unique(np.concatenate([np.geomspace(lo, hi, BAND_SAMPLES), knots]))
-    totals = sum(np.array([value_at(ch, f) for f in grid]) for ch in channels)
+    totals = sum(value_at(ch, grid) for ch in channels)
     return float(totals.min())
 
 
@@ -139,24 +152,56 @@ def resolve_band(cfg: IfoConfig, band_hz) -> IfoConfig:
     return replace(cfg, eps_src_channels=(eps_src,))
 
 
-def effective_internal_loss(cfg: IfoConfig, omega: float) -> float:
+def effective_internal_loss(cfg: IfoConfig, omega):
     """Lower bound on the internal loss seen from the recycling cavity.
 
     eps_arm enters directly; the recycling-cavity loss is suppressed by
     T_itm/4 at low frequency but grows as (1 + Omega^2/gamma^2) once the
     sideband leaves the arm bandwidth gamma.  Tabulated recycling-loss
     channels not yet fixed by resolve_band are minimised over
-    DEFAULT_BAND_HZ.
+    DEFAULT_BAND_HZ.  An array of omega gives an array.
     """
-    if omega < 0:
+    if any_true(np.asarray(omega) < 0):
         raise ValueError("sideband frequency must be >= 0")
     eps_src = effective_src_loss(cfg.eps_src_channels)
     gamma = arm_bandwidth(cfg)
     return cfg.eps_arm + 0.25 * cfg.T_itm * (1.0 + (omega / gamma) ** 2) * eps_src
 
 
-def _squeeze_state(cfg: IfoConfig, omega: float) -> tuple[float, float, float]:
-    """(r, theta, extra rotation) of the internal squeeze element at omega."""
+def _frequencies(omega) -> np.ndarray:
+    """omega as a float scalar or a 1-D float array."""
+    w = np.asarray(omega, dtype=float)
+    if w.ndim > 1:
+        raise ValueError("sideband frequency must be a scalar or a 1-D array")
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheap
+    return w[()]
+
+
+def _scalar_or_array(x):
+    return x if x.ndim else float(x)
+
+
+def _raise_first(*checks) -> None:
+    """Raise for the lowest-index point of the batch that fails a check.
+
+    Each check is (mask over the batch, error type, message(index)), listed
+    in the order one point runs them, so a batch reports the failure that a
+    loop over its points would meet first.  The error carries the index,
+    0 for a scalar frequency.
+    """
+    if not any(any_true(mask) for mask, _, _ in checks):
+        return
+    masks = np.array([np.reshape(mask, -1) for mask, _, _ in checks])
+    i = int(np.argmax(masks.any(axis=0)))
+    _, error, message = checks[int(np.argmax(masks[:, i]))]
+    raise error(message(i), index=i)
+
+
+def _squeeze_state(cfg: IfoConfig, omega):
+    """(r, theta, extra rotation) of the internal squeeze element at omega.
+
+    Each is a float where it does not depend on frequency.
+    """
     mode = cfg.internal_sqz.mode
     if mode == "none":
         return 0.0, 0.0, 0.0
@@ -165,154 +210,213 @@ def _squeeze_state(cfg: IfoConfig, omega: float) -> tuple[float, float, float]:
         return (value_at(cfg.internal_sqz.r, f_hz),
                 value_at(cfg.internal_sqz.theta, f_hz), 0.0)
     gain = ponderomotive_gain(cfg, omega)
-    if gain == 0.0:
-        return 0.0, 0.0, 0.0
-    phi, params = ponderomotive_decompose(gain)
-    return params.r, params.theta, phi
+    # a gain that underflows to zero leaves the loop unsqueezed: it is
+    # decomposed as a gain of 1 and masked out
+    live = gain > 0.0
+    phi, params = ponderomotive_decompose(gain + (gain == 0.0))
+    return params.r * live, params.theta * live, phi * live
 
 
-def loop_matrix(cfg: IfoConfig, omega: float) -> np.ndarray:
+def loop_matrix(cfg: IfoConfig, omega) -> np.ndarray:
     """One round trip through the effective recycling loop.
 
     rotation(Theta) @ squeeze @ rotation(Theta + phi), where phi is the
     rotation part of the ponderomotive decomposition (folded into the
     second rotation).  A nonzero residual_phase multiplies the round trip
-    by exp(i phi_res); zero means perfect dispersion compensation.
+    by exp(i phi_res); zero means perfect dispersion compensation.  A 1-D
+    array of omega gives a stack of shape (N, 2, 2).
     """
-    f_hz = omega / TWO_PI
+    w = _frequencies(omega)
+    f_hz = w / TWO_PI
     theta_rot = value_at(cfg.Theta, f_hz)
-    r, theta_sqz, extra = _squeeze_state(cfg, omega)
+    r, theta_sqz, extra = _squeeze_state(cfg, w)
     x = (rotation_matrix(theta_rot)
          @ squeeze_matrix(r, theta_sqz)
          @ rotation_matrix(theta_rot + extra))
     phase = value_at(cfg.residual_phase, f_hz)
-    if phase != 0.0:
-        x = x * np.exp(1j * phase)
+    if any_true(phase != 0.0):
+        x = x * np.exp(1j * phase)[..., None, None]
+    if x.ndim - 2 < w.ndim:
+        # no factor depends on frequency: every frequency gets the same matrix
+        x = x + np.zeros(w.shape + (1, 1))
     return x
 
 
-def io_relation(cfg: IfoConfig, omega: float) -> IoRelation:
-    """Input-output relation of the effective cavity at one frequency.
+def io_relation(cfg: IfoConfig, omega) -> IoRelation:
+    """Input-output relation of the effective cavity.
 
-    Raises LasingThresholdError when the round-trip gain of the loop hits
-    unity and the cavity inverse does not exist.
+    A scalar omega gives 2x2 matrices, a 2-vector and a float coupling; a
+    1-D array gives stacks of shape (N, 2, 2), (N, 2) and (N,).  Raises
+    LasingThresholdError when the round-trip gain of the loop hits unity
+    and the cavity inverse does not exist.
     """
-    x = loop_matrix(cfg, omega)
+    w = _frequencies(omega)
+    x = loop_matrix(cfg, w)
     sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
-    trip = np.eye(2) - sqrt_r_src * x
-    if abs(det2(trip)) < LASING_DET_TOL:
-        raise LasingThresholdError(
-            f"recycling loop at lasing threshold (|det| = {abs(det2(trip)):.2e}) "
-            f"at Omega = {omega:.6g} rad/s")
+    trip = _EYE - sqrt_r_src * x
+    det_abs = np.abs(det2(trip))
+    _raise_first((det_abs < LASING_DET_TOL, LasingThresholdError, lambda i: (
+        f"recycling loop at lasing threshold (|det| = {det_abs.flat[i]:.2e}) "
+        f"at Omega = {w.flat[i]:.6g} rad/s")))
     m_c = mat_inv(trip)
-    m_io = -sqrt_r_src * np.eye(2) + cfg.T_src * (m_c @ x)
+    m_io = -sqrt_r_src * _EYE + cfg.T_src * (m_c @ x)
     beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
-    v = math.sqrt(cfg.T_src) * (m_c @ vec2(0.0, beta))
-    eps_int = effective_internal_loss(cfg, omega)
-    return IoRelation(
-        M_io=m_io, M_c=m_c, v=v,
-        internal_coupling=math.sqrt(cfg.T_src * eps_int),
-        external_coupling=math.sqrt(cfg.eps_ext))
+    # m_c @ (0, beta)
+    v = math.sqrt(cfg.T_src) * (m_c[..., 1] * beta)
+    coupling = np.sqrt(cfg.T_src * effective_internal_loss(cfg, w))
+    return IoRelation(M_io=m_io, M_c=m_c, v=v,
+                      internal_coupling=_scalar_or_array(coupling),
+                      external_coupling=math.sqrt(cfg.eps_ext))
 
 
-def _covariance_from(cfg: IfoConfig, io: IoRelation) -> np.ndarray:
-    sq_in = squeeze_matrix(cfg.r_input, cfg.theta_input)
-    sigma_in = sq_in @ adjoint(sq_in)
-    sigma = io.M_io @ sigma_in @ adjoint(io.M_io)
-    sigma = sigma + io.internal_coupling**2 * (io.M_c @ adjoint(io.M_c))
-    sigma = sigma + io.external_coupling**2 * np.eye(2)
-    return 0.5 * (sigma + adjoint(sigma))
+def _covariance_from(cfg: IfoConfig, io: IoRelation):
+    """(F4, Sigma): the output covariance Sigma = F F^dag and the first
+    four columns of its square-root factor F = [F4, c_ext I], where
+    F4 = [M_io S_in, c_int M_c]."""
+    internal = np.asarray(io.internal_coupling)[..., None, None]
+    f4 = np.concatenate(
+        (io.M_io @ squeeze_matrix(cfg.r_input, cfg.theta_input),
+         internal * io.M_c), axis=-1)
+    sigma = f4 @ adjoint(f4) + io.external_coupling**2 * _EYE
+    return f4, 0.5 * (sigma + adjoint(sigma))
 
 
-def total_covariance(cfg: IfoConfig, omega: float) -> np.ndarray:
+def total_covariance(cfg: IfoConfig, omega) -> np.ndarray:
     """Hermitian covariance of the output quadratures.
 
     Sum of the (possibly squeezed) input transferred through M_io, the
-    internal loss channel through M_c, and the external loss channel.
+    internal loss channel through M_c, and the external loss channel.  A
+    1-D array of omega gives a stack of shape (N, 2, 2).
     """
-    io = io_relation(cfg, omega)
-    return _covariance_from(cfg, io)
+    return _covariance_from(cfg, io_relation(cfg, omega))[1]
 
 
-def _homodyne_from(io: IoRelation, sigma: np.ndarray, zeta):
-    zeta_arr = np.atleast_1d(np.asarray(zeta, dtype=float))
-    q = np.stack([np.cos(zeta_arr), np.sin(zeta_arr)], axis=1)
-    qv = q @ io.v
-    v_norm = np.linalg.norm(io.v)
-    blind = np.abs(qv) < BLIND_TOL * v_norm
-    if np.any(blind):
-        bad = zeta_arr[blind][0]
+def _io_relation_in_order(cfg: IfoConfig, w: np.ndarray, evaluate) -> IoRelation:
+    """io_relation over the batch w, for a caller with checks of its own.
+
+    At a lasing point k, evaluate(w[:k]) first runs the caller on the points
+    before it, so a failure that a loop over the points meets earlier is the
+    one raised.
+    """
+    try:
+        return io_relation(cfg, w)
+    except LasingThresholdError as exc:
+        if exc.index:
+            evaluate(w[:exc.index])
+        raise
+
+
+def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
+    """Strain-referred PSD when reading out the quadrature at angle zeta [rad].
+
+    Either omega or zeta may be a 1-D array, not both: a scalar omega with
+    an array of angles scans the readout angle at one frequency, an array
+    of omega with one angle gives the spectrum over the frequencies.  An
+    angle orthogonal to the signal response raises BlindQuadratureError.
+    """
+    w = _frequencies(omega)
+    zeta_arr = np.asarray(zeta, dtype=float)
+    if w.ndim and zeta_arr.ndim:
+        raise ValueError("omega and zeta cannot both be arrays")
+    io = _io_relation_in_order(
+        cfg, w, lambda head: homodyne_spectrum(cfg, head, zeta))
+    _, sigma = _covariance_from(cfg, io)
+    c, s = np.cos(zeta_arr), np.sin(zeta_arr)
+    v1, v2 = io.v.T
+    qv = c * v1 + s * v2
+    blind = np.abs(qv) < BLIND_TOL * np.sqrt(np.abs(v1) ** 2 + np.abs(v2) ** 2)
+    if any_true(blind):
+        # over the angles at one frequency, or over the frequencies
+        i = int(np.argmax(blind))
+        bad = np.broadcast_to(zeta_arr, blind.shape).flat[i]
         raise BlindQuadratureError(
-            f"readout angle {bad:.6g} rad is orthogonal to the signal response")
-    noise = np.real(np.einsum("ni,ij,nj->n", q, sigma, q))
-    s = noise / np.abs(qv) ** 2
-    if np.ndim(zeta) == 0:
-        return float(s[0])
-    return s
+            f"readout angle {bad:.6g} rad is orthogonal to the signal response",
+            index=i if w.ndim else 0)
+    s11, s12, s21, s22 = entries(sigma)
+    noise = np.real(c * c * s11 + c * s * (s12 + s21) + s * s * s22)
+    return _scalar_or_array(noise / np.abs(qv) ** 2)
 
 
-def homodyne_spectrum(cfg: IfoConfig, omega: float, zeta):
-    """Strain-referred PSD when reading out the quadrature at angle zeta.
-
-    zeta may be a scalar or an array of angles [rad]; an angle orthogonal to
-    the signal response raises BlindQuadratureError.
-    """
-    io = io_relation(cfg, omega)
-    sigma = _covariance_from(cfg, io)
-    return _homodyne_from(io, sigma, zeta)
-
-
-def optimal_spectrum(cfg: IfoConfig, omega: float) -> tuple[float, float]:
+def optimal_spectrum(cfg: IfoConfig, omega):
     """Minimum strain-referred PSD over readout angles, and the optimal angle.
 
-    Returns (1 / (v^dag Sigma^-1 v), zeta_opt) with zeta_opt in [0, pi).
-    The value is a lower bound on homodyne_spectrum at every angle, attained
-    at zeta_opt whenever the model matrices are real (no residual phase).
+    Returns (1 / (v^dag Sigma^-1 v), zeta_opt) with zeta_opt in [0, pi):
+    floats for a scalar omega, arrays of shape (N,) for a 1-D array.  The
+    value is a lower bound on homodyne_spectrum at every angle, attained at
+    zeta_opt whenever the model matrices are real (no residual phase).
 
     The quadratic form is evaluated on a square-root factor of the
     covariance, which stays accurate under the extreme squeezing ratios a
     near-nulled configuration produces.
     """
-    io = io_relation(cfg, omega)
-    sq_in = squeeze_matrix(cfg.r_input, cfg.theta_input)
-    # Sigma = F F^dag; the minimum-norm solution y of F y = v then has
-    # |y|^2 = v^dag Sigma^-1 v
-    factor = np.hstack([io.M_io @ sq_in,
-                        io.internal_coupling * io.M_c,
-                        io.external_coupling * np.eye(2)])
-    y, _, rank, _ = np.linalg.lstsq(factor, io.v, rcond=None)
-    if rank < 2 or not np.all(np.isfinite(y)):
-        raise DegeneracyError(
-            f"total covariance is singular at Omega = {omega:.6g} rad/s")
-    quad = float(np.real(np.vdot(y, y)))
-    if not math.isfinite(quad) or quad <= 0.0:
-        raise DegeneracyError(
-            f"degenerate covariance quadratic form at Omega = {omega:.6g} rad/s")
+    w = _frequencies(omega)
+    io = _io_relation_in_order(
+        cfg, w, lambda head: optimal_spectrum(cfg, head))
+    f4, sigma = _covariance_from(cfg, io)
+    g11, _, g21, g22 = entries(sigma)
+    g11, g22 = g11.real, g22.real
+    ext_sq = io.external_coupling**2
+    v1, v2 = io.v.T
+    # Gram-Schmidt on the rows of F gives Sigma = L L^dag with L lower
+    # triangular, so v^dag Sigma^-1 v = |L^-1 v|^2; forming the residual
+    # row f2 - mu f1 explicitly keeps l22 accurate when the rows are nearly
+    # parallel.  Its external-loss part is c_ext (-mu, 1).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l11 = np.sqrt(g11)
+        l21 = g21 / l11
+        mu = g21 / g11
+        residual = f4[..., 1, :] - mu[..., None] * f4[..., 0, :]
+        l22 = np.sqrt(np.abs(residual) ** 2 @ _ONES4
+                      + ext_sq * (1.0 + np.abs(mu) ** 2))
+        y1 = v1 / l11
+        y2 = (v2 - l21 * y1) / l22
+        quad = np.abs(y1) ** 2 + np.abs(y2) ** 2
+        # lstsq's rank test sigma_min > 6 eps sigma_max on the singular
+        # values of F, which are those of L: their product is |det L| and
+        # their squares sum to |L|_F^2 = |F|_F^2
+        det_l = l11 * l22
+        frob = g11 + g22
+        sigma_max_sq = 0.5 * (frob + np.sqrt(np.maximum(
+            frob * frob - 4.0 * det_l * det_l, 0.0)))
+        full_rank = det_l > _RANK_TOL * sigma_max_sq
+    _raise_first(
+        (~(full_rank & np.isfinite(y1) & np.isfinite(y2)), DegeneracyError,
+         lambda i: f"total covariance is singular at Omega = {w.flat[i]:.6g} rad/s"),
+        (~(np.isfinite(quad) & (quad > 0.0)), DegeneracyError,
+         lambda i: ("degenerate covariance quadratic form at "
+                    f"Omega = {w.flat[i]:.6g} rad/s")))
     s_min = 1.0 / quad
 
-    # a real readout direction q sees noise q.A.q and signal q.B.q; the best
-    # q spans the null space of B - lam A for the larger root lam of
-    # det(B - lam A) = det(A) lam^2 - p lam + det(B) = 0.  Scaling by det(A)
-    # keeps a singular A finite: it then yields A's null direction.
-    a = np.real(factor @ adjoint(factor))
-    a = 0.5 * (a + a.T)
-    b = np.real(np.outer(io.v, io.v.conj()))
-    det_a = det2(a)
-    p = a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0] - 2.0 * a[0, 1] * b[0, 1]
-    lam_scaled = 0.5 * (p + math.sqrt(max(p * p - 4.0 * det_a * det2(b), 0.0)))
-    c = det_a * b - lam_scaled * a
-    # q is orthogonal to the larger row of the rank-one matrix c
-    row = c[np.argmax(np.abs(c).sum(axis=1))]
-    zeta_opt = math.atan2(-row[0], row[1]) % math.pi
-    return s_min, zeta_opt
+    # a real readout direction q sees noise q.A.q and signal q.B.q, with
+    # A = Re Sigma and B = Re(v v^dag); the best q spans the null space of
+    # C = det(A) B - lam A for the larger root lam of
+    # det(A) lam^2 - p lam + det(A) det(B) = 0.  Scaling by det(A) keeps a
+    # singular A finite: it then yields A's null direction.
+    a12 = g21.real
+    b11, b22 = np.abs(v1) ** 2, np.abs(v2) ** 2
+    b12 = (v1 * v2.conj()).real
+    det_a = g11 * g22 - a12 * a12
+    p = g11 * b22 + g22 * b11 - 2.0 * a12 * b12
+    lam = 0.5 * (p + np.sqrt(np.maximum(
+        p * p - 4.0 * det_a * (b11 * b22 - b12 * b12), 0.0)))
+    c11 = det_a * b11 - lam * g11
+    c12 = det_a * b12 - lam * a12
+    c22 = det_a * b22 - lam * g22
+    # C is rank one and negative semidefinite, C = -s u u^T with u at angle
+    # alpha, so (c22 - c11, -2 c12) = s (cos 2 alpha, sin 2 alpha); q is
+    # orthogonal to u
+    alpha = 0.5 * np.arctan2(-2.0 * c12, c22 - c11)
+    zeta_opt = (alpha + 0.5 * math.pi) % math.pi
+    return _scalar_or_array(s_min), _scalar_or_array(zeta_opt)
 
 
-def qcrb_lossless(cfg: IfoConfig, omega: float) -> float:
+def qcrb_lossless(cfg: IfoConfig, omega):
     """Optimal-readout PSD with every loss channel switched off.
 
     In the lossless system the optimal frequency-dependent homodyne readout
     saturates the power-fluctuation (Cramer-Rao) bound, so this doubles as
-    the exact bound for the configured squeezing settings.
+    the exact bound for the configured squeezing settings.  A 1-D array of
+    omega gives an array.
     """
     lossless = replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,), eps_ext=0.0)
     return optimal_spectrum(lossless, omega)[0]

@@ -6,7 +6,9 @@ without internal squeezing, and the small-parameter expansions of the
 optimal-readout spectra.  The expansion formulas are valid for small
 recycling transmissivity and rotation angle; out-of-regime use emits a
 RegimeWarning rather than an error, since the exact pipeline in
-:mod:`qnbudget.ifo` remains authoritative.
+:mod:`qnbudget.ifo` remains authoritative.  The frequency-dependent forms
+take a scalar or an array of frequencies (or of their per-frequency
+inputs) and return the same shape.
 
 Angle convention: the squeeze angle ``theta`` appearing in the expansion
 formulas equals minus twice the ellipse angle of
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import FreqTable, IfoConfig
 from .constants import C_LIGHT, HBAR
@@ -36,16 +40,21 @@ _ALPHAS = (ALPHA_INTERNAL, ALPHA_NO_INTERNAL)
 
 @dataclass(frozen=True)
 class LimitParams:
-    """Derived expansion parameters: delta, theta0 and the alpha selector."""
+    """Derived expansion parameters: delta, theta0 and the alpha selector.
+
+    delta and theta0 are scalars, or arrays of one shape.
+    """
 
     delta: float
     theta0: float
     alpha: float = ALPHA_NO_INTERNAL
 
     def __post_init__(self):
-        if not math.isfinite(self.delta) or self.delta <= 0.0:
+        delta = np.asarray(self.delta)
+        if not np.all(np.isfinite(delta) & (delta > 0.0)):
             raise ValueError("delta must be positive and finite")
-        if not 0.0 < self.theta0 < math.pi:
+        theta0 = np.asarray(self.theta0)
+        if not np.all((0.0 < theta0) & (theta0 < math.pi)):
             raise ValueError("theta0 must lie in (0, pi)")
         if self.alpha not in _ALPHAS:
             raise ValueError(f"alpha must be one of {_ALPHAS}")
@@ -54,17 +63,22 @@ class LimitParams:
 def limit_params(t_src: float, theta_rot: float,
                  alpha: float = ALPHA_NO_INTERNAL) -> LimitParams:
     """delta = sqrt(T_src^2 + 16 Theta^2) and theta0 = arccot(4 Theta / T_src)."""
-    return LimitParams(delta=math.hypot(t_src, 4.0 * theta_rot),
+    return LimitParams(delta=np.hypot(t_src, 4.0 * theta_rot),
                        theta0=arccot(4.0 * theta_rot / t_src),
                        alpha=alpha)
 
 
 def _warn_regime(**named) -> None:
+    """One warning per quantity, naming its first out-of-regime value."""
     for name, (value, bound) in named.items():
-        if value is not None and abs(value) >= bound:
+        outside = np.abs(value) >= bound
+        if np.any(outside):
+            i = np.argmax(outside)
+            value_i = np.broadcast_to(value, np.shape(outside)).flat[i]
+            bound_i = np.broadcast_to(bound, np.shape(outside)).flat[i]
             warnings.warn(
-                f"{name} = {value:.3g} is outside the expansion regime "
-                f"(|{name}| < {bound:g}); the exact pipeline is authoritative",
+                f"{name} = {value_i:.3g} is outside the expansion regime "
+                f"(|{name}| < {bound_i:g}); the exact pipeline is authoritative",
                 RegimeWarning, stacklevel=3)
 
 
@@ -74,9 +88,9 @@ def _max_theta(cfg: IfoConfig) -> float:
     return abs(cfg.Theta)
 
 
-def sql(mirror_mass: float, arm_length: float, omega: float) -> float:
+def sql(mirror_mass: float, arm_length: float, omega):
     """Free-mass standard quantum limit 8 hbar / (M Omega^2 L^2) [1/Hz]."""
-    if min(mirror_mass, arm_length, omega) <= 0:
+    if mirror_mass <= 0 or arm_length <= 0 or np.any(np.asarray(omega) <= 0):
         raise ValueError("mass, length and frequency must be positive")
     return 8.0 * HBAR / (mirror_mass * omega**2 * arm_length**2)
 
@@ -103,7 +117,7 @@ def _prefactor(cfg: IfoConfig) -> float:
     return HBAR * C_LIGHT**2 / (4.0 * cfg.L**2 * cfg.omega0 * cfg.P)
 
 
-def loss_limit(cfg: IfoConfig, omega: float, alpha: float) -> float:
+def loss_limit(cfg: IfoConfig, omega, alpha: float):
     """First-order-in-loss sensitivity floor [1/Hz].
 
     prefactor * [eps_arm + (1 + Omega^2/gamma^2) T_itm eps_src / 4
@@ -126,33 +140,31 @@ def metrology_limit(cfg: IfoConfig) -> float:
     return _prefactor(cfg) * (cfg.eps_arm + 0.25 * cfg.T_src * cfg.eps_ext)
 
 
-def taylor_qcrb_internal(t_src: float, theta_rot: float, r: float,
-                         theta: float, r_input: float, arm_length: float,
-                         omega0: float, power: float) -> float:
+def taylor_qcrb_internal(t_src: float, theta_rot, r, theta, r_input: float,
+                         arm_length: float, omega0: float, power: float):
     """Leading-order lossless optimal-readout PSD with internal squeezing.
 
     hbar c^2 (delta^2 - 4 r^2)^2 e^(-2 r_input)
     / (16 L^2 omega0 P T_src [delta^2 + 4 r^2 + 4 delta r sin(theta + theta0)])
 
     Vanishes identically at r = delta / 2.  A non-positive denominator is
-    outside the validity domain and raises.
+    outside the validity domain and raises.  theta_rot, r and theta may be
+    arrays over frequency.
     """
     params = limit_params(t_src, theta_rot)
-    _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA))
-    if abs(r) > params.delta:
-        _warn_regime(r=(r, params.delta))
+    _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA),
+                 r=(r, params.delta))
     den = (params.delta**2 + 4.0 * r**2
-           + 4.0 * params.delta * r * math.sin(theta + params.theta0))
-    if den <= 0.0:
+           + 4.0 * params.delta * r * np.sin(theta + params.theta0))
+    if np.any(den <= 0.0):
         raise ValueError("outside validity: expansion denominator is <= 0")
     num = (HBAR * C_LIGHT**2 * (params.delta**2 - 4.0 * r**2) ** 2
            * math.exp(-2.0 * r_input))
     return num / (16.0 * arm_length**2 * omega0 * power * t_src * den)
 
 
-def taylor_qcrb_no_internal(t_src: float, theta_rot: float, r_input: float,
-                            arm_length: float, omega0: float,
-                            power: float) -> float:
+def taylor_qcrb_no_internal(t_src: float, theta_rot, r_input: float,
+                            arm_length: float, omega0: float, power: float):
     """Leading-order shot-noise-only PSD, no internal squeezing.
 
     hbar c^2 delta^2 e^(-2 r_input) / (16 T_src L^2 omega0 P)
@@ -163,7 +175,7 @@ def taylor_qcrb_no_internal(t_src: float, theta_rot: float, r_input: float,
             / (16.0 * t_src * arm_length**2 * omega0 * power))
 
 
-def taylor_loss_internal(cfg: IfoConfig, omega: float) -> float:
+def taylor_loss_internal(cfg: IfoConfig, omega):
     """Loss floor at the squeeze strength that nulls the lossless bound.
 
     prefactor * (eps_int + T_src eps_ext); the theta-minimised alpha = 1
@@ -174,7 +186,7 @@ def taylor_loss_internal(cfg: IfoConfig, omega: float) -> float:
     return loss_limit(cfg, omega, ALPHA_INTERNAL)
 
 
-def taylor_loss_no_internal(cfg: IfoConfig, omega: float) -> float:
+def taylor_loss_no_internal(cfg: IfoConfig, omega):
     """Loss floor without internal squeezing, minimised over detuning.
 
     prefactor * (eps_int + T_src eps_ext / 4); the alpha = 1/4 branch,

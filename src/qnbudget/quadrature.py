@@ -30,116 +30,160 @@ MAX_SQUEEZE_FACTOR = 20.0
 
 
 def mat2(m11, m12, m21, m22) -> np.ndarray:
-    """Assemble a 2x2 matrix from its four entries."""
-    return np.array([[m11, m12], [m21, m22]])
+    """Assemble 2x2 matrices from their four entries.
+
+    Scalar entries give one (2, 2) matrix; 1-D arrays of one length N give
+    a stack of shape (N, 2, 2).  Entries are all scalars or all arrays.
+    """
+    m = np.array([m11, m12, m21, m22])
+    return m.T.reshape(m.shape[1:] + (2, 2))
 
 
 def vec2(a1, a2) -> np.ndarray:
-    """Assemble a quadrature 2-vector (a1, a2)."""
-    return np.array([a1, a2])
+    """Assemble quadrature 2-vectors (a1, a2); 1-D arrays give shape (N, 2)."""
+    return np.array([a1, a2]).T
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint."""
-    return m.conj().T
+    """Hermitian adjoint of a matrix or of each matrix in a stack."""
+    return m.swapaxes(-1, -2).conj()
+
+
+def entries(m: np.ndarray):
+    """(m11, m12, m21, m22) of a matrix, or of each matrix in a stack.
+
+    Each entry is a scalar for one matrix and an (N,) array for a stack of
+    N; m.T reverses every axis, so m.T[j, i] is m[..., i, j].
+    """
+    t = m.T
+    return t[0, 0], t[1, 0], t[0, 1], t[1, 1]
 
 
 def det2(m: np.ndarray):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    m11, m12, m21, m22 = entries(m)
+    return m11 * m22 - m12 * m21
+
+
+def any_true(mask) -> bool:
+    """Whether a boolean scalar or array holds any True entry."""
+    return bool(mask.any() if getattr(mask, "ndim", 0) else mask)
+
+
+def all_true(mask) -> bool:
+    """Whether every entry of a boolean scalar or array is True."""
+    return bool(mask.all() if getattr(mask, "ndim", 0) else mask)
 
 
 def mat_inv(m: np.ndarray) -> np.ndarray:
-    """Invert a 2x2 matrix via the adjugate.
+    """Invert a 2x2 matrix, or each matrix in a stack, via the adjugate.
 
     Raises ValueError on vanishing determinant.  The round trip M @ mat_inv(M)
     reproduces the identity to machine-limited accuracy for well-conditioned
     input (roughly cond(M) * machine epsilon per entry).
     """
-    d = det2(m)
-    if abs(d) == 0.0:
+    m11, m12, m21, m22 = entries(m)
+    d = np.asarray(m11 * m22 - m12 * m21)
+    if any_true(d == 0.0):
         raise ValueError("matrix is singular, cannot invert")
-    return mat2(m[1, 1], -m[0, 1], -m[1, 0], m[0, 0]) / d
+    return mat2(m22, -m12, -m21, m11) / d[..., None, None]
 
 
-def arccot(x: float) -> float:
+def arccot(x):
     """Inverse cotangent on the (0, pi) branch, so arccot(0) = pi/2."""
-    return 0.5 * math.pi - math.atan(x)
+    return 0.5 * math.pi - np.arctan(x)
+
+
+def _all_finite(x) -> bool:
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return bool(np.isfinite(x).all())
 
 
 @dataclass(frozen=True)
 class SqueezeParams:
     """Squeeze factor r (e-folds) and squeeze angle theta.
 
-    theta is reduced to [0, 2pi) on construction; note that the squeeze
-    matrix itself is pi-periodic in theta.
+    Either both are scalars or both are arrays of one shape.  theta is
+    reduced to [0, 2pi) on construction; note that the squeeze matrix itself
+    is pi-periodic in theta.
     """
 
     r: float
     theta: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.r):
+        if not _all_finite(self.r):
             raise ValueError("squeeze factor must be finite")
-        if not math.isfinite(self.theta):
+        if not _all_finite(self.theta):
             raise ValueError("squeeze angle must be finite")
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
+        object.__setattr__(self, "theta", self.theta % TWO_PI)
 
 
-def rotation_matrix(angle: float) -> np.ndarray:
+def rotation_matrix(angle) -> np.ndarray:
     """Quadrature rotation [[cos, -sin], [sin, cos]] of a passive element.
 
     A lossless element with no external pump only rotates the quadratures;
-    for a detuned cavity the angle is frequency dependent.
+    for a detuned cavity the angle is frequency dependent.  A 1-D array of
+    angles gives a stack of shape (N, 2, 2).
     """
-    if not math.isfinite(angle):
+    if not _all_finite(angle):
         raise ValueError("rotation angle must be finite")
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = np.cos(angle), np.sin(angle)
     return mat2(c, -s, s, c)
 
 
-def squeeze_matrix(r: float, theta: float = 0.0) -> np.ndarray:
+def squeeze_matrix(r, theta=0.0) -> np.ndarray:
     """Phase-sensitive squeeze matrix rot(theta) diag(e^r, e^-r) rot(-theta).
 
     r = 1 at theta = 0 squeezes the phase quadrature by e^-1, i.e. about
     8.7 dB (see db_from_r).  |r| above MAX_SQUEEZE_FACTOR is rejected as an
-    overflow guard.
+    overflow guard.  r and theta may be scalars or 1-D arrays of one length
+    N, which give a stack of shape (N, 2, 2).
     """
-    if not (math.isfinite(r) and math.isfinite(theta)):
+    if not (_all_finite(r) and _all_finite(theta)):
         raise ValueError("squeeze parameters must be finite")
-    if abs(r) > MAX_SQUEEZE_FACTOR:
-        raise ValueError(
-            f"|r| = {abs(r):.3g} exceeds the overflow guard ({MAX_SQUEEZE_FACTOR})")
-    rot = rotation_matrix(theta)
-    return rot @ np.diag([math.exp(r), math.exp(-r)]) @ rot.T
+    size = np.abs(r)
+    if any_true(size > MAX_SQUEEZE_FACTOR):
+        raise ValueError(f"|r| = {np.max(size):.3g} exceeds the overflow "
+                         f"guard ({MAX_SQUEEZE_FACTOR})")
+    c, s = np.cos(theta), np.sin(theta)
+    grow, shrink = np.exp(r), np.exp(-r)
+    cc, ss = c * c, s * s
+    off = c * s * (grow - shrink)
+    return mat2(cc * grow + ss * shrink, off, off, ss * grow + cc * shrink)
 
 
-def ponderomotive_matrix(gain: float) -> np.ndarray:
+def ponderomotive_matrix(gain) -> np.ndarray:
     """Radiation-pressure transfer [[1, 0], [-gain, 1]].
 
     Amplitude fluctuations drive the test mass, which imprints them back
-    onto the phase quadrature with dimensionless gain >= 0.
+    onto the phase quadrature with dimensionless gain >= 0.  A 1-D array of
+    gains gives a stack of shape (N, 2, 2).
     """
-    if not math.isfinite(gain) or gain < 0.0:
+    gain = np.asarray(gain, dtype=float)
+    if not _all_finite(gain) or any_true(gain < 0.0):
         raise ValueError("ponderomotive gain must be finite and >= 0")
-    return mat2(1.0, 0.0, -float(gain), 1.0)
+    one = np.ones_like(gain)
+    return mat2(one, 0.0 * one, -gain, one)
 
 
-def ponderomotive_decompose(gain: float) -> tuple[float, SqueezeParams]:
+def ponderomotive_decompose(gain) -> tuple[float, SqueezeParams]:
     """Split the ponderomotive matrix into a rotation followed by a squeeze.
 
     Returns (phi, params) such that
         squeeze_matrix(params.r, params.theta) @ rotation_matrix(phi)
     equals ponderomotive_matrix(gain), with
         phi = -arctan(gain/2), theta = arccot(gain/2)/2, r = -arcsinh(gain/2).
+    An array of gains gives arrays of phi, r and theta.
 
     The decomposition degenerates at gain <= 0 and is rejected there.
     """
-    if not math.isfinite(gain) or gain <= 0.0:
+    if not (_all_finite(gain) and all_true(gain > 0.0)):
         raise ValueError("decomposition requires gain > 0")
     half = 0.5 * gain
-    phi = -math.atan(half)
+    phi = -np.arctan(half)
     theta = 0.5 * arccot(half)
-    r = -math.asinh(half)
+    r = -np.arcsinh(half)
     return phi, SqueezeParams(r=r, theta=theta)
 
 

@@ -183,6 +183,28 @@ class TestCliExitCodes:
         assert rc == 2
         assert "T_src" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("L", "abc"), ("lambda0", "x"), ("r_input", "q"), ("T_src", True),
+    ])
+    def test_bad_config_value_exits_2(self, cfg, tmp_path, capsys, field,
+                                      value):
+        doc = config_to_dict(cfg)
+        if field == "lambda0":
+            del doc["omega0"]
+        doc[field] = value
+        path = write_config(tmp_path, doc)
+        rc = main(["budget", "--config", path, "--out",
+                   str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert f"config error: {field}: expected a number" in \
+            capsys.readouterr().err
+
+    def test_malformed_curve_angle_exits_2(self, tmp_path, capsys):
+        rc = main(["budget", "--points", "4", "--curves",
+                   "full_fixed_zeta(1e)", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "full_fixed_zeta(1e)" in capsys.readouterr().err
+
     def test_band_below_minimum_exits_2(self, tmp_path):
         rc = main(["budget", "--fmin", "0.01", "--out",
                    str(tmp_path / "x.csv")])
@@ -254,6 +276,15 @@ class TestValidation:
         dev = {c.name: c.deviation for c in run_validation(cfg, 3).checks}
         dev4 = {c.name: c.deviation for c in run_validation(scaled, 3).checks}
         assert dev4["first_order_split"] > dev["first_order_split"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_undefined_deviation_fails(self, cfg):
+        # without loss the expansion's loss floor is zero: 0/0 must not pass
+        lossless = replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,),
+                           eps_ext=0.0)
+        checks = {c.name: c for c in run_validation(lossless, 3).checks}
+        assert math.isnan(checks["taylor_vs_exact"].deviation)
+        assert not checks["taylor_vs_exact"].passed
 
     def test_cli_validate_exit_codes(self, cfg, tmp_path, capsys):
         assert main(["validate", "--seed", "5"]) == 0

@@ -64,6 +64,47 @@ class TestIfoConfigValidation:
         with pytest.raises(ConfigError, match="eps_src_channels"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("field,value", [
+        ("L", "abc"), ("r_input", "q"), ("T_itm", None), ("eps_arm", [1e-4]),
+    ])
+    def test_non_numeric_value_names_key(self, field, value):
+        doc = config_to_dict(default_config())
+        doc[field] = value
+        with pytest.raises(ConfigError, match=f"{field}: expected a number"):
+            config_from_dict(doc)
+
+    def test_non_numeric_wavelength_names_key(self):
+        doc = config_template()
+        doc["lambda0"] = "x"
+        with pytest.raises(ConfigError, match="lambda0: expected a number"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("field", [
+        "L", "M", "P", "omega0", "lambda0", "T_itm", "T_src", "eps_arm",
+        "eps_src_channels", "eps_ext", "r_input", "theta_input", "Theta",
+        "residual_phase",
+    ])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_rejected(self, field, flag):
+        doc = config_template() if field == "lambda0" \
+            else config_to_dict(default_config())
+        doc[field] = flag
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(doc)
+
+    def test_boolean_squeeze_and_table_entries_rejected(self):
+        doc = config_to_dict(default_config())
+        doc["internal_sqz"] = {"mode": "fixed", "r": True, "theta": 0.0}
+        with pytest.raises(ConfigError, match="internal_sqz.r"):
+            config_from_dict(doc)
+        doc = config_to_dict(default_config())
+        doc["Theta"] = {"f_hz": [1.0, 1e4], "values": [0.0, True]}
+        with pytest.raises(ConfigError, match="Theta: table values"):
+            config_from_dict(doc)
+        doc["Theta"] = {"f_hz": [1.0, 1e4], "values": 0.0}
+        with pytest.raises(ConfigError, match="Theta: table"):
+            config_from_dict(doc)
+
     def test_unknown_key_rejected(self):
         doc = config_to_dict(default_config())
         doc["chirp_mass"] = 30.0

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
-                      BlindQuadratureError, ConfigError, FreqTable,
+                      BlindQuadratureError, ConfigError, DegeneracyError,
+                      FreqTable,
                       InternalSqueeze, LasingThresholdError, NoiseSpectrum,
                       adjoint, arm_bandwidth, default_config,
                       effective_internal_loss, effective_src_loss,
-                      homodyne_spectrum, io_relation, loss_limit,
-                      optimal_spectrum, ponderomotive_gain, qcrb_lossless,
-                      random_config, resolve_band, total_covariance)
+                      evaluate_curve, homodyne_spectrum, io_relation,
+                      loss_limit, optimal_spectrum, ponderomotive_gain,
+                      qcrb_lossless, random_config, resolve_band,
+                      total_covariance, value_at)
+from qnbudget.ifo import BAND_SAMPLES
 from qnbudget.constants import C_LIGHT, HBAR
 
 TWO_PI = 2 * math.pi
@@ -78,6 +81,25 @@ class TestEffectiveLosses:
         assert got == pytest.approx(1e-4, rel=1e-12)
         assert got <= brute + 1e-15
 
+    def test_band_search_matches_pointwise_lookup(self):
+        table = FreqTable(f_hz=(2.0, 40.0, 900.0, 6000.0),
+                          values=(2e-3, 5e-4, 7e-4, 3e-3))
+        cases = [((5e-4, V_TABLE, table), band)
+                 for band in ((5.0, 5000.0), (30.0, 700.0), (100.0, 100.0))]
+        # the minimum on the upper band edge, off every knot
+        cases.append(((5e-4, V_TABLE), (7.3, 61.7)))
+        for channels, band in cases:
+            knots = [f for ch in channels[1:] for f in ch.f_hz
+                     if band[0] <= f <= band[1]]
+            grid = np.unique(np.concatenate(
+                [np.geomspace(*band, BAND_SAMPLES), knots]))
+            for ch in channels[1:]:
+                assert np.array_equal(value_at(ch, grid),
+                                      [value_at(ch, float(f)) for f in grid])
+            pointwise = min(sum(value_at(ch, float(f)) for ch in channels)
+                            for f in grid)
+            assert effective_src_loss(channels, band) == pointwise
+
     def test_errors(self):
         with pytest.raises(ConfigError):
             effective_src_loss(())
@@ -139,6 +161,49 @@ class TestResolveBand:
             resolve_band(c, (1.0, 100.0))
         below = replace(c, eps_src_channels=(0.4999, table))
         assert resolve_band(below, (1.0, 100.0)).eps_src_channels[0] < 1.0
+
+
+class TestBatchErrors:
+    """A batch raises for the point a loop over its frequencies meets first."""
+
+    @pytest.fixture
+    def lasing_at_100hz(self, cfg):
+        # the internal squeeze reaches the lasing threshold on the 100 Hz knot
+        r_crit = -0.5 * math.log(1 - cfg.T_src)
+        r = FreqTable(f_hz=(1.0, 100.0, 1e4), values=(0.0, r_crit, 0.0))
+        return replace(cfg, internal_sqz=InternalSqueeze("fixed", r=r))
+
+    def test_lasing_point_reported_with_its_index(self, lasing_at_100hz):
+        f_hz = np.array([50.0, 100.0, 200.0])
+        with pytest.raises(LasingThresholdError) as batch:
+            optimal_spectrum(lasing_at_100hz, TWO_PI * f_hz)
+        with pytest.raises(LasingThresholdError) as one:
+            optimal_spectrum(lasing_at_100hz, TWO_PI * 100.0)
+        assert batch.value.index == 1
+        assert str(batch.value) == str(one.value)
+        with pytest.raises(LasingThresholdError,
+                           match="'full_optimal' failed at 100 Hz: recycling"):
+            evaluate_curve("full_optimal", lasing_at_100hz, f_hz)
+
+    def test_earlier_blind_angle_wins_over_later_lasing(self, lasing_at_100hz):
+        # the tuned signal is pure phase quadrature, so zeta = 0 is blind
+        with pytest.raises(BlindQuadratureError) as info:
+            homodyne_spectrum(lasing_at_100hz, TWO_PI * np.array([50.0, 100.0]),
+                              0.0)
+        assert info.value.index == 0
+        with pytest.raises(BlindQuadratureError, match="failed at 50 Hz"):
+            evaluate_curve("full_fixed_zeta(0)", lasing_at_100hz,
+                           np.array([50.0, 100.0]))
+
+    def test_chunks_report_global_frequency(self, lasing_at_100hz):
+        from qnbudget import curves
+        # the lasing point is the last one, in the second chunk
+        f_hz = np.geomspace(10.0, 100.0, curves.CHUNK_POINTS + 5)
+        f_hz[-1] = 100.0
+        with pytest.raises(LasingThresholdError) as info:
+            evaluate_curve("qcrb", lasing_at_100hz, f_hz)
+        assert info.value.index == curves.CHUNK_POINTS + 4
+        assert "failed at 100 Hz" in str(info.value)
 
 
 class TestIoRelation:
@@ -280,6 +345,18 @@ class TestOptimal:
             grid_best = zetas[np.argmin(homodyne_spectrum(c, omega, zetas))]
             gap = abs(zeta - grid_best) % math.pi
             assert min(gap, math.pi - gap) <= math.pi / n
+
+    def test_rank_threshold_of_lstsq(self, lossless):
+        # the input squeeze sets the singular-value ratio of the covariance
+        # factor to e^(-2 r_input); lstsq calls it rank one below 6 eps
+        s, _ = optimal_spectrum(replace(lossless, r_input=17.0), OMEGA)
+        assert s > 0
+        with pytest.raises(DegeneracyError, match="covariance is singular"):
+            optimal_spectrum(replace(lossless, r_input=17.5), OMEGA)
+        with pytest.raises(DegeneracyError) as info:
+            optimal_spectrum(replace(lossless, r_input=17.5),
+                             OMEGA * np.array([1.0, 2.0]))
+        assert info.value.index == 0
 
     def test_equals_qcrb_when_lossless(self, lossless):
         assert optimal_spectrum(lossless, OMEGA)[0] == pytest.approx(
