@@ -19,7 +19,8 @@ from .config import (DEFAULT_BAND_HZ, MIN_FREQUENCY_HZ, IfoConfig,
                      config_hash, config_template, coverage_check,
                      default_config, load_config)
 from .constants import C_LIGHT, HBAR
-from .curves import evaluate_curve, frequency_grid, parse_curve_name
+from .curves import (CHUNK_POINTS, evaluate_curve, frequency_grid,
+                     parse_curve_name)
 from .errors import ConfigError, DegeneracyError
 from .ifo import NoiseSpectrum, resolve_band
 from .validation import run_validation
@@ -61,37 +62,73 @@ class BudgetRequest:
         coverage_check(self.config, lo, hi)
 
 
-def _fmt(x: float) -> str:
-    """12 significant digits, scientific notation."""
-    return f"{x:.11e}"
+def _csv_block(columns: list) -> str:
+    """Rows of the columns, 12 significant digits in scientific notation."""
+    row = ",".join(["%.11e"] * len(columns)) + "\n"
+    cells = np.column_stack(columns).ravel().tolist()
+    return row * len(columns[0]) % tuple(cells)
 
 
-def _csv_text(f_hz: np.ndarray, spectra: dict) -> str:
-    lines = [",".join(["f_hz"] + list(spectra))]
-    columns = [f_hz] + [spectra[name].values for name in spectra]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _json_block(values: np.ndarray) -> str:
+    """One array element per line, as json.dumps(indent=1) writes
+    float(f"{x:.11e}") three levels deep, without the last comma.
+
+    A 12-digit decimal is the shortest text that round-trips to the double
+    nearest to it, so "%.12g" writes what repr writes, except that repr adds
+    ".0" to integers, switches to exponent notation only from 1e16 and
+    writes NaN, infinities and subnormals its own way.  Those cells go
+    through json.dumps one at a time.
+    """
+    magnitude = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        # a 12-digit rounding that is an integer lies within 5e-12 |x| of
+        # round(x), and so does every |x| >= 1e11; NaN and infinities fail
+        plain = ((magnitude >= 1e-300)
+                 & (np.abs(values - np.round(values)) > 1e-11 * magnitude))
+    cells = values.tolist()
+    fmts = ["   %.12g"] * len(cells)
+    for i in np.flatnonzero(~plain).tolist():
+        fmts[i] = "   %s"
+        cells[i] = json.dumps(float("%.11e" % cells[i]))
+    return ",\n".join(fmts) % tuple(cells)
 
 
-def _json_text(req: BudgetRequest, f_hz: np.ndarray, spectra: dict) -> str:
-    doc = {
-        "metadata": {
-            "format": "qnbudget-budget/1",
-            "version": __version__,
-            "config_sha256": config_hash(req.config),
-            "constants": {"c_m_per_s": C_LIGHT, "hbar_J_s": HBAR},
-            "band_hz": list(req.band_hz),
-            "points": req.points,
-            "curves": list(req.curves),
-        },
-        "columns": {
-            "f_hz": [float(_fmt(x)) for x in f_hz],
-            **{name: [float(_fmt(x)) for x in spectrum.values]
-               for name, spectrum in spectra.items()},
-        },
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+def _blocks(n: int):
+    return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, n, CHUNK_POINTS))
+
+
+def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray, spectra: dict,
+                 fmt: str) -> None:
+    """Write the curves to the text stream `fh` as CSV or JSON.
+
+    The text is built CHUNK_POINTS rows at a time, so its memory stays
+    bounded at any point count.
+    """
+    columns = {"f_hz": f_hz,
+               **{name: spectrum.values for name, spectrum in spectra.items()}}
+    if fmt == "csv":
+        fh.write(",".join(columns) + "\n")
+        for rows in _blocks(len(f_hz)):
+            fh.write(_csv_block([col[rows] for col in columns.values()]))
+        return
+    # the document json.dumps(sort_keys=True, indent=1) writes: "columns"
+    # sorts before "metadata", so the arrays go first, then its metadata text
+    metadata = json.dumps({"metadata": {
+        "format": "qnbudget-budget/1",
+        "version": __version__,
+        "config_sha256": config_hash(req.config),
+        "constants": {"c_m_per_s": C_LIGHT, "hbar_J_s": HBAR},
+        "band_hz": list(req.band_hz),
+        "points": req.points,
+        "curves": list(req.curves),
+    }}, sort_keys=True, indent=1)
+    fh.write('{\n "columns": {\n')
+    for k, name in enumerate(sorted(columns)):
+        fh.write((",\n" if k else "") + f"  {json.dumps(name)}: [\n")
+        for j, rows in enumerate(_blocks(len(f_hz))):
+            fh.write((",\n" if j else "") + _json_block(columns[name][rows]))
+        fh.write("\n  ]")
+    fh.write("\n },\n" + metadata.removeprefix("{\n") + "\n")
 
 
 def run_budget(req: BudgetRequest) -> dict:
@@ -106,10 +143,8 @@ def run_budget(req: BudgetRequest) -> dict:
         values = evaluate_curve(name, cfg, f_hz)
         spectra[name] = NoiseSpectrum(frequencies=f_hz, values=values, label=name)
     if req.out_path is not None:
-        text = (_csv_text(f_hz, spectra) if req.fmt == "csv"
-                else _json_text(req, f_hz, spectra))
         with open(req.out_path, "w", newline="") as fh:
-            fh.write(text)
+            write_budget(fh, req, f_hz, spectra, req.fmt)
     return spectra
 
 
@@ -172,7 +207,7 @@ def main(argv=None) -> int:
         spectra = run_budget(req)
         if req.out_path is None:
             f_hz = next(iter(spectra.values())).frequencies
-            sys.stdout.write(_csv_text(f_hz, spectra))
+            write_budget(sys.stdout, req, f_hz, spectra, "csv")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

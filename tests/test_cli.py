@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qnbudget
 from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, BudgetRequest, ConfigError,
                       config_hash, config_to_dict, default_config,
@@ -253,6 +257,20 @@ class TestCliExitCodes:
         assert out.startswith("f_hz,sql")
         assert len(out.splitlines()) == 5
 
+    def test_python_dash_m_runs_cli(self, capsys):
+        assert main(["budget", "--points", "4", "--curves", "sql"]) == 0
+        src = os.path.dirname(os.path.dirname(qnbudget.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "qnbudget", "budget", "--points", "4",
+             "--curves", "sql"], capture_output=True, text=True, env=env)
+        assert done.returncode == 0
+        assert done.stdout == capsys.readouterr().out
+        bad = subprocess.run([sys.executable, "-m", "qnbudget", "budget",
+                              "--fmin", "0.01"], capture_output=True,
+                             text=True, env=env)
+        assert bad.returncode == 2 and "config error" in bad.stderr
+
 
 class TestValidation:
     def test_default_config_passes(self, cfg):
@@ -277,14 +295,19 @@ class TestValidation:
         dev4 = {c.name: c.deviation for c in run_validation(scaled, 3).checks}
         assert dev4["first_order_split"] > dev["first_order_split"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_undefined_deviation_fails(self, cfg):
-        # without loss the expansion's loss floor is zero: 0/0 must not pass
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lossless_taylor_check_compares_lossless_term(self, cfg):
+        # without loss both loss terms are zero: only the lossless bound is
+        # compared, so the check neither divides 0 by 0 nor fails
         lossless = replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,),
                            eps_ext=0.0)
         checks = {c.name: c for c in run_validation(lossless, 3).checks}
-        assert math.isnan(checks["taylor_vs_exact"].deviation)
-        assert not checks["taylor_vs_exact"].passed
+        lossy = {c.name: c for c in run_validation(cfg, 3).checks}
+        taylor = checks["taylor_vs_exact"]
+        assert math.isfinite(taylor.deviation) and taylor.passed
+        # the lossless term is computed on the same lossless configuration
+        # either way, and on the default config it is the larger term
+        assert taylor.deviation == lossy["taylor_vs_exact"].deviation
 
     def test_cli_validate_exit_codes(self, cfg, tmp_path, capsys):
         assert main(["validate", "--seed", "5"]) == 0

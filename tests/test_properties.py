@@ -1,22 +1,32 @@
-"""Property tests over random valid configurations.
+"""Property tests over random valid configurations and arbitrary floats.
 
-Each example draws a configuration with `random_config` and one of four
-variants (as drawn, ponderomotive internal squeezing, a tabulated rotation
-angle, a residual round-trip phase), plus a set of sideband frequencies.
+Each configuration example draws a configuration with `random_config` and
+one of four variants (as drawn, ponderomotive internal squeezing, a
+tabulated rotation angle, a residual round-trip phase), plus a set of
+sideband frequencies.  The output-format examples draw columns of arbitrary
+floats.
 """
 
+import csv
+import io
+import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qnbudget import (BlindQuadratureError, DegeneracyError, FreqTable,
-                      InternalSqueeze, evaluate_curve, homodyne_spectrum,
-                      io_relation, optimal_spectrum, random_config,
-                      total_covariance)
+from qnbudget import (BlindQuadratureError, BudgetRequest, DegeneracyError,
+                      FreqTable, InternalSqueeze, __version__,
+                      config_hash, default_config, evaluate_curve,
+                      homodyne_spectrum, io_relation, optimal_spectrum,
+                      random_config, run_budget, total_covariance)
+from qnbudget.cli import write_budget
+from qnbudget.constants import C_LIGHT, HBAR
 
 TWO_PI = 2 * math.pi
 VARIANTS = ("plain", "ponderomotive", "theta_table", "residual_phase")
@@ -128,3 +138,93 @@ def test_array_omega_with_array_zeta_rejected():
     with pytest.raises(ValueError, match="both be arrays"):
         homodyne_spectrum(cfg, TWO_PI * np.array([10.0, 100.0]),
                           np.array([0.1, 0.2]))
+
+
+# what the output format is checked against: every cell rounded to 12
+# significant digits with f"{x:.11e}", and json.dumps of the whole document
+def csv_oracle(columns):
+    lines = [",".join(columns)]
+    lines += [",".join(f"{x:.11e}" for x in row)
+              for row in zip(*columns.values())]
+    return "\n".join(lines) + "\n"
+
+
+def json_oracle(req, columns):
+    doc = {
+        "metadata": {
+            "format": "qnbudget-budget/1",
+            "version": __version__,
+            "config_sha256": config_hash(req.config),
+            "constants": {"c_m_per_s": C_LIGHT, "hbar_J_s": HBAR},
+            "band_hz": list(req.band_hz),
+            "points": req.points,
+            "curves": list(req.curves),
+        },
+        "columns": {name: [float(f"{x:.11e}") for x in values]
+                    for name, values in columns.items()},
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def written(req, columns, fmt):
+    """The text write_budget writes for columns {"f_hz": ..., curve: ...}."""
+    fh = io.StringIO()
+    f_hz, *_ = columns.values()
+    # the writer reads only .values, so any floats can stand in for a curve
+    spectra = {name: SimpleNamespace(values=values)
+               for name, values in list(columns.items())[1:]}
+    write_budget(fh, req, f_hz, spectra, fmt)
+    return fh.getvalue()
+
+
+# floats whose text is easy to get wrong: signed zeros, non-finite values,
+# subnormals, the range where "%g" and repr choose different notations,
+# values that round up to a power of ten, integers and near-integers
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     2.2250738585072014e-308, 1e-300, 999999999999.5,
+                     99999999999.95, 9.999999999995e-5, 9.9999999999995e15,
+                     5.000000000004, 0.9999999999995, -5.0]),
+    st.floats(1e-310, 1e-290), st.floats(1e11, 1e16).map(lambda x: -x),
+    st.floats(1e11, 1e16),
+    st.integers(-10**16, 10**16).map(float),
+    st.tuples(st.integers(-10**12, 10**12), st.floats(-6e-12, 6e-12)).map(
+        lambda t: t[0] * (1.0 + t[1])),
+    st.floats(-1e12, 1e12).map(lambda x: float(f"{x:.11e}")),
+)
+COLUMN_NAMES = ("sql", "qcrb", "loss_limit_a4", "full_fixed_zeta(0.5)")
+
+
+@settings(PROFILE, max_examples=300)
+@given(st.integers(2, 40).flatmap(lambda n: st.lists(
+           st.lists(CELLS, min_size=n, max_size=n), min_size=2, max_size=4)),
+       st.integers(1, 7))
+def test_output_text_equals_per_cell_formatting(cells, chunk):
+    columns = {"f_hz": np.array(cells[0])}
+    columns.update((name, np.array(col))
+                   for name, col in zip(COLUMN_NAMES, cells[1:]))
+    req = BudgetRequest(config=default_config(), points=len(cells[0]),
+                        curves=tuple(columns)[1:])
+    # small blocks put every cell near a block boundary
+    with mock.patch("qnbudget.cli.CHUNK_POINTS", chunk):
+        assert written(req, columns, "csv") == csv_oracle(columns)
+        assert written(req, columns, "json") == json_oracle(req, columns)
+
+
+@PROFILE
+@given(configs, st.integers(2, 60))
+def test_csv_and_json_carry_identical_numbers(cfg, points):
+    curves = ("sql", "qcrb", "loss_limit_a1", "fdt_floor", "full_optimal")
+    req = BudgetRequest(config=cfg, points=points, curves=curves)
+    try:
+        spectra = run_budget(req)
+    except DegeneracyError:
+        assume(False)
+    columns = {"f_hz": next(iter(spectra.values())).frequencies,
+               **{name: s.values for name, s in spectra.items()}}
+    rows = list(csv.reader(io.StringIO(written(req, columns, "csv"))))
+    doc = json.loads(written(req, columns, "json"))
+    assert rows[0] == list(columns)
+    for k, name in enumerate(columns):
+        assert [float(row[k]) for row in rows[1:]] == doc["columns"][name]
