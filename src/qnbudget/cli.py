@@ -62,37 +62,6 @@ class BudgetRequest:
         coverage_check(self.config, lo, hi)
 
 
-def _csv_block(columns: list) -> str:
-    """Rows of the columns, 12 significant digits in scientific notation."""
-    row = ",".join(["%.11e"] * len(columns)) + "\n"
-    cells = np.column_stack(columns).ravel().tolist()
-    return row * len(columns[0]) % tuple(cells)
-
-
-def _json_block(values: np.ndarray) -> str:
-    """One array element per line, as json.dumps(indent=1) writes
-    float(f"{x:.11e}") three levels deep, without the last comma.
-
-    A 12-digit decimal is the shortest text that round-trips to the double
-    nearest to it, so "%.12g" writes what repr writes, except that repr adds
-    ".0" to integers, switches to exponent notation only from 1e16 and
-    writes NaN, infinities and subnormals its own way.  Those cells go
-    through json.dumps one at a time.
-    """
-    magnitude = np.abs(values)
-    with np.errstate(invalid="ignore"):
-        # a 12-digit rounding that is an integer lies within 5e-12 |x| of
-        # round(x), and so does every |x| >= 1e11; NaN and infinities fail
-        plain = ((magnitude >= 1e-300)
-                 & (np.abs(values - np.round(values)) > 1e-11 * magnitude))
-    cells = values.tolist()
-    fmts = ["   %.12g"] * len(cells)
-    for i in np.flatnonzero(~plain).tolist():
-        fmts[i] = "   %s"
-        cells[i] = json.dumps(float("%.11e" % cells[i]))
-    return ",\n".join(fmts) % tuple(cells)
-
-
 def _blocks(n: int):
     return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, n, CHUNK_POINTS))
 
@@ -104,12 +73,16 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray, spectra: dict,
     The text is built CHUNK_POINTS rows at a time, so its memory stays
     bounded at any point count.
     """
+    # imported here, so that commands which write no table, and starting
+    # the program, do not build its lookup tables
+    from .celltext import csv_rows, json_elements
+
     columns = {"f_hz": f_hz,
                **{name: spectrum.values for name, spectrum in spectra.items()}}
     if fmt == "csv":
         fh.write(",".join(columns) + "\n")
         for rows in _blocks(len(f_hz)):
-            fh.write(_csv_block([col[rows] for col in columns.values()]))
+            fh.write(csv_rows([col[rows] for col in columns.values()]))
         return
     # the document json.dumps(sort_keys=True, indent=1) writes: "columns"
     # sorts before "metadata", so the arrays go first, then its metadata text
@@ -126,7 +99,9 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray, spectra: dict,
     for k, name in enumerate(sorted(columns)):
         fh.write((",\n" if k else "") + f"  {json.dumps(name)}: [\n")
         for j, rows in enumerate(_blocks(len(f_hz))):
-            fh.write((",\n" if j else "") + _json_block(columns[name][rows]))
+            if j:
+                fh.write(",\n")
+            fh.write(json_elements(columns[name][rows]))
         fh.write("\n  ]")
     fh.write("\n },\n" + metadata.removeprefix("{\n") + "\n")
 
@@ -207,7 +182,7 @@ def main(argv=None) -> int:
         spectra = run_budget(req)
         if req.out_path is None:
             f_hz = next(iter(spectra.values())).frequencies
-            write_budget(sys.stdout, req, f_hz, spectra, "csv")
+            write_budget(sys.stdout, req, f_hz, spectra, req.fmt)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

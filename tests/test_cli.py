@@ -257,6 +257,16 @@ class TestCliExitCodes:
         assert out.startswith("f_hz,sql")
         assert len(out.splitlines()) == 5
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_honours_format(self, capsys, tmp_path, fmt):
+        argv = ["budget", "--points", "6", "--curves", "sql,loss_limit_a4",
+                "--format", fmt]
+        out = tmp_path / f"out.{fmt}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_python_dash_m_runs_cli(self, capsys):
         assert main(["budget", "--points", "4", "--curves", "sql"]) == 0
         src = os.path.dirname(os.path.dirname(qnbudget.__file__))

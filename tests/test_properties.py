@@ -20,10 +20,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qnbudget import (BlindQuadratureError, BudgetRequest, DegeneracyError,
-                      FreqTable, InternalSqueeze, __version__,
-                      config_hash, default_config, evaluate_curve,
-                      homodyne_spectrum, io_relation, optimal_spectrum,
+from qnbudget import (ALPHA_NO_INTERNAL, BlindQuadratureError, BudgetRequest,
+                      DegeneracyError, FreqTable, InternalSqueeze,
+                      __version__, config_hash, default_config,
+                      evaluate_curve, homodyne_spectrum, io_relation,
+                      loss_floor_fdt, loss_limit, optimal_spectrum,
                       random_config, run_budget, total_covariance)
 from qnbudget.cli import write_budget
 from qnbudget.constants import C_LIGHT, HBAR
@@ -133,6 +134,36 @@ def test_blind_angle_reported_at_its_frequency(seed, n, data):
         evaluate_curve(f"full_fixed_zeta({zeta!r})", cfg, f_hz)
 
 
+@PROFILE
+@given(configs, frequencies)
+def test_output_covariance_is_physical(cfg, f_hz):
+    # Hermitian, and det >= 1 in vacuum units (the uncertainty principle)
+    try:
+        sigma = total_covariance(cfg, TWO_PI * np.array(f_hz))
+    except DegeneracyError:
+        assume(False)
+    adjoint = np.conj(np.swapaxes(sigma, -1, -2))
+    scale = np.max(np.abs(sigma), axis=(-2, -1))
+    assert np.all(np.max(np.abs(sigma - adjoint), axis=(-2, -1))
+                  <= 1e-9 * scale)
+    det = np.real(sigma[:, 0, 0] * sigma[:, 1, 1]
+                  - sigma[:, 0, 1] * sigma[:, 1, 0])
+    assert np.all(det >= 1.0 - 1e-9)
+
+
+@PROFILE
+@given(configs, frequencies)
+def test_fdt_oracle_agrees_with_arm_loss_floor(cfg, f_hz):
+    # acceptance check c07 and the validate check fdt_vs_loss_limit, over
+    # the configuration space
+    assume(cfg.eps_arm > 0.0)
+    arm_only = replace(cfg, eps_src_channels=(0.0,), eps_ext=0.0)
+    omega = TWO_PI * np.array(f_hz)
+    closed = loss_limit(arm_only, omega, ALPHA_NO_INTERNAL)
+    oracle = loss_floor_fdt(arm_only, omega)
+    assert np.all(np.abs(oracle - closed) <= 1e-3 * closed)
+
+
 def test_array_omega_with_array_zeta_rejected():
     cfg = make_config(0, "plain")
     with pytest.raises(ValueError, match="both be arrays"):
@@ -177,21 +208,47 @@ def written(req, columns, fmt):
     return fh.getvalue()
 
 
+def nudged(x, ulps):
+    """x moved by `ulps` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# 12-digit rounding ties (m + 1/2) 10**k, and powers of ten, where the
+# exponent estimate from log10 can be off by one, a few ulps either side,
+# at decimal exponents from -320 to 308 (three-digit ones included)
+NEAR_TIES = st.builds(lambda m, k, ulps: nudged(float(f"{m}5e{k}"), ulps),
+                      st.integers(10**11, 10**12 - 1), st.integers(-332, 295),
+                      st.integers(-3, 3))
+NEAR_POWERS = st.builds(lambda k, ulps: nudged(float(f"1e{k}"), ulps),
+                        st.integers(-323, 308), st.integers(-1, 1))
+THREE_DIGIT_EXPONENTS = st.one_of(st.floats(1e100, 1e308),
+                                  st.floats(1e-308, 1e-100))
+
 # floats whose text is easy to get wrong: signed zeros, non-finite values,
 # subnormals, the range where "%g" and repr choose different notations,
-# values that round up to a power of ten, integers and near-integers
+# values that round up to a power of ten, integers and near-integers, the
+# values above, and their negatives
 CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
                      2.2250738585072014e-308, 1e-300, 999999999999.5,
                      99999999999.95, 9.999999999995e-5, 9.9999999999995e15,
-                     5.000000000004, 0.9999999999995, -5.0]),
+                     5.000000000004, 0.9999999999995, -5.0,
+                     # near-ties whose scaled mantissa, computed in floats,
+                     # lies on the wrong side of n + 1/2
+                     7.194944981495e16, 9.541135785505e-33,
+                     9.997342878905e-70]),
     st.floats(1e-310, 1e-290), st.floats(1e11, 1e16).map(lambda x: -x),
     st.floats(1e11, 1e16),
     st.integers(-10**16, 10**16).map(float),
     st.tuples(st.integers(-10**12, 10**12), st.floats(-6e-12, 6e-12)).map(
         lambda t: t[0] * (1.0 + t[1])),
     st.floats(-1e12, 1e12).map(lambda x: float(f"{x:.11e}")),
+    *(st.tuples(values, st.sampled_from([1.0, -1.0])).map(
+        lambda t: t[0] * t[1])
+      for values in (NEAR_TIES, NEAR_POWERS, THREE_DIGIT_EXPONENTS)),
 )
 COLUMN_NAMES = ("sql", "qcrb", "loss_limit_a4", "full_fixed_zeta(0.5)")
 
