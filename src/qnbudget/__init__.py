@@ -15,22 +15,20 @@ from .constants import C_LIGHT, HBAR
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
                      LasingThresholdError, RegimeWarning)
 from .fdt import (CavityMode, chi_phase_amp, chi_phase_phase,
-                  coupled_susceptibilities, fdt_spectrum, gw_coupling,
-                  loss_floor_fdt, mode_for)
-from .ifo import (IoRelation, NoiseSpectrum, arm_bandwidth,
-                  effective_internal_loss, effective_src_loss,
-                  homodyne_spectrum, io_relation, loop_matrix,
-                  optimal_spectrum, ponderomotive_gain, qcrb_lossless,
-                  resolve_band, total_covariance)
-from .limits import (ALPHA_INTERNAL, ALPHA_NO_INTERNAL, LimitParams,
-                     limit_params, loss_limit, metrology_limit, qcrb_from_spp,
-                     signal_response_ratio, spp_from_qcrb, sql,
+                  coupled_susceptibilities, gw_coupling, loss_floor_fdt,
+                  mode_for)
+from .ifo import (NoiseSpectrum, arm_bandwidth, effective_internal_loss,
+                  effective_src_loss, homodyne_spectrum, io_relation,
+                  loop_matrix, optimal_spectrum, ponderomotive_gain,
+                  qcrb_lossless, resolve_band, total_covariance)
+from .limits import (ALPHA_INTERNAL, ALPHA_NO_INTERNAL, limit_params,
+                     loss_limit, qcrb_from_spp, signal_response_ratio, sql,
                      taylor_loss_internal, taylor_loss_no_internal,
                      taylor_qcrb_internal, taylor_qcrb_no_internal)
-from .quadrature import (SYMPLECTIC_FORM, SqueezeParams, adjoint, arccot,
-                         db_from_r, det2, mat2, mat_inv,
-                         ponderomotive_decompose, ponderomotive_matrix,
-                         r_from_db, rotation_matrix, squeeze_matrix, vec2)
+from .quadrature import (SYMPLECTIC_FORM, adjoint, arccot, db_from_r, det2,
+                         mat2, mat_inv, ponderomotive_decompose,
+                         ponderomotive_matrix, r_from_db, rotation_matrix,
+                         squeeze_matrix)
 from .curves import BASE_CURVES, CURVE_CHOICES, evaluate_curve, frequency_grid
 from .validation import (CheckResult, ValidationReport, random_config,
                          run_validation)

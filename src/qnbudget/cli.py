@@ -111,7 +111,11 @@ def run_budget(req: BudgetRequest) -> dict:
 
     Returns the curves as {name: NoiseSpectrum}, in request order.
     """
-    f_hz = frequency_grid(req.band_hz[0], req.band_hz[1], req.points)
+    lo, hi = req.band_hz
+    f_hz = frequency_grid(lo, hi, req.points)
+    if not np.all(f_hz[1:] > f_hz[:-1]):
+        raise ConfigError(f"points: {req.points} frequencies are not distinct "
+                          f"doubles in the band {lo!r}..{hi!r} Hz")
     cfg = resolve_band(req.config, req.band_hz)
     spectra = {}
     for name in req.curves:

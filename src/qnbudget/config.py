@@ -16,6 +16,7 @@ import numpy as np
 
 from .constants import C_LIGHT, TWO_PI
 from .errors import ConfigError
+from .quadrature import MAX_SQUEEZE_FACTOR
 
 DEFAULT_BAND_HZ = (5.0, 5000.0)
 MIN_FREQUENCY_HZ = 0.1
@@ -66,9 +67,8 @@ class FreqTable:
         object.__setattr__(self, "_log_f", np.log10(f))
         object.__setattr__(self, "_v", np.array(v))
 
-    def covers(self, f_lo_hz: float, f_hi_hz: float | None = None) -> bool:
-        hi = f_lo_hz if f_hi_hz is None else f_hi_hz
-        return self.f_hz[0] <= f_lo_hz and hi <= self.f_hz[-1]
+    def covers(self, f_lo_hz: float, f_hi_hz: float) -> bool:
+        return self.f_hz[0] <= f_lo_hz and f_hi_hz <= self.f_hz[-1]
 
     def at(self, f_hz):
         """The table at a frequency [Hz], or at each of an array of them."""
@@ -92,6 +92,19 @@ def value_at(quantity, f_hz):
     if isinstance(quantity, FreqTable):
         return quantity.at(f_hz)
     return float(quantity)
+
+
+def _check_quantity(obj, name: str, key: str, bound: float = math.inf) -> None:
+    """Store field `name` of obj as a float or a FreqTable whose values are all
+    finite with magnitude at most bound; errors name the field as key."""
+    q = getattr(obj, name)
+    if not isinstance(q, FreqTable):
+        q = _number(key, q)
+        object.__setattr__(obj, name, q)
+    for x in (q.values if isinstance(q, FreqTable) else (q,)):
+        if not (math.isfinite(x) and abs(x) <= bound):
+            limit = "" if bound == math.inf else f" with magnitude <= {bound:g}"
+            raise ConfigError(f"{key}: must be finite{limit}, got {x!r}")
 
 
 def _check_loss(name: str, x) -> float:
@@ -118,14 +131,9 @@ class InternalSqueeze:
         if self.mode not in INTERNAL_SQZ_MODES:
             raise ConfigError(
                 f"internal_sqz.mode: must be one of {INTERNAL_SQZ_MODES}, got {self.mode!r}")
-        for name in ("r", "theta"):
-            q = getattr(self, name)
-            if isinstance(q, FreqTable):
-                continue
-            q = _number(f"internal_sqz.{name}", q)
-            if not math.isfinite(q):
-                raise ConfigError(f"internal_sqz.{name}: must be finite")
-            object.__setattr__(self, name, q)
+        # the squeeze matrix overflows beyond MAX_SQUEEZE_FACTOR
+        _check_quantity(self, "r", "internal_sqz.r", MAX_SQUEEZE_FACTOR)
+        _check_quantity(self, "theta", "internal_sqz.theta")
         if self.mode != "fixed" and (self.r != 0.0 or self.theta != 0.0):
             raise ConfigError(
                 "internal_sqz: r and theta are only meaningful in 'fixed' mode")
@@ -200,8 +208,9 @@ class IfoConfig:
         object.__setattr__(self, "eps_src_channels", tuple(checked))
 
         r_in = _number("r_input", self.r_input)
-        if not math.isfinite(r_in) or abs(r_in) > 20.0:
-            raise ConfigError(f"r_input: must be finite with |r| <= 20, got {r_in!r}")
+        if not math.isfinite(r_in) or abs(r_in) > MAX_SQUEEZE_FACTOR:
+            raise ConfigError(f"r_input: must be finite with |r| <= "
+                              f"{MAX_SQUEEZE_FACTOR:g}, got {r_in!r}")
         object.__setattr__(self, "r_input", r_in)
         th_in = _number("theta_input", self.theta_input)
         if not math.isfinite(th_in):
@@ -211,13 +220,7 @@ class IfoConfig:
         if not isinstance(self.internal_sqz, InternalSqueeze):
             raise ConfigError("internal_sqz: expected an InternalSqueeze")
         for name in ("Theta", "residual_phase"):
-            q = getattr(self, name)
-            if isinstance(q, FreqTable):
-                continue
-            q = _number(name, q)
-            if not math.isfinite(q):
-                raise ConfigError(f"{name}: must be finite")
-            object.__setattr__(self, name, q)
+            _check_quantity(self, name, name)
 
 
 def default_config() -> IfoConfig:

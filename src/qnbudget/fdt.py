@@ -68,11 +68,6 @@ def chi_phase_amp(mode: CavityMode, omega: float) -> complex:
     return (1j * omega - mode.gamma_eps) / (HBAR * _denominator(mode, omega))
 
 
-def fdt_spectrum(chi: complex) -> float:
-    """Zero-temperature fluctuation spectrum 2 hbar Im[chi]."""
-    return 2.0 * HBAR * chi.imag
-
-
 def gw_coupling(power: float, omega0: float, arm_length: float) -> float:
     """Strain coupling rate g = 2 sqrt(P omega0 / (hbar L c))."""
     if power < 0 or omega0 <= 0 or arm_length <= 0:

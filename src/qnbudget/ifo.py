@@ -21,9 +21,9 @@ from .config import DEFAULT_BAND_HZ, FreqTable, IfoConfig, value_at
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
                      LasingThresholdError)
-from .quadrature import (adjoint, all_true, any_true, det2, entries, mat_inv,
-                         ponderomotive_decompose, rotation_matrix,
-                         squeeze_matrix)
+from .quadrature import (MAX_SQUEEZE_FACTOR, adjoint, all_true, any_true,
+                         det2, entries, mat_inv, ponderomotive_decompose,
+                         rotation_matrix, squeeze_matrix)
 
 # log-spaced samples of the band searched for the recycling-loss minimum
 BAND_SAMPLES = 512
@@ -213,8 +213,8 @@ def _squeeze_state(cfg: IfoConfig, omega):
     # a gain that underflows to zero leaves the loop unsqueezed: it is
     # decomposed as a gain of 1 and masked out
     live = gain > 0.0
-    phi, params = ponderomotive_decompose(gain + (gain == 0.0))
-    return params.r * live, params.theta * live, phi * live
+    phi, r, theta = ponderomotive_decompose(gain + (gain == 0.0))
+    return r * live, theta * live, phi * live
 
 
 def loop_matrix(cfg: IfoConfig, omega) -> np.ndarray:
@@ -224,12 +224,18 @@ def loop_matrix(cfg: IfoConfig, omega) -> np.ndarray:
     rotation part of the ponderomotive decomposition (folded into the
     second rotation).  A nonzero residual_phase multiplies the round trip
     by exp(i phi_res); zero means perfect dispersion compensation.  A 1-D
-    array of omega gives a stack of shape (N, 2, 2).
+    array of omega gives a stack of shape (N, 2, 2).  A squeeze factor
+    beyond MAX_SQUEEZE_FACTOR, which strong radiation pressure reaches at
+    low frequency, raises DegeneracyError.
     """
     w = _frequencies(omega)
     f_hz = w / TWO_PI
     theta_rot = value_at(cfg.Theta, f_hz)
     r, theta_sqz, extra = _squeeze_state(cfg, w)
+    size = np.abs(r)
+    _raise_first((size > MAX_SQUEEZE_FACTOR, DegeneracyError, lambda i: (
+        f"internal squeeze |r| = {size.flat[i]:.3g} exceeds the overflow "
+        f"guard ({MAX_SQUEEZE_FACTOR:g}) at Omega = {w.flat[i]:.6g} rad/s")))
     x = (rotation_matrix(theta_rot)
          @ squeeze_matrix(r, theta_sqz)
          @ rotation_matrix(theta_rot + extra))
@@ -251,7 +257,8 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
     and the cavity inverse does not exist.
     """
     w = _frequencies(omega)
-    x = loop_matrix(cfg, w)
+    x = _in_order(lambda v: loop_matrix(cfg, v), w,
+                  lambda head: io_relation(cfg, head))
     sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
     trip = _EYE - sqrt_r_src * x
     det_abs = np.abs(det2(trip))
@@ -291,16 +298,16 @@ def total_covariance(cfg: IfoConfig, omega) -> np.ndarray:
     return _covariance_from(cfg, io_relation(cfg, omega))[1]
 
 
-def _io_relation_in_order(cfg: IfoConfig, w: np.ndarray, evaluate) -> IoRelation:
-    """io_relation over the batch w, for a caller with checks of its own.
+def _in_order(step, w: np.ndarray, evaluate):
+    """step(w), one stage of a caller that has checks of its own.
 
-    At a lasing point k, evaluate(w[:k]) first runs the caller on the points
-    before it, so a failure that a loop over the points meets earlier is the
-    one raised.
+    When the stage fails at point k of the batch, evaluate(w[:k]) first runs
+    the caller on the points before it, so a failure that a loop over the
+    points meets earlier is the one raised.
     """
     try:
-        return io_relation(cfg, w)
-    except LasingThresholdError as exc:
+        return step(w)
+    except DegeneracyError as exc:
         if exc.index:
             evaluate(w[:exc.index])
         raise
@@ -318,8 +325,8 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
     zeta_arr = np.asarray(zeta, dtype=float)
     if w.ndim and zeta_arr.ndim:
         raise ValueError("omega and zeta cannot both be arrays")
-    io = _io_relation_in_order(
-        cfg, w, lambda head: homodyne_spectrum(cfg, head, zeta))
+    io = _in_order(lambda v: io_relation(cfg, v), w,
+                   lambda head: homodyne_spectrum(cfg, head, zeta))
     _, sigma = _covariance_from(cfg, io)
     c, s = np.cos(zeta_arr), np.sin(zeta_arr)
     v1, v2 = io.v.T
@@ -350,8 +357,8 @@ def optimal_spectrum(cfg: IfoConfig, omega):
     near-nulled configuration produces.
     """
     w = _frequencies(omega)
-    io = _io_relation_in_order(
-        cfg, w, lambda head: optimal_spectrum(cfg, head))
+    io = _in_order(lambda v: io_relation(cfg, v), w,
+                   lambda head: optimal_spectrum(cfg, head))
     f4, sigma = _covariance_from(cfg, io)
     g11, _, g21, g22 = entries(sigma)
     g11, g22 = g11.real, g22.real

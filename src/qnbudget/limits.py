@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import FreqTable, IfoConfig
 from .constants import C_LIGHT, HBAR
-from .errors import RegimeWarning
+from .errors import DegeneracyError, RegimeWarning
 from .ifo import effective_internal_loss
 from .quadrature import arccot
 
@@ -38,34 +37,15 @@ ALPHA_NO_INTERNAL = 0.25   # internal squeezing negligible
 _ALPHAS = (ALPHA_INTERNAL, ALPHA_NO_INTERNAL)
 
 
-@dataclass(frozen=True)
-class LimitParams:
-    """Derived expansion parameters: delta, theta0 and the alpha selector.
-
-    delta and theta0 are scalars, or arrays of one shape.
-    """
-
-    delta: float
-    theta0: float
-    alpha: float = ALPHA_NO_INTERNAL
-
-    def __post_init__(self):
-        delta = np.asarray(self.delta)
-        if not np.all(np.isfinite(delta) & (delta > 0.0)):
-            raise ValueError("delta must be positive and finite")
-        theta0 = np.asarray(self.theta0)
-        if not np.all((0.0 < theta0) & (theta0 < math.pi)):
-            raise ValueError("theta0 must lie in (0, pi)")
-        if self.alpha not in _ALPHAS:
-            raise ValueError(f"alpha must be one of {_ALPHAS}")
-
-
-def limit_params(t_src: float, theta_rot: float,
-                 alpha: float = ALPHA_NO_INTERNAL) -> LimitParams:
-    """delta = sqrt(T_src^2 + 16 Theta^2) and theta0 = arccot(4 Theta / T_src)."""
-    return LimitParams(delta=np.hypot(t_src, 4.0 * theta_rot),
-                       theta0=arccot(4.0 * theta_rot / t_src),
-                       alpha=alpha)
+def limit_params(t_src: float, theta_rot):
+    """(delta, theta0) = (sqrt(T_src^2 + 16 Theta^2), arccot(4 Theta / T_src))."""
+    delta = np.hypot(t_src, 4.0 * theta_rot)
+    theta0 = arccot(4.0 * theta_rot / t_src)
+    if not np.all(np.isfinite(delta) & (delta > 0.0)):
+        raise ValueError("delta must be positive and finite")
+    if not np.all((0.0 < theta0) & (theta0 < math.pi)):
+        raise ValueError("theta0 must lie in (0, pi)")
+    return delta, theta0
 
 
 def _warn_regime(**named) -> None:
@@ -95,22 +75,12 @@ def sql(mirror_mass: float, arm_length: float, omega):
     return 8.0 * HBAR / (mirror_mass * omega**2 * arm_length**2)
 
 
-def _power_bound_map(x: float, arm_length: float, what: str) -> float:
-    # hbar^2 c^2 / (2 x L^2) maps S_PP to S_hh and back: it is its own inverse
-    if x <= 0:
-        raise ValueError(f"{what} must be positive")
-    return HBAR**2 * C_LIGHT**2 / (2.0 * x * arm_length**2)
-
-
 def qcrb_from_spp(s_pp: float, arm_length: float) -> float:
     """Sensitivity bound hbar^2 c^2 / (2 S_PP L^2) from arm power fluctuation."""
-    return _power_bound_map(s_pp, arm_length,
-                            "power fluctuation spectral density")
-
-
-def spp_from_qcrb(s_hh: float, arm_length: float) -> float:
-    """Arm power fluctuation implied by a sensitivity bound; inverse of qcrb_from_spp."""
-    return _power_bound_map(s_hh, arm_length, "sensitivity bound")
+    # the map is its own inverse: a bound maps to the S_PP that attains it
+    if s_pp <= 0:
+        raise ValueError("power fluctuation spectral density must be positive")
+    return HBAR**2 * C_LIGHT**2 / (2.0 * s_pp * arm_length**2)
 
 
 def _prefactor(cfg: IfoConfig) -> float:
@@ -131,15 +101,6 @@ def loss_limit(cfg: IfoConfig, omega, alpha: float):
     return _prefactor(cfg) * (eps_int + alpha * cfg.T_src * cfg.eps_ext)
 
 
-def metrology_limit(cfg: IfoConfig) -> float:
-    """Loss floor with the recycling-cavity loss dropped [1/Hz].
-
-    prefactor * (eps_arm + T_src eps_ext / 4); the frequency-independent
-    form used for phase estimation in simple two-path interferometers.
-    """
-    return _prefactor(cfg) * (cfg.eps_arm + 0.25 * cfg.T_src * cfg.eps_ext)
-
-
 def taylor_qcrb_internal(t_src: float, theta_rot, r, theta, r_input: float,
                          arm_length: float, omega0: float, power: float):
     """Leading-order lossless optimal-readout PSD with internal squeezing.
@@ -148,17 +109,18 @@ def taylor_qcrb_internal(t_src: float, theta_rot, r, theta, r_input: float,
     / (16 L^2 omega0 P T_src [delta^2 + 4 r^2 + 4 delta r sin(theta + theta0)])
 
     Vanishes identically at r = delta / 2.  A non-positive denominator is
-    outside the validity domain and raises.  theta_rot, r and theta may be
-    arrays over frequency.
+    outside the validity domain and raises DegeneracyError for its first
+    point.  theta_rot, r and theta may be arrays over frequency.
     """
-    params = limit_params(t_src, theta_rot)
+    delta, theta0 = limit_params(t_src, theta_rot)
     _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA),
-                 r=(r, params.delta))
-    den = (params.delta**2 + 4.0 * r**2
-           + 4.0 * params.delta * r * np.sin(theta + params.theta0))
-    if np.any(den <= 0.0):
-        raise ValueError("outside validity: expansion denominator is <= 0")
-    num = (HBAR * C_LIGHT**2 * (params.delta**2 - 4.0 * r**2) ** 2
+                 r=(r, delta))
+    den = delta**2 + 4.0 * r**2 + 4.0 * delta * r * np.sin(theta + theta0)
+    invalid = den <= 0.0
+    if np.any(invalid):
+        raise DegeneracyError("outside validity: expansion denominator is <= 0",
+                              index=int(np.argmax(invalid)))
+    num = (HBAR * C_LIGHT**2 * (delta**2 - 4.0 * r**2) ** 2
            * math.exp(-2.0 * r_input))
     return num / (16.0 * arm_length**2 * omega0 * power * t_src * den)
 
@@ -169,9 +131,9 @@ def taylor_qcrb_no_internal(t_src: float, theta_rot, r_input: float,
 
     hbar c^2 delta^2 e^(-2 r_input) / (16 T_src L^2 omega0 P)
     """
-    params = limit_params(t_src, theta_rot)
+    delta, _ = limit_params(t_src, theta_rot)
     _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA))
-    return (HBAR * C_LIGHT**2 * params.delta**2 * math.exp(-2.0 * r_input)
+    return (HBAR * C_LIGHT**2 * delta**2 * math.exp(-2.0 * r_input)
             / (16.0 * t_src * arm_length**2 * omega0 * power))
 
 

@@ -15,11 +15,8 @@ decibels appear only in the conversion helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .constants import TWO_PI
 
 # symplectic form J on (a1, a2); real symplectic matrices satisfy M J M^T = J
 SYMPLECTIC_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -37,11 +34,6 @@ def mat2(m11, m12, m21, m22) -> np.ndarray:
     """
     m = np.array([m11, m12, m21, m22])
     return m.T.reshape(m.shape[1:] + (2, 2))
-
-
-def vec2(a1, a2) -> np.ndarray:
-    """Assemble quadrature 2-vectors (a1, a2); 1-D arrays give shape (N, 2)."""
-    return np.array([a1, a2]).T
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -99,26 +91,6 @@ def _all_finite(x) -> bool:
     return bool(np.isfinite(x).all())
 
 
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Squeeze factor r (e-folds) and squeeze angle theta.
-
-    Either both are scalars or both are arrays of one shape.  theta is
-    reduced to [0, 2pi) on construction; note that the squeeze matrix itself
-    is pi-periodic in theta.
-    """
-
-    r: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not _all_finite(self.r):
-            raise ValueError("squeeze factor must be finite")
-        if not _all_finite(self.theta):
-            raise ValueError("squeeze angle must be finite")
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
-
-
 def rotation_matrix(angle) -> np.ndarray:
     """Quadrature rotation [[cos, -sin], [sin, cos]] of a passive element.
 
@@ -167,13 +139,14 @@ def ponderomotive_matrix(gain) -> np.ndarray:
     return mat2(one, 0.0 * one, -gain, one)
 
 
-def ponderomotive_decompose(gain) -> tuple[float, SqueezeParams]:
+def ponderomotive_decompose(gain):
     """Split the ponderomotive matrix into a rotation followed by a squeeze.
 
-    Returns (phi, params) such that
-        squeeze_matrix(params.r, params.theta) @ rotation_matrix(phi)
+    Returns (phi, r, theta) such that
+        squeeze_matrix(r, theta) @ rotation_matrix(phi)
     equals ponderomotive_matrix(gain), with
-        phi = -arctan(gain/2), theta = arccot(gain/2)/2, r = -arcsinh(gain/2).
+        phi = -arctan(gain/2), theta = arccot(gain/2)/2 in (0, pi/4),
+        r = -arcsinh(gain/2).
     An array of gains gives arrays of phi, r and theta.
 
     The decomposition degenerates at gain <= 0 and is rejected there.
@@ -182,9 +155,9 @@ def ponderomotive_decompose(gain) -> tuple[float, SqueezeParams]:
         raise ValueError("decomposition requires gain > 0")
     half = 0.5 * gain
     phi = -np.arctan(half)
-    theta = 0.5 * arccot(half)
     r = -np.arcsinh(half)
-    return phi, SqueezeParams(r=r, theta=theta)
+    theta = 0.5 * arccot(half)
+    return phi, r, theta
 
 
 def db_from_r(r: float) -> float:

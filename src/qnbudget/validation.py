@@ -97,8 +97,8 @@ def _check_symplectic(rng) -> CheckResult:
 
 def _check_decomposition(rng) -> CheckResult:
     gain = np.geomspace(1e-3, 1e3, 61)
-    phi, p = ponderomotive_decompose(gain)
-    recomposed = squeeze_matrix(p.r, p.theta) @ rotation_matrix(phi)
+    phi, r, theta = ponderomotive_decompose(gain)
+    recomposed = squeeze_matrix(r, theta) @ rotation_matrix(phi)
     worst = float(np.abs(recomposed - ponderomotive_matrix(gain)).max())
     return CheckResult("decomposition_roundtrip", worst, 1e-10)
 

@@ -77,7 +77,7 @@ LOSSES = (1e-5, 0.0, 1e-3)
 
 def _exact_loss_with_nulling_squeeze(t_src, theta_rot, r_in):
     """Loss part of the exact optimum, minimised over the squeeze angle."""
-    delta = limit_params(t_src, theta_rot).delta
+    delta, _ = limit_params(t_src, theta_rot)
 
     def lossy(theta_m):
         c = cfg_taylor(t_src, theta_rot, delta / 2, theta_m, r_in=r_in,
@@ -100,20 +100,20 @@ def _taylor_grid_deviation(t_src):
     devs = []
     theta_rots = (0.0, 1e-4)
     for theta_rot in theta_rots:
-        lp = limit_params(t_src, theta_rot)
+        delta, _ = limit_params(t_src, theta_rot)
         for r_in in (0.0, 1.0):
             # lossless bound with internal squeezing, r = delta/4
             for theta_m in (0.0, 0.3, 0.9):
-                c0 = cfg_taylor(t_src, theta_rot, lp.delta / 4, theta_m)
+                c0 = cfg_taylor(t_src, theta_rot, delta / 4, theta_m)
                 theta_in = aligned_input_angle(c0) if r_in else 0.0
                 c = replace(c0, r_input=r_in, theta_input=theta_in)
-                tay = taylor_qcrb_internal(t_src, theta_rot, lp.delta / 4,
+                tay = taylor_qcrb_internal(t_src, theta_rot, delta / 4,
                                            -2.0 * theta_m, r_in,
                                            c.L, c.omega0, c.P)
                 devs.append(abs(qcrb_lossless(c, OMEGA) - tay) / tay)
             # nulling value r = delta/2: expansion is exactly zero, so
             # compare against the r = 0 scale (criterion 3 bounds it harder)
-            c0 = cfg_taylor(t_src, theta_rot, lp.delta / 2, 0.0)
+            c0 = cfg_taylor(t_src, theta_rot, delta / 2, 0.0)
             ref = taylor_qcrb_no_internal(t_src, theta_rot, 0.0,
                                           c0.L, c0.omega0, c0.P)
             devs.append(qcrb_lossless(c0, OMEGA) / ref)
@@ -153,8 +153,8 @@ def test_c02_taylor_vs_exact():
 def test_c03_qcrb_vanishing():
     worst = 0.0
     for theta_rot in (0.0, 1e-4):
-        lp = limit_params(1e-3, theta_rot)
-        nulled = cfg_taylor(1e-3, theta_rot, lp.delta / 2, 0.0)
+        delta, _ = limit_params(1e-3, theta_rot)
+        nulled = cfg_taylor(1e-3, theta_rot, delta / 2, 0.0)
         plain = cfg_taylor(1e-3, theta_rot)
         worst = max(worst, qcrb_lossless(nulled, OMEGA)
                     / qcrb_lossless(plain, OMEGA))
@@ -171,7 +171,7 @@ def test_c04_factor_of_four():
         return (optimal_spectrum(lossy, OMEGA)[0]
                 - optimal_spectrum(clean, OMEGA)[0]) / step
 
-    ratio = ext_slope(limit_params(t_src, 0.0).delta / 2) / ext_slope(0.0)
+    ratio = ext_slope(limit_params(t_src, 0.0)[0] / 2) / ext_slope(0.0)
     report(4, "external-loss coefficient ratio vs 4.0", abs(ratio - 4.0), 0.2)
 
 
@@ -284,8 +284,8 @@ def test_c10_symplectic_suite():
 
     worst = 0.0
     for gain in np.geomspace(1e-3, 1e3, 121):
-        phi, p = ponderomotive_decompose(gain)
-        recomposed = squeeze_matrix(p.r, p.theta) @ rotation_matrix(phi)
+        phi, r, theta = ponderomotive_decompose(gain)
+        recomposed = squeeze_matrix(r, theta) @ rotation_matrix(phi)
         worst = max(worst, float(np.abs(recomposed
                                         - ponderomotive_matrix(gain)).max()))
     report(10, "ponderomotive decomposition recomposes", worst, 1e-10)

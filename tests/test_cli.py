@@ -226,6 +226,63 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "5" in err  # offending frequency is reported
 
+    @pytest.mark.parametrize("verb", [["budget", "--points", "4"],
+                                      ["validate"]])
+    @pytest.mark.parametrize("r", [25.0, {"f_hz": [1.0, 1e4],
+                                          "values": [0.1, -20.5]}])
+    def test_internal_squeeze_beyond_guard_exits_2(self, cfg, tmp_path, capsys,
+                                                   verb, r):
+        doc = config_to_dict(cfg)
+        doc["internal_sqz"] = {"mode": "fixed", "r": r, "theta": 0.0}
+        path = write_config(tmp_path, doc)
+        assert main(verb + ["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: internal_sqz.r" in err and "<= 20" in err
+
+    @pytest.mark.filterwarnings("ignore::qnbudget.RegimeWarning")
+    def test_ponderomotive_overflow_exits_3(self, cfg, tmp_path, capsys):
+        # radiation pressure on a 1 microgram mirror squeezes beyond the
+        # overflow guard at low frequency
+        doc = config_to_dict(cfg)
+        doc.update(M=1e-9, internal_sqz="ponderomotive")
+        path = write_config(tmp_path, doc)
+        rc = main(["budget", "--config", path, "--fmin", "1", "--fmax", "10",
+                   "--points", "8", "--curves", "sql,full_optimal",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "curve 'full_optimal' failed at 1 Hz" in err
+        assert "overflow guard" in err
+        assert main(["validate", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "overflow guard" in err and "rad/s" in err
+        # the expansion curves do not build the loop matrix and still evaluate
+        assert main(["budget", "--config", path, "--fmin", "1", "--fmax", "10",
+                     "--points", "8", "--curves", "taylor_qcrb_internal",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+
+    @pytest.mark.filterwarnings("ignore::qnbudget.RegimeWarning")
+    def test_taylor_denominator_collapse_exits_3(self, cfg, tmp_path, capsys):
+        # r = delta/2 with sin(theta + theta0) = -1 zeroes the denominator
+        doc = config_to_dict(cfg)
+        doc["internal_sqz"] = {"mode": "fixed", "r": 0.07,
+                               "theta": math.pi / 2}
+        path = write_config(tmp_path, doc)
+        rc = main(["budget", "--config", path, "--points", "8", "--curves",
+                   "taylor_qcrb_internal", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "curve 'taylor_qcrb_internal' failed at 5 Hz" in err
+        assert "validity" in err
+
+    def test_band_too_narrow_for_points_exits_2(self, tmp_path, capsys):
+        rc = main(["budget", "--fmin", "100", "--fmax", "100.0000000001",
+                   "--points", "1000", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: points: 1000" in err
+        assert "100.0..100.0000000001 Hz" in err
+
     def test_degeneracy_chains_original_error(self, cfg):
         with pytest.raises(BlindQuadratureError) as info:
             evaluate_curve("full_fixed_zeta(0.0)", cfg, np.array([100.0]))

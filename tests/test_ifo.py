@@ -11,9 +11,9 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       adjoint, arm_bandwidth, default_config,
                       effective_internal_loss, effective_src_loss,
                       evaluate_curve, homodyne_spectrum, io_relation,
-                      loss_limit, optimal_spectrum, ponderomotive_gain,
-                      qcrb_lossless, random_config, resolve_band,
-                      total_covariance, value_at)
+                      loop_matrix, loss_limit, optimal_spectrum,
+                      ponderomotive_gain, qcrb_lossless, random_config,
+                      resolve_band, total_covariance, value_at)
 from qnbudget.ifo import BAND_SAMPLES
 from qnbudget.constants import C_LIGHT, HBAR
 
@@ -204,6 +204,49 @@ class TestBatchErrors:
             evaluate_curve("qcrb", lasing_at_100hz, f_hz)
         assert info.value.index == curves.CHUNK_POINTS + 4
         assert "failed at 100 Hz" in str(info.value)
+
+    @pytest.fixture
+    def overflow_below_100hz(self, cfg):
+        # radiation pressure on a 1 microgram mirror squeezes beyond the
+        # overflow guard below about 115 Hz
+        return replace(cfg, M=1e-9, internal_sqz=InternalSqueeze("ponderomotive"))
+
+    def test_squeeze_overflow_reported_with_its_index(self,
+                                                      overflow_below_100hz):
+        c = overflow_below_100hz
+        f_hz = np.array([200.0, 50.0, 10.0])
+        with pytest.raises(DegeneracyError, match="overflow guard") as batch:
+            optimal_spectrum(c, TWO_PI * f_hz)
+        with pytest.raises(DegeneracyError) as one:
+            optimal_spectrum(c, TWO_PI * 50.0)
+        assert batch.value.index == 1
+        assert str(batch.value) == str(one.value)
+        with pytest.raises(DegeneracyError, match=(
+                "'full_optimal' failed at 50 Hz: internal squeeze")):
+            evaluate_curve("full_optimal", c, f_hz)
+
+    def test_earlier_lasing_wins_over_later_overflow(self,
+                                                     overflow_below_100hz):
+        # a rotation that lifts the 200 Hz round-trip trace a little above 2,
+        # and the T_src that puts the loop there on its lasing threshold
+        omega = TWO_PI * 200.0
+        c = replace(overflow_below_100hz,
+                    Theta=1e-3 / ponderomotive_gain(overflow_below_100hz, omega))
+        trace = np.trace(loop_matrix(c, omega)).real
+        sqrt_r = 0.5 * (trace - math.sqrt(trace**2 - 4.0))
+        c = replace(c, T_src=1.0 - sqrt_r**2)
+        with pytest.raises(LasingThresholdError) as info:
+            io_relation(c, TWO_PI * np.array([200.0, 50.0]))
+        assert info.value.index == 0
+
+    def test_earlier_blind_angle_wins_over_later_overflow(
+            self, overflow_below_100hz):
+        c = overflow_below_100hz
+        v = np.real(io_relation(c, TWO_PI * 300.0).v)
+        zeta = math.atan2(v[1], v[0]) + math.pi / 2
+        with pytest.raises(BlindQuadratureError) as info:
+            homodyne_spectrum(c, TWO_PI * np.array([300.0, 50.0]), zeta)
+        assert info.value.index == 0
 
 
 class TestIoRelation:
@@ -417,9 +460,9 @@ class TestPonderomotiveMode:
         from qnbudget import ponderomotive_decompose
         c_pond = replace(cfg, internal_sqz=InternalSqueeze("ponderomotive"))
         gain = ponderomotive_gain(cfg, OMEGA)
-        phi, p = ponderomotive_decompose(gain)
-        c_fixed = replace(cfg, internal_sqz=InternalSqueeze("fixed", r=p.r,
-                                                            theta=p.theta),
+        phi, r, theta = ponderomotive_decompose(gain)
+        c_fixed = replace(cfg, internal_sqz=InternalSqueeze("fixed", r=r,
+                                                            theta=theta),
                           Theta=0.0)
         # fixed mode drops the decomposition rotation, so fold it in by hand
         from qnbudget import loop_matrix, rotation_matrix

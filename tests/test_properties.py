@@ -3,8 +3,9 @@
 Each configuration example draws a configuration with `random_config` and
 one of four variants (as drawn, ponderomotive internal squeezing, a
 tabulated rotation angle, a residual round-trip phase), plus a set of
-sideband frequencies.  The output-format examples draw columns of arbitrary
-floats.
+sideband frequencies; the loss-limit property draws `random_config` as is,
+or with a residual phase, over 1 Hz - 10 kHz.  The output-format examples
+draw columns of arbitrary floats.
 """
 
 import csv
@@ -162,6 +163,21 @@ def test_fdt_oracle_agrees_with_arm_loss_floor(cfg, f_hz):
     closed = loss_limit(arm_only, omega, ALPHA_NO_INTERNAL)
     oracle = loss_floor_fdt(arm_only, omega)
     assert np.all(np.abs(oracle - closed) <= 1e-3 * closed)
+
+
+@pytest.mark.parametrize("phase", [st.just(0.0), st.floats(-0.05, 0.05)],
+                         ids=["plain", "residual_phase"])
+@settings(PROFILE, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 80), data=st.data())
+def test_exact_optimum_never_below_loss_limit(phase, seed, n, data):
+    # the paper's headline claim: no configuration beats the loss-induced
+    # limit; the exact optimum is compared with no tolerance, and 200
+    # examples are enough to catch an optimum 3 % too low
+    cfg = replace(random_config(np.random.default_rng(seed)),
+                  residual_phase=data.draw(phase, label="residual phase"))
+    omega = TWO_PI * np.geomspace(1.0, 1e4, n)
+    s_opt = optimal_spectrum(cfg, omega)[0]
+    assert np.all(s_opt >= loss_limit(cfg, omega, ALPHA_NO_INTERNAL))
 
 
 def test_array_omega_with_array_zeta_rejected():

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qnbudget import (SYMPLECTIC_FORM, SqueezeParams, adjoint, arccot,
-                      db_from_r, det2, mat2, mat_inv, ponderomotive_decompose,
-                      ponderomotive_matrix, r_from_db, rotation_matrix,
-                      squeeze_matrix, vec2)
+from qnbudget import (SYMPLECTIC_FORM, adjoint, arccot, db_from_r, det2, mat2,
+                      mat_inv, ponderomotive_decompose, ponderomotive_matrix,
+                      r_from_db, rotation_matrix, squeeze_matrix)
 
 
 class TestRotation:
@@ -86,24 +85,24 @@ class TestPonderomotive:
             ponderomotive_matrix(-1.0)
 
     def test_decompose_known_point(self):
-        phi, p = ponderomotive_decompose(2.0)
+        phi, r, theta = ponderomotive_decompose(2.0)
         assert phi == pytest.approx(-math.pi / 4, rel=1e-12)
-        assert p.theta == pytest.approx(math.pi / 8, rel=1e-12)
-        assert p.r == pytest.approx(-math.asinh(1.0), rel=1e-12)
-        assert p.r == pytest.approx(-0.881373587, rel=1e-8)
+        assert theta == pytest.approx(math.pi / 8, rel=1e-12)
+        assert r == pytest.approx(-math.asinh(1.0), rel=1e-12)
+        assert r == pytest.approx(-0.881373587, rel=1e-8)
 
     def test_decompose_small_gain_limit(self):
-        phi, p = ponderomotive_decompose(1e-8)
+        phi, r, theta = ponderomotive_decompose(1e-8)
         assert abs(phi) < 1e-8
-        assert abs(p.r) < 1e-8
-        assert p.theta == pytest.approx(math.pi / 4, rel=1e-7)
-        product = squeeze_matrix(p.r, p.theta) @ rotation_matrix(phi)
+        assert abs(r) < 1e-8
+        assert theta == pytest.approx(math.pi / 4, rel=1e-7)
+        product = squeeze_matrix(r, theta) @ rotation_matrix(phi)
         assert np.allclose(product, np.eye(2), atol=1e-8)
 
     def test_recomposition(self):
         for gain in (0.016, 1e-3, 1.0, 1e3):
-            phi, p = ponderomotive_decompose(gain)
-            product = squeeze_matrix(p.r, p.theta) @ rotation_matrix(phi)
+            phi, r, theta = ponderomotive_decompose(gain)
+            product = squeeze_matrix(r, theta) @ rotation_matrix(phi)
             assert np.abs(product - ponderomotive_matrix(gain)).max() < 1e-10
 
     @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
@@ -155,24 +154,7 @@ class TestAlgebra:
         assert np.allclose(adjoint(m), m.conj().T, atol=0)
         assert det2(m) == (1 + 2j) * (-1.0) - 3.0 * 0.5j
 
-    def test_vec2(self):
-        v = vec2(1.0, 2j)
-        assert v.shape == (2,) and v[1] == 2j
-
     def test_arccot_branch(self):
         assert arccot(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
         assert 0 < arccot(5.0) < math.pi / 2
         assert math.pi / 2 < arccot(-5.0) < math.pi
-
-
-class TestSqueezeParams:
-    def test_angle_normalization(self):
-        p = SqueezeParams(r=0.2, theta=-0.5)
-        assert 0 <= p.theta < 2 * math.pi
-        assert p.theta == pytest.approx(2 * math.pi - 0.5, rel=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            SqueezeParams(r=math.inf)
-        with pytest.raises(ValueError):
-            SqueezeParams(r=0.0, theta=math.nan)
