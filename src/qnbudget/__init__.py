@@ -17,10 +17,10 @@ from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
 from .fdt import (CavityMode, chi_phase_amp, chi_phase_phase,
                   coupled_susceptibilities, gw_coupling, loss_floor_fdt,
                   mode_for)
-from .ifo import (NoiseSpectrum, arm_bandwidth, effective_internal_loss,
-                  effective_src_loss, homodyne_spectrum, io_relation,
-                  loop_matrix, optimal_spectrum, ponderomotive_gain,
-                  qcrb_lossless, resolve_band, total_covariance)
+from .ifo import (arm_bandwidth, effective_internal_loss, effective_src_loss,
+                  homodyne_spectrum, io_relation, loop_matrix,
+                  optimal_spectrum, ponderomotive_gain, qcrb_lossless,
+                  resolve_band, total_covariance)
 from .limits import (ALPHA_INTERNAL, ALPHA_NO_INTERNAL, limit_params,
                      loss_limit, qcrb_from_spp, signal_response_ratio, sql,
                      taylor_loss_internal, taylor_loss_no_internal,

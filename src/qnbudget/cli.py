@@ -22,7 +22,7 @@ from .constants import C_LIGHT, HBAR
 from .curves import (CHUNK_POINTS, evaluate_curve, frequency_grid,
                      parse_curve_name)
 from .errors import ConfigError, DegeneracyError
-from .ifo import NoiseSpectrum, resolve_band
+from .ifo import resolve_band
 from .validation import run_validation
 
 MAX_POINTS = 10**6
@@ -68,7 +68,8 @@ def _blocks(n: int):
 
 def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray, spectra: dict,
                  fmt: str) -> None:
-    """Write the curves to the text stream `fh` as CSV or JSON.
+    """Write the curves {name: PSD array} to the text stream `fh` as CSV or
+    JSON.
 
     The text is built CHUNK_POINTS rows at a time, so its memory stays
     bounded at any point count.
@@ -77,8 +78,7 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray, spectra: dict,
     # the program, do not build its lookup tables
     from .celltext import csv_rows, json_elements
 
-    columns = {"f_hz": f_hz,
-               **{name: spectrum.values for name, spectrum in spectra.items()}}
+    columns = {"f_hz": f_hz, **spectra}
     if fmt == "csv":
         fh.write(",".join(columns) + "\n")
         for rows in _blocks(len(f_hz)):
@@ -106,10 +106,12 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray, spectra: dict,
     fh.write("\n },\n" + metadata.removeprefix("{\n") + "\n")
 
 
-def run_budget(req: BudgetRequest) -> dict:
+def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     """Evaluate the requested curves; write the output file if a path is set.
 
-    Returns the curves as {name: NoiseSpectrum}, in request order.
+    Returns (f_hz, {name: PSD array}), the curves in request order.  A PSD
+    value that is negative or not finite raises DegeneracyError at the
+    first such frequency.
     """
     lo, hi = req.band_hz
     f_hz = frequency_grid(lo, hi, req.points)
@@ -119,12 +121,17 @@ def run_budget(req: BudgetRequest) -> dict:
     cfg = resolve_band(req.config, req.band_hz)
     spectra = {}
     for name in req.curves:
-        values = evaluate_curve(name, cfg, f_hz)
-        spectra[name] = NoiseSpectrum(frequencies=f_hz, values=values, label=name)
+        values = spectra[name] = evaluate_curve(name, cfg, f_hz)
+        bad = ~(np.isfinite(values) & (values >= 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DegeneracyError(
+                f"curve {name!r} failed at {f_hz[i]:.6g} Hz: PSD value "
+                f"{values[i]:.6g} is not finite and non-negative", index=i)
     if req.out_path is not None:
         with open(req.out_path, "w", newline="") as fh:
             write_budget(fh, req, f_hz, spectra, req.fmt)
-    return spectra
+    return f_hz, spectra
 
 
 def _load(path: str | None) -> IfoConfig:
@@ -183,9 +190,8 @@ def main(argv=None) -> int:
             out_path=args.out,
             fmt=args.format,
         )
-        spectra = run_budget(req)
+        f_hz, spectra = run_budget(req)
         if req.out_path is None:
-            f_hz = next(iter(spectra.values())).frequencies
             write_budget(sys.stdout, req, f_hz, spectra, req.fmt)
         return 0
     except ConfigError as exc:

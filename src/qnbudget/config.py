@@ -1,6 +1,7 @@
 """Interferometer configuration: schema, validation, JSON ingestion.
 
-The configuration document is a flat JSON object.  Scalar entries are plain
+The configuration document is a flat JSON object whose keys are the fields
+of IfoConfig, the one statement of the schema.  Scalar entries are plain
 numbers; frequency-dependent entries are tables {"f_hz": [...], "values":
 [...]} interpolated linearly in log-frequency, with extrapolation forbidden.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -124,8 +125,8 @@ class InternalSqueeze:
     """
 
     mode: str = "none"
-    r: object = 0.0       # float or FreqTable
-    theta: object = 0.0   # float or FreqTable
+    r: float | FreqTable = 0.0
+    theta: float | FreqTable = 0.0
 
     def __post_init__(self):
         if self.mode not in INTERNAL_SQZ_MODES:
@@ -169,13 +170,13 @@ class IfoConfig:
     T_itm: float
     T_src: float
     eps_arm: float
-    eps_src_channels: tuple
+    eps_src_channels: tuple[float | FreqTable, ...]
     eps_ext: float
     r_input: float = 0.0
     theta_input: float = 0.0
     internal_sqz: InternalSqueeze = field(default_factory=InternalSqueeze)
-    Theta: object = 0.0            # float or FreqTable
-    residual_phase: object = 0.0   # float or FreqTable
+    Theta: float | FreqTable = 0.0
+    residual_phase: float | FreqTable = 0.0
 
     def __post_init__(self):
         for name in ("L", "M", "P", "omega0"):
@@ -197,15 +198,11 @@ class IfoConfig:
         channels = tuple(self.eps_src_channels)
         if not channels:
             raise ConfigError("eps_src_channels: must not be empty")
-        checked = []
         for i, ch in enumerate(channels):
-            if isinstance(ch, FreqTable):
-                for x in ch.values:
-                    _check_loss(f"eps_src_channels[{i}]", x)
-                checked.append(ch)
-            else:
-                checked.append(_check_loss(f"eps_src_channels[{i}]", ch))
-        object.__setattr__(self, "eps_src_channels", tuple(checked))
+            for x in (ch.values if isinstance(ch, FreqTable) else (ch,)):
+                _check_loss(f"eps_src_channels[{i}]", x)
+        object.__setattr__(self, "eps_src_channels", tuple(
+            ch if isinstance(ch, FreqTable) else float(ch) for ch in channels))
 
         r_in = _number("r_input", self.r_input)
         if not math.isfinite(r_in) or abs(r_in) > MAX_SQUEEZE_FACTOR:
@@ -238,130 +235,82 @@ def default_config() -> IfoConfig:
     )
 
 
-def _quantity_from_json(name: str, obj):
-    if isinstance(obj, dict):
-        extra = set(obj) - {"f_hz", "values"}
-        if extra:
-            raise ConfigError(f"{name}: unknown table keys {sorted(extra)}")
-        try:
-            f_hz, values = obj["f_hz"], obj["values"]
-        except KeyError as exc:
-            raise ConfigError(f"{name}: table needs 'f_hz' and 'values'") from exc
-        if not (isinstance(f_hz, list) and isinstance(values, list)):
-            raise ConfigError(f"{name}: table 'f_hz' and 'values' must be lists")
-        try:
-            return FreqTable(tuple(f_hz), tuple(values))
-        except ConfigError as exc:
-            raise ConfigError(f"{name}: {exc}") from None
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return float(obj)
-    raise ConfigError(f"{name}: expected a number or a frequency table")
+def _table(name: str, obj):
+    """A table object {"f_hz": [...], "values": [...]} as a FreqTable; any
+    other value comes back as it is, for the dataclass to check."""
+    if not isinstance(obj, dict):
+        return obj
+    extra = set(obj) - {"f_hz", "values"}
+    if extra:
+        raise ConfigError(f"{name}: unknown table keys {sorted(extra)}")
+    try:
+        f_hz, values = obj["f_hz"], obj["values"]
+    except KeyError as exc:
+        raise ConfigError(f"{name}: table needs 'f_hz' and 'values'") from exc
+    if not (isinstance(f_hz, list) and isinstance(values, list)):
+        raise ConfigError(f"{name}: table 'f_hz' and 'values' must be lists")
+    try:
+        return FreqTable(tuple(f_hz), tuple(values))
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
-def _quantity_to_json(q):
-    if isinstance(q, FreqTable):
-        return {"f_hz": list(q.f_hz), "values": list(q.values)}
-    return q
+def _from_dict(cls, doc, prefix: str = ""):
+    """cls(**doc) for a config dataclass, each value read by the annotation
+    of its field (a string: annotations are postponed in this module).  A
+    field without a default is a required key; errors name prefix + key."""
+    where = prefix.rstrip(".") or "config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    schema = {f.name: f for f in fields(cls)}
+    unknown = set(doc) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for f in schema.values():
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in doc:
+            raise ConfigError(f"missing required key '{prefix}{f.name}'")
 
+    def read(key, value):
+        kind = schema[key].type
+        if kind == "InternalSqueeze":
+            sqz = {"mode": value} if isinstance(value, str) else value
+            return _from_dict(InternalSqueeze, sqz, f"{key}.")
+        if kind.startswith("tuple"):
+            items = value if isinstance(value, list) else [value]
+            return tuple(_table(f"{key}[{i}]", x) for i, x in enumerate(items))
+        return _table(prefix + key, value) if "FreqTable" in kind else value
 
-KNOWN_KEYS = {
-    "L", "M", "P", "omega0", "lambda0", "T_itm", "T_src", "eps_arm",
-    "eps_src_channels", "eps_ext", "r_input", "theta_input", "internal_sqz",
-    "Theta", "residual_phase",
-}
+    return cls(**{key: read(key, value) for key, value in doc.items()})
 
 
 def config_from_dict(doc: dict) -> IfoConfig:
-    """Build and validate an IfoConfig from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    """Build and validate an IfoConfig from a parsed JSON document.
 
-    if "omega0" in doc:
-        omega0 = doc["omega0"]
-    elif "lambda0" in doc:
-        lam = _number("lambda0", doc["lambda0"])
-        if lam <= 0:
-            raise ConfigError("lambda0: must be positive")
-        omega0 = TWO_PI_C / lam
-    else:
+    The carrier is given as omega0 [rad/s] or as lambda0 [m], not both.
+    """
+    if isinstance(doc, dict) and "lambda0" in doc:
+        if "omega0" in doc:
+            raise ConfigError("config gives both 'omega0' and 'lambda0'; "
+                              "give one of the two")
+        doc = dict(doc)
+        lam = _number("lambda0", doc.pop("lambda0"))
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ConfigError(f"lambda0: must be positive and finite, got {lam!r}")
+        doc["omega0"] = TWO_PI_C / lam
+    elif isinstance(doc, dict) and "omega0" not in doc:
         raise ConfigError("config needs 'omega0' [rad/s] or 'lambda0' [m]")
-
-    try:
-        channels_doc = doc["eps_src_channels"]
-    except KeyError:
-        raise ConfigError("missing required key 'eps_src_channels'")
-    if isinstance(channels_doc, (int, float)) and not isinstance(channels_doc, bool):
-        channels_doc = [channels_doc]
-    if not isinstance(channels_doc, list):
-        raise ConfigError("eps_src_channels: expected a number or a list")
-    channels = tuple(_quantity_from_json(f"eps_src_channels[{i}]", ch)
-                     for i, ch in enumerate(channels_doc))
-
-    sqz_doc = doc.get("internal_sqz", "none")
-    if isinstance(sqz_doc, str):
-        sqz = InternalSqueeze(mode=sqz_doc)
-    elif isinstance(sqz_doc, dict):
-        extra = set(sqz_doc) - {"mode", "r", "theta"}
-        if extra:
-            raise ConfigError(f"internal_sqz: unknown keys {sorted(extra)}")
-        sqz = InternalSqueeze(
-            mode=sqz_doc.get("mode", "none"),
-            r=_quantity_from_json("internal_sqz.r", sqz_doc.get("r", 0.0)),
-            theta=_quantity_from_json("internal_sqz.theta", sqz_doc.get("theta", 0.0)),
-        )
-    else:
-        raise ConfigError("internal_sqz: expected a mode string or an object")
-
-    def need(key):
-        try:
-            return doc[key]
-        except KeyError:
-            raise ConfigError(f"missing required key '{key}'")
-
-    return IfoConfig(
-        L=need("L"),
-        M=need("M"),
-        P=need("P"),
-        omega0=omega0,
-        T_itm=need("T_itm"),
-        T_src=need("T_src"),
-        eps_arm=need("eps_arm"),
-        eps_src_channels=channels,
-        eps_ext=need("eps_ext"),
-        r_input=doc.get("r_input", 0.0),
-        theta_input=doc.get("theta_input", 0.0),
-        internal_sqz=sqz,
-        Theta=_quantity_from_json("Theta", doc.get("Theta", 0.0)),
-        residual_phase=_quantity_from_json("residual_phase",
-                                           doc.get("residual_phase", 0.0)),
-    )
+    return _from_dict(IfoConfig, doc)
 
 
 def config_to_dict(cfg: IfoConfig) -> dict:
-    """Canonical JSON-ready form of a configuration."""
-    return {
-        "L": cfg.L,
-        "M": cfg.M,
-        "P": cfg.P,
-        "omega0": cfg.omega0,
-        "T_itm": cfg.T_itm,
-        "T_src": cfg.T_src,
-        "eps_arm": cfg.eps_arm,
-        "eps_src_channels": [_quantity_to_json(ch) for ch in cfg.eps_src_channels],
-        "eps_ext": cfg.eps_ext,
-        "r_input": cfg.r_input,
-        "theta_input": cfg.theta_input,
-        "internal_sqz": {
-            "mode": cfg.internal_sqz.mode,
-            "r": _quantity_to_json(cfg.internal_sqz.r),
-            "theta": _quantity_to_json(cfg.internal_sqz.theta),
-        },
-        "Theta": _quantity_to_json(cfg.Theta),
-        "residual_phase": _quantity_to_json(cfg.residual_phase),
-    }
+    """Canonical JSON-ready form of a configuration: the fields in order,
+    tables as {"f_hz": [...], "values": [...]} objects."""
+    if is_dataclass(cfg):
+        return {f.name: config_to_dict(getattr(cfg, f.name)) for f in fields(cfg)}
+    if isinstance(cfg, tuple):
+        return [config_to_dict(x) for x in cfg]
+    return cfg
 
 
 def config_hash(cfg: IfoConfig) -> str:

@@ -27,21 +27,6 @@ from .config import IfoConfig, value_at
 from .constants import TWO_PI
 from .errors import ConfigError, DegeneracyError
 
-BASE_CURVES = (
-    "sql",
-    "qcrb",
-    "loss_limit_a1",
-    "loss_limit_a4",
-    "full_optimal",
-    "fdt_floor",
-    "taylor_qcrb_internal",
-    "taylor_qcrb_no_internal",
-    "taylor_loss_internal",
-    "taylor_loss_no_internal",
-)
-
-CURVE_CHOICES = BASE_CURVES + ("full_fixed_zeta(<rad>)",)
-
 _FIXED_ZETA_RE = re.compile(r"^full_fixed_zeta\(([-+0-9.eE]+)\)$")
 
 
@@ -116,6 +101,9 @@ _CURVES = {
     "taylor_loss_no_internal": lambda cfg, w, _: limits.taylor_loss_no_internal(
         cfg, w),
 }
+
+BASE_CURVES = tuple(kind for kind in _CURVES if kind != "full_fixed_zeta")
+CURVE_CHOICES = BASE_CURVES + ("full_fixed_zeta(<rad>)",)
 
 
 def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:

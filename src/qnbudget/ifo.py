@@ -22,7 +22,7 @@ from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
                      LasingThresholdError)
 from .quadrature import (MAX_SQUEEZE_FACTOR, adjoint, all_true, any_true,
-                         det2, entries, mat_inv, ponderomotive_decompose,
+                         entries, mat_inv, ponderomotive_decompose,
                          rotation_matrix, squeeze_matrix)
 
 # log-spaced samples of the band searched for the recycling-loss minimum
@@ -59,36 +59,6 @@ class IoRelation:
     v: np.ndarray
     internal_coupling: float
     external_coupling: float
-
-
-@dataclass(frozen=True)
-class NoiseSpectrum:
-    """Strain-referred power spectral density sampled on a frequency grid.
-
-    frequencies are in Hz and strictly increasing; values are the PSD in
-    1/Hz and must be finite and non-negative.  The amplitude spectral
-    density is available as .asd.
-    """
-
-    frequencies: np.ndarray
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if f.ndim != 1 or f.shape != v.shape:
-            raise ValueError("frequencies and values must be matching 1-D arrays")
-        if f.size and not np.all(np.diff(f) > 0):
-            raise ValueError("frequencies must be strictly increasing")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("PSD values must be finite and non-negative")
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def asd(self) -> np.ndarray:
-        return np.sqrt(self.values)
 
 
 def arm_bandwidth(cfg: IfoConfig) -> float:
@@ -140,15 +110,16 @@ def resolve_band(cfg: IfoConfig, band_hz) -> IfoConfig:
     """The config with its recycling-loss channels fixed for one analysis band.
 
     Tabulated channels are replaced by their effective_src_loss over band_hz;
-    a config without tables comes back unchanged.
+    a config without tables comes back unchanged.  A summed loss of 1 or
+    more, from constants or tables, is a ConfigError.
     """
-    if not any(isinstance(ch, FreqTable) for ch in cfg.eps_src_channels):
-        return cfg
     eps_src = effective_src_loss(cfg.eps_src_channels, band_hz)
     if eps_src >= 1.0:
         raise ConfigError(
             f"eps_src_channels: summed loss is at least {eps_src:.6g} over the "
             f"band {band_hz[0]:g}..{band_hz[1]:g} Hz; it must stay below 1")
+    if not any(isinstance(ch, FreqTable) for ch in cfg.eps_src_channels):
+        return cfg
     return replace(cfg, eps_src_channels=(eps_src,))
 
 
@@ -253,18 +224,30 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
 
     A scalar omega gives 2x2 matrices, a 2-vector and a float coupling; a
     1-D array gives stacks of shape (N, 2, 2), (N, 2) and (N,).  Raises
-    LasingThresholdError when the round-trip gain of the loop hits unity
-    and the cavity inverse does not exist.
+    LasingThresholdError when the round-trip gain of the loop hits unity,
+    where the cavity inverse does not exist, or exceeds it, where the loop
+    has no steady state.
     """
     w = _frequencies(omega)
     x = _in_order(lambda v: loop_matrix(cfg, v), w,
                   lambda head: io_relation(cfg, head))
     sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
     trip = _EYE - sqrt_r_src * x
-    det_abs = np.abs(det2(trip))
-    _raise_first((det_abs < LASING_DET_TOL, LasingThresholdError, lambda i: (
-        f"recycling loop at lasing threshold (|det| = {det_abs.flat[i]:.2e}) "
-        f"at Omega = {w.flat[i]:.6g} rad/s")))
+    t11, t12, t21, t22 = entries(trip)
+    det = t11 * t22 - t12 * t21
+    det_abs = np.abs(det)
+    # the round-trip eigenvalues, those of sqrt(R_src) x, are 1 - g -+ root
+    # for the eigenvalues g +- root of trip, g half its trace
+    g = 0.5 * (t11 + t22)
+    root = np.sqrt(g * g - det + 0j)
+    round_trip = np.maximum(np.abs(1.0 - g - root), np.abs(1.0 - g + root))
+    _raise_first(
+        (det_abs < LASING_DET_TOL, LasingThresholdError, lambda i: (
+            f"recycling loop at lasing threshold (|det| = {det_abs.flat[i]:.2e}) "
+            f"at Omega = {w.flat[i]:.6g} rad/s")),
+        (round_trip > 1.0, LasingThresholdError, lambda i: (
+            "recycling loop beyond lasing threshold (round-trip eigenvalue "
+            f"{round_trip.flat[i]:.4g}) at Omega = {w.flat[i]:.6g} rad/s")))
     m_c = mat_inv(trip)
     m_io = -sqrt_r_src * _EYE + cfg.T_src * (m_c @ x)
     beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))

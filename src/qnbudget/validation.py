@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fdt, ifo, limits
-from .config import DEFAULT_BAND_HZ, IfoConfig, InternalSqueeze, config_hash
+from .config import (DEFAULT_BAND_HZ, IfoConfig, InternalSqueeze, config_hash,
+                     coverage_check)
 from .constants import TWO_PI
 from .quadrature import (SYMPLECTIC_FORM, ponderomotive_decompose,
                          ponderomotive_matrix, rotation_matrix, squeeze_matrix)
@@ -176,7 +177,11 @@ def _check_first_order_split(cfg) -> CheckResult:
 
 
 def run_validation(cfg: IfoConfig, seed: int = 42) -> ValidationReport:
-    """Run the cross-check suite against a configuration."""
+    """Run the cross-check suite against a configuration.
+
+    Every table must cover the frequencies the checks evaluate (_CHECK_HZ).
+    """
+    coverage_check(cfg, _CHECK_HZ[0], _CHECK_HZ[-1])
     rng = np.random.default_rng(seed)
     resolved = ifo.resolve_band(cfg, DEFAULT_BAND_HZ)
     checks = (

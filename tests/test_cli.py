@@ -11,6 +11,7 @@ import pytest
 import qnbudget
 from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, BudgetRequest, ConfigError,
+                      DegeneracyError,
                       config_hash, config_to_dict, default_config,
                       evaluate_curve, frequency_grid, load_config, loss_limit,
                       resolve_band, run_budget, run_validation)
@@ -47,6 +48,15 @@ class TestBudgetRequest:
         with pytest.raises(ConfigError):
             BudgetRequest(config=cfg, **kw)
 
+    def test_unknown_curve_lists_choices_in_order(self):
+        with pytest.raises(ConfigError) as info:
+            parse_curve_name("psd")
+        assert str(info.value) == (
+            "unknown curve 'psd'; choose from sql, qcrb, loss_limit_a1, "
+            "loss_limit_a4, full_optimal, fdt_floor, taylor_qcrb_internal, "
+            "taylor_qcrb_no_internal, taylor_loss_internal, "
+            "taylor_loss_no_internal, full_fixed_zeta(<rad>)")
+
     def test_curve_name_parsing(self):
         assert parse_curve_name("sql") == ("sql", None)
         kind, zeta = parse_curve_name("full_fixed_zeta(1.5708)")
@@ -60,10 +70,34 @@ class TestRunBudget:
     def test_returns_spectra_in_request_order(self, cfg, tmp_path):
         req = BudgetRequest(config=cfg, points=16,
                             curves=("loss_limit_a4", "sql"))
-        spectra = run_budget(req)
+        f_hz, spectra = run_budget(req)
         assert list(spectra) == ["loss_limit_a4", "sql"]
-        assert len(spectra["sql"].frequencies) == 16
-        assert spectra["sql"].label == "sql"
+        assert np.array_equal(f_hz, frequency_grid(5.0, 5000.0, 16))
+        assert all(len(psd) == 16 for psd in spectra.values())
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-40, math.inf])
+    def test_bad_psd_value_raises_degeneracy(self, cfg, tmp_path, capsys,
+                                             monkeypatch, bad):
+        from qnbudget import curves
+
+        def broken(c, w, _):
+            psd = qnbudget.limits.sql(c.M, c.L, w)
+            psd[2:] = bad
+            return psd
+
+        monkeypatch.setitem(curves._CURVES, "sql", broken)
+        f_hz = frequency_grid(5.0, 5000.0, 8)
+        req = BudgetRequest(config=cfg, points=8, curves=("qcrb", "sql"))
+        with pytest.raises(DegeneracyError) as info:
+            run_budget(req)
+        assert info.value.index == 2
+        assert str(info.value).startswith(
+            f"curve 'sql' failed at {f_hz[2]:.6g} Hz: PSD value {bad:.6g}")
+        out = tmp_path / "x.csv"
+        assert main(["budget", "--points", "8", "--curves", "sql",
+                     "--out", str(out)]) == 3
+        assert "numerical degeneracy: curve 'sql'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_shape(self, cfg, tmp_path):
         out = tmp_path / "budget.csv"
@@ -110,16 +144,15 @@ class TestRunBudget:
     def test_fixed_zeta_curve(self, cfg):
         req = BudgetRequest(config=cfg, points=8,
                             curves=("full_fixed_zeta(1.5707963)",))
-        spectra = run_budget(req)
-        assert np.all(spectra["full_fixed_zeta(1.5707963)"].values > 0)
+        _, spectra = run_budget(req)
+        assert np.all(spectra["full_fixed_zeta(1.5707963)"] > 0)
 
     def test_squeezed_input_sits_above_loss_limit(self, cfg):
         from qnbudget import r_from_db
         req = BudgetRequest(config=replace(cfg, r_input=r_from_db(30.0)),
                             points=100, curves=("full_optimal", "loss_limit_a4"))
-        spectra = run_budget(req)
-        assert np.all(spectra["full_optimal"].values
-                      > spectra["loss_limit_a4"].values)
+        _, spectra = run_budget(req)
+        assert np.all(spectra["full_optimal"] > spectra["loss_limit_a4"])
 
 
 class TestBandResolution:
@@ -202,6 +235,58 @@ class TestCliExitCodes:
         assert rc == 2
         assert f"config error: {field}: expected a number" in \
             capsys.readouterr().err
+
+    def test_omega0_and_lambda0_together_exits_2(self, cfg, tmp_path, capsys):
+        doc = config_to_dict(cfg)
+        doc["lambda0"] = 1.064e-6
+        path = write_config(tmp_path, doc)
+        assert main(["budget", "--config", path, "--points", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "'omega0' and 'lambda0'" in err
+
+    @pytest.mark.parametrize("verb", [["budget", "--points", "4"],
+                                      ["validate"]])
+    def test_constant_loss_sum_reaching_one_exits_2(self, cfg, tmp_path,
+                                                    capsys, verb):
+        doc = config_to_dict(cfg)
+        doc["eps_src_channels"] = [0.6, 0.6]
+        path = write_config(tmp_path, doc)
+        assert main(verb + ["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: eps_src_channels: summed loss is at least 1.2" \
+            in err and "must stay below 1" in err
+
+    @pytest.mark.parametrize("verb", [["budget", "--points", "4"],
+                                      ["validate"]])
+    def test_lasing_beyond_threshold_exits_3(self, cfg, tmp_path, capsys,
+                                             verb):
+        # twice the threshold squeeze r = 0.0754: round-trip eigenvalue 1.088
+        doc = config_to_dict(cfg)
+        doc["internal_sqz"] = {"mode": "fixed", "r": 0.16}
+        path = write_config(tmp_path, doc)
+        assert main(verb + ["--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "beyond lasing threshold (round-trip eigenvalue 1.088)" in err
+
+    @pytest.mark.parametrize("key", ["Theta", "residual_phase",
+                                     "internal_sqz.r", "internal_sqz.theta"])
+    def test_validate_names_table_short_of_check_span(self, cfg, tmp_path,
+                                                      capsys, key):
+        def run(f_hz):
+            doc = config_to_dict(cfg)
+            doc["internal_sqz"] = {"mode": "fixed", "r": 0.01, "theta": 0.0}
+            table = {"f_hz": f_hz, "values": [0.01, 0.01]}
+            if key.startswith("internal_sqz."):
+                doc["internal_sqz"][key.split(".")[1]] = table
+            else:
+                doc[key] = table
+            return main(["validate", "--config", write_config(tmp_path, doc)])
+
+        assert run([20.0, 800.0]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: table covers 20..800 Hz")
+        assert "12..980 Hz" in err
+        assert run([10.0, 1000.0]) == 0
 
     def test_malformed_curve_angle_exits_2(self, tmp_path, capsys):
         rc = main(["budget", "--points", "4", "--curves",

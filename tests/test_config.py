@@ -73,6 +73,41 @@ class TestIfoConfigValidation:
         with pytest.raises(ConfigError, match=f"{field}: expected a number"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["Theta", "residual_phase"])
+    def test_string_for_table_key_names_key(self, key):
+        doc = config_to_dict(default_config())
+        doc[key] = "abc"
+        with pytest.raises(ConfigError,
+                           match=f"^{key}: expected a number, got 'abc'$"):
+            config_from_dict(doc)
+
+    def test_omega0_and_lambda0_together_rejected(self):
+        doc = config_to_dict(default_config())
+        doc["lambda0"] = 1.064e-6
+        with pytest.raises(ConfigError, match="'omega0' and 'lambda0'"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1e-6])
+    def test_bad_wavelength_names_lambda0(self, lam):
+        doc = config_template()
+        doc["lambda0"] = lam
+        with pytest.raises(ConfigError,
+                           match="^lambda0: must be positive and finite"):
+            config_from_dict(doc)
+
+    def test_missing_keys_named(self):
+        doc = config_to_dict(default_config())
+        del doc["omega0"]
+        with pytest.raises(ConfigError, match="'omega0' .* or 'lambda0'"):
+            config_from_dict(doc)
+        doc = config_to_dict(default_config())
+        del doc["eps_ext"]
+        with pytest.raises(ConfigError, match="missing required key 'eps_ext'"):
+            config_from_dict(doc)
+        del doc["r_input"], doc["internal_sqz"], doc["Theta"]
+        doc["eps_ext"] = 0.1
+        assert config_from_dict(doc) == default_config()
+
     def test_non_numeric_wavelength_names_key(self):
         doc = config_template()
         doc["lambda0"] = "x"
@@ -110,6 +145,16 @@ class TestIfoConfigValidation:
         doc["chirp_mass"] = 30.0
         with pytest.raises(ConfigError, match="chirp_mass"):
             config_from_dict(doc)
+        doc = config_to_dict(default_config())
+        doc["internal_sqz"]["phase"] = 0.0
+        with pytest.raises(ConfigError,
+                           match=r"internal_sqz: unknown keys \['phase'\]"):
+            config_from_dict(doc)
+        doc["internal_sqz"] = 1.0
+        with pytest.raises(ConfigError, match="internal_sqz: expected"):
+            config_from_dict(doc)
+        with pytest.raises(ConfigError, match="expected a JSON object"):
+            config_from_dict([doc])
 
     def test_internal_sqz_modes(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -137,6 +182,14 @@ class TestSerialization:
     def test_template_is_loadable(self):
         cfg = config_from_dict(config_template())
         assert cfg == default_config()
+
+    def test_single_channel_without_list(self):
+        table = {"f_hz": [1.0, 10000.0], "values": [1e-4, 1e-3]}
+        for channel in (1e-3, table):
+            doc = config_to_dict(default_config())
+            doc["eps_src_channels"] = channel
+            cfg = config_from_dict(doc)
+            assert config_to_dict(cfg)["eps_src_channels"] == [channel]
 
     def test_tables_round_trip(self):
         doc = config_to_dict(default_config())

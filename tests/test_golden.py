@@ -42,20 +42,21 @@ TABULATED_CONFIG = {
     "residual_phase": 0.01,
 }
 
-# golden file -> (config document or None for the built-in default, argv
-# after "budget"); a request without --format writes CSV to stdout
+# golden file -> (config document or None for the built-in default, argv);
+# a request without --format writes to stdout, a budget request CSV
 REQUESTS = {
+    "config_template.json": (None, ["print-config-template"]),
     "default.csv": (None, [
-        "--points", "200", "--curves", "sql,qcrb,loss_limit_a4,full_optimal",
-        "--format", "csv"]),
+        "budget", "--points", "200",
+        "--curves", "sql,qcrb,loss_limit_a4,full_optimal", "--format", "csv"]),
     "default.json": (None, [
-        "--fmin", "20", "--fmax", "800", "--points", "150",
+        "budget", "--fmin", "20", "--fmax", "800", "--points", "150",
         "--curves", "sql,qcrb,loss_limit_a1,fdt_floor,full_optimal",
         "--format", "json"]),
     "fixed_zeta_stdout.csv": (None, [
-        "--points", "120", "--curves", "full_fixed_zeta(0.5),sql"]),
+        "budget", "--points", "120", "--curves", "full_fixed_zeta(0.5),sql"]),
     "tabulated.json": (TABULATED_CONFIG, [
-        "--points", "180",
+        "budget", "--points", "180",
         "--curves", "full_optimal,qcrb,taylor_qcrb_internal,loss_limit_a1",
         "--format", "json"]),
 }
@@ -64,7 +65,6 @@ REQUESTS = {
 def run_request(name, workdir) -> bytes:
     """Output of golden request `name`, run with its files under `workdir`."""
     doc, argv = REQUESTS[name]
-    argv = ["budget", *argv]
     if doc is not None:
         cfg_path = os.path.join(workdir, "config.json")
         with open(cfg_path, "w") as fh:

@@ -7,7 +7,7 @@ import pytest
 from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, ConfigError, DegeneracyError,
                       FreqTable,
-                      InternalSqueeze, LasingThresholdError, NoiseSpectrum,
+                      InternalSqueeze, LasingThresholdError,
                       adjoint, arm_bandwidth, default_config,
                       effective_internal_loss, effective_src_loss,
                       evaluate_curve, homodyne_spectrum, io_relation,
@@ -184,6 +184,33 @@ class TestBatchErrors:
         with pytest.raises(LasingThresholdError,
                            match="'full_optimal' failed at 100 Hz: recycling"):
             evaluate_curve("full_optimal", lasing_at_100hz, f_hz)
+
+    def test_beyond_threshold_reported_at_lowest_index(self, cfg):
+        # the loop reaches its lasing threshold on the 30 Hz knot and is
+        # driven beyond it (round-trip eigenvalue above 1) from there to
+        # about 3 kHz
+        r_crit = -0.5 * math.log(1 - cfg.T_src)
+        r = FreqTable(f_hz=(1.0, 30.0, 100.0, 1e4),
+                      values=(0.0, r_crit, 2.0 * r_crit, 0.0))
+        c = replace(cfg, internal_sqz=InternalSqueeze("fixed", r=r))
+        beyond = "beyond lasing threshold"
+        with pytest.raises(LasingThresholdError, match=beyond) as one:
+            io_relation(c, TWO_PI * 100.0)
+        # tuned loop, eigenvalue sqrt(R_src) e^r = 1 / sqrt(R_src) at 2 r_crit
+        eigenvalue = 1.0 / math.sqrt(1.0 - cfg.T_src)
+        assert f"round-trip eigenvalue {eigenvalue:.4g})" in str(one.value)
+        for f_hz, index, match in (([10.0, 100.0, 30.0], 1, beyond),
+                                   ([10.0, 30.0, 100.0], 1, "at lasing"),
+                                   ([300.0, 30.0], 0, beyond)):
+            with pytest.raises(LasingThresholdError, match=match) as batch:
+                optimal_spectrum(c, TWO_PI * np.array(f_hz))
+            assert batch.value.index == index
+        with pytest.raises(LasingThresholdError,
+                           match=f"'qcrb' failed at 300 Hz: recycling loop "
+                                 f"{beyond}"):
+            evaluate_curve("qcrb", c, np.array([5.0, 300.0, 30.0]))
+        # below the threshold nothing is raised
+        assert optimal_spectrum(c, TWO_PI * np.array([5.0, 5e3]))[0].min() > 0
 
     def test_earlier_blind_angle_wins_over_later_lasing(self, lasing_at_100hz):
         # the tuned signal is pure phase quadrature, so zeta = 0 is blind
@@ -470,17 +497,3 @@ class TestPonderomotiveMode:
         x_manual = loop_matrix(c_fixed, OMEGA) @ rotation_matrix(phi)
         assert np.abs(x_pond - x_manual).max() < 1e-12
 
-
-class TestNoiseSpectrum:
-    def test_valid_construction(self):
-        ns = NoiseSpectrum(frequencies=[1.0, 2.0], values=[1e-40, 2e-40],
-                           label="demo")
-        assert np.allclose(ns.asd, np.sqrt(ns.values))
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            NoiseSpectrum(frequencies=[2.0, 1.0], values=[1e-40, 1e-40])
-        with pytest.raises(ValueError):
-            NoiseSpectrum(frequencies=[1.0, 2.0], values=[1e-40, -1e-40])
-        with pytest.raises(ValueError):
-            NoiseSpectrum(frequencies=[1.0, 2.0], values=[1e-40, math.nan])

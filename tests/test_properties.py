@@ -4,8 +4,9 @@ Each configuration example draws a configuration with `random_config` and
 one of four variants (as drawn, ponderomotive internal squeezing, a
 tabulated rotation angle, a residual round-trip phase), plus a set of
 sideband frequencies; the loss-limit property draws `random_config` as is,
-or with a residual phase, over 1 Hz - 10 kHz.  The output-format examples
-draw columns of arbitrary floats.
+or with a residual phase, over 1 Hz - 10 kHz.  The config-document
+round trip also draws tabulated fixed internal squeezing.  The
+output-format examples draw columns of arbitrary floats.
 """
 
 import csv
@@ -13,7 +14,6 @@ import io
 import json
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from qnbudget import (ALPHA_NO_INTERNAL, BlindQuadratureError, BudgetRequest,
                       DegeneracyError, FreqTable, InternalSqueeze,
-                      __version__, config_hash, default_config,
+                      __version__, config_from_dict, config_hash,
+                      config_to_dict, default_config,
                       evaluate_curve, homodyne_spectrum, io_relation,
                       loss_floor_fdt, loss_limit, optimal_spectrum,
                       random_config, run_budget, total_covariance)
@@ -180,6 +181,32 @@ def test_exact_optimum_never_below_loss_limit(phase, seed, n, data):
     assert np.all(s_opt >= loss_limit(cfg, omega, ALPHA_NO_INTERNAL))
 
 
+def tabulated_squeeze_config(seed):
+    """A random_config draw with tabulated fixed internal squeezing and a
+    tabulated recycling-loss channel beside its constant one."""
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng)
+    knots = (1.0, 100.0, 1e4)
+
+    def table(lo, hi):
+        return FreqTable(knots, tuple(rng.uniform(lo, hi, len(knots))))
+
+    return replace(cfg,
+                   internal_sqz=InternalSqueeze("fixed", r=table(-0.05, 0.05),
+                                                theta=table(0.0, math.pi)),
+                   eps_src_channels=cfg.eps_src_channels + (table(0.0, 1e-3),))
+
+
+@PROFILE
+@given(st.one_of(configs, st.builds(tabulated_squeeze_config,
+                                    st.integers(0, 2**32 - 1))))
+def test_config_document_round_trip(cfg):
+    doc = json.loads(json.dumps(config_to_dict(cfg)))
+    again = config_from_dict(doc)
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)
+
+
 def test_array_omega_with_array_zeta_rejected():
     cfg = make_config(0, "plain")
     with pytest.raises(ValueError, match="both be arrays"):
@@ -217,9 +244,7 @@ def written(req, columns, fmt):
     """The text write_budget writes for columns {"f_hz": ..., curve: ...}."""
     fh = io.StringIO()
     f_hz, *_ = columns.values()
-    # the writer reads only .values, so any floats can stand in for a curve
-    spectra = {name: SimpleNamespace(values=values)
-               for name, values in list(columns.items())[1:]}
+    spectra = dict(list(columns.items())[1:])
     write_budget(fh, req, f_hz, spectra, fmt)
     return fh.getvalue()
 
@@ -291,11 +316,10 @@ def test_csv_and_json_carry_identical_numbers(cfg, points):
     curves = ("sql", "qcrb", "loss_limit_a1", "fdt_floor", "full_optimal")
     req = BudgetRequest(config=cfg, points=points, curves=curves)
     try:
-        spectra = run_budget(req)
+        f_hz, spectra = run_budget(req)
     except DegeneracyError:
         assume(False)
-    columns = {"f_hz": next(iter(spectra.values())).frequencies,
-               **{name: s.values for name, s in spectra.items()}}
+    columns = {"f_hz": f_hz, **spectra}
     rows = list(csv.reader(io.StringIO(written(req, columns, "csv"))))
     doc = json.loads(written(req, columns, "json"))
     assert rows[0] == list(columns)
