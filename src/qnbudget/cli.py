@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .config import (DEFAULT_BAND_HZ, MIN_FREQUENCY_HZ, IfoConfig,
-                     config_hash, config_template, coverage_check,
-                     default_config, load_config)
+                     config_hash, config_template, default_config,
+                     load_config)
 from .constants import C_LIGHT, HBAR
 from .curves import (CHUNK_POINTS, evaluate_curve, frequency_grid,
                      parse_curve_name)
@@ -59,17 +59,16 @@ class BudgetRequest:
         object.__setattr__(self, "curves", curves)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format: must be csv or json, got {self.fmt!r}")
-        coverage_check(self.config, lo, hi)
 
 
 def _blocks(n: int):
     return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, n, CHUNK_POINTS))
 
 
-def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray, spectra: dict,
-                 fmt: str) -> None:
-    """Write the curves {name: PSD array} to the text stream `fh` as CSV or
-    JSON.
+def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray,
+                 spectra: dict) -> None:
+    """Write the curves {name: PSD array} to the text stream `fh` in the
+    request's format, CSV or JSON.
 
     The text is built CHUNK_POINTS rows at a time, so its memory stays
     bounded at any point count.
@@ -79,7 +78,7 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray, spectra: dict,
     from .celltext import csv_rows, json_elements
 
     columns = {"f_hz": f_hz, **spectra}
-    if fmt == "csv":
+    if req.fmt == "csv":
         fh.write(",".join(columns) + "\n")
         for rows in _blocks(len(f_hz)):
             fh.write(csv_rows([col[rows] for col in columns.values()]))
@@ -130,7 +129,7 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
                 f"{values[i]:.6g} is not finite and non-negative", index=i)
     if req.out_path is not None:
         with open(req.out_path, "w", newline="") as fh:
-            write_budget(fh, req, f_hz, spectra, req.fmt)
+            write_budget(fh, req, f_hz, spectra)
     return f_hz, spectra
 
 
@@ -192,7 +191,7 @@ def main(argv=None) -> int:
         )
         f_hz, spectra = run_budget(req)
         if req.out_path is None:
-            write_budget(sys.stdout, req, f_hz, spectra, req.fmt)
+            write_budget(sys.stdout, req, f_hz, spectra)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -195,7 +196,11 @@ class IfoConfig:
         object.__setattr__(self, "eps_arm", _check_loss("eps_arm", self.eps_arm))
         object.__setattr__(self, "eps_ext", _check_loss("eps_ext", self.eps_ext))
 
-        channels = tuple(self.eps_src_channels)
+        channels = self.eps_src_channels
+        # one constant or table is one channel, as a bare JSON value is
+        if isinstance(channels, str) or not isinstance(channels, Iterable):
+            channels = (channels,)
+        channels = tuple(channels)
         if not channels:
             raise ConfigError("eps_src_channels: must not be empty")
         for i, ch in enumerate(channels):
@@ -295,9 +300,11 @@ def config_from_dict(doc: dict) -> IfoConfig:
                               "give one of the two")
         doc = dict(doc)
         lam = _number("lambda0", doc.pop("lambda0"))
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise ConfigError(f"lambda0: must be positive and finite, got {lam!r}")
-        doc["omega0"] = TWO_PI_C / lam
+        omega0 = TWO_PI_C / lam if lam > 0.0 else math.nan
+        if not (math.isfinite(lam) and math.isfinite(omega0)):
+            raise ConfigError("lambda0: must be positive and finite, with "
+                              f"2*pi*c/lambda0 finite, got {lam!r}")
+        doc["omega0"] = omega0
     elif isinstance(doc, dict) and "omega0" not in doc:
         raise ConfigError("config needs 'omega0' [rad/s] or 'lambda0' [m]")
     return _from_dict(IfoConfig, doc)

@@ -17,16 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_BAND_HZ, FreqTable, IfoConfig, value_at
+from .config import (DEFAULT_BAND_HZ, FreqTable, IfoConfig, coverage_check,
+                     value_at)
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
                      LasingThresholdError)
 from .quadrature import (MAX_SQUEEZE_FACTOR, adjoint, all_true, any_true,
                          entries, mat_inv, ponderomotive_decompose,
                          rotation_matrix, squeeze_matrix)
-
-# log-spaced samples of the band searched for the recycling-loss minimum
-BAND_SAMPLES = 512
 
 # |det| below this is treated as a hit on the lasing threshold
 LASING_DET_TOL = 1e-14
@@ -80,9 +78,10 @@ def ponderomotive_gain(cfg: IfoConfig, omega):
 def effective_src_loss(channels, band_hz=DEFAULT_BAND_HZ) -> float:
     """Effective recycling-cavity loss: min over the band of the summed channels.
 
-    channels is a sequence of constants and/or FreqTables; the minimum is
-    taken over a dense log-spaced sample of the band (plus table knots),
-    with one table lookup per channel over the whole sample.
+    channels is a sequence of constants and/or FreqTables.  A table is
+    linear in log-frequency between its knots, so the sum is smallest at a
+    band edge or at a knot inside the band, and only those points are
+    evaluated.  A table that does not cover the band raises ConfigError.
     """
     channels = tuple(channels)
     if not channels:
@@ -90,29 +89,24 @@ def effective_src_loss(channels, band_hz=DEFAULT_BAND_HZ) -> float:
     lo, hi = (float(band_hz[0]), float(band_hz[1]))
     if not (0.0 < lo <= hi) or not math.isfinite(hi):
         raise ConfigError(f"band: need 0 < f_lo <= f_hi, got {band_hz!r}")
-    tables = []
-    for i, ch in enumerate(channels):
-        if isinstance(ch, FreqTable):
-            if not ch.covers(lo, hi):
-                raise ConfigError(
-                    f"eps_src_channels[{i}]: table does not cover the band "
-                    f"{lo:g}..{hi:g} Hz")
-            tables.append(ch)
+    tables = [ch for ch in channels if isinstance(ch, FreqTable)]
     if not tables:
         return float(sum(channels))
-    knots = [f for table in tables for f in table.f_hz if lo <= f <= hi]
-    grid = np.unique(np.concatenate([np.geomspace(lo, hi, BAND_SAMPLES), knots]))
-    totals = sum(value_at(ch, grid) for ch in channels)
-    return float(totals.min())
+    knots = [f for table in tables for f in table.f_hz if lo < f < hi]
+    points = np.array([lo, *knots, hi])
+    return float(sum(value_at(ch, points) for ch in channels).min())
 
 
 def resolve_band(cfg: IfoConfig, band_hz) -> IfoConfig:
-    """The config with its recycling-loss channels fixed for one analysis band.
+    """The config fixed for one analysis band.
 
-    Tabulated channels are replaced by their effective_src_loss over band_hz;
-    a config without tables comes back unchanged.  A summed loss of 1 or
-    more, from constants or tables, is a ConfigError.
+    Every table of the config must cover band_hz (coverage_check, whose
+    ConfigError names the key).  Tabulated recycling-loss channels are then
+    replaced by their effective_src_loss over band_hz; a config without
+    such tables comes back unchanged.  A summed loss of 1 or more, from
+    constants or tables, is a ConfigError.
     """
+    coverage_check(cfg, band_hz[0], band_hz[1])
     eps_src = effective_src_loss(cfg.eps_src_channels, band_hz)
     if eps_src >= 1.0:
         raise ConfigError(

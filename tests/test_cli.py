@@ -269,7 +269,8 @@ class TestCliExitCodes:
         assert "beyond lasing threshold (round-trip eigenvalue 1.088)" in err
 
     @pytest.mark.parametrize("key", ["Theta", "residual_phase",
-                                     "internal_sqz.r", "internal_sqz.theta"])
+                                     "internal_sqz.r", "internal_sqz.theta",
+                                     "eps_src_channels[0]"])
     def test_validate_names_table_short_of_check_span(self, cfg, tmp_path,
                                                       capsys, key):
         def run(f_hz):
@@ -278,6 +279,8 @@ class TestCliExitCodes:
             table = {"f_hz": f_hz, "values": [0.01, 0.01]}
             if key.startswith("internal_sqz."):
                 doc["internal_sqz"][key.split(".")[1]] = table
+            elif key == "eps_src_channels[0]":
+                doc["eps_src_channels"] = [table]
             else:
                 doc[key] = table
             return main(["validate", "--config", write_config(tmp_path, doc)])

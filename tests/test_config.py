@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from qnbudget import (ConfigError, FreqTable, InternalSqueeze,
                       config_from_dict, config_hash, config_template,
-                      config_to_dict, default_config, load_config, value_at)
-from qnbudget.config import coverage_check
+                      config_to_dict, default_config, load_config,
+                      resolve_band, value_at)
 
 
 class TestFreqTable:
@@ -87,7 +88,8 @@ class TestIfoConfigValidation:
         with pytest.raises(ConfigError, match="'omega0' and 'lambda0'"):
             config_from_dict(doc)
 
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1e-6])
+    # 1e-310 is positive and finite, but 2*pi*c/lambda0 overflows
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1e-6, 1e-310])
     def test_bad_wavelength_names_lambda0(self, lam):
         doc = config_template()
         doc["lambda0"] = lam
@@ -191,6 +193,16 @@ class TestSerialization:
             cfg = config_from_dict(doc)
             assert config_to_dict(cfg)["eps_src_channels"] == [channel]
 
+    def test_single_channel_in_constructor(self):
+        table = FreqTable(f_hz=(1.0, 10000.0), values=(1e-4, 1e-3))
+        for channel in (1e-3, table):
+            cfg = replace(default_config(), eps_src_channels=channel)
+            assert cfg.eps_src_channels == (channel,)
+        for bad in ("abc", None):
+            with pytest.raises(ConfigError, match=r"^eps_src_channels\[0\]: "
+                                                  "expected a number, got"):
+                replace(default_config(), eps_src_channels=bad)
+
     def test_tables_round_trip(self):
         doc = config_to_dict(default_config())
         doc["Theta"] = {"f_hz": [1.0, 10000.0], "values": [0.0, 0.02]}
@@ -215,9 +227,19 @@ class TestSerialization:
 
 class TestCoverage:
     def test_coverage_check(self):
+        """resolve_band refuses a table short of the band, naming its key."""
         doc = config_to_dict(default_config())
         doc["Theta"] = {"f_hz": [10.0, 100.0], "values": [0.0, 0.0]}
         cfg = config_from_dict(doc)
-        coverage_check(cfg, 10.0, 100.0)
-        with pytest.raises(ConfigError, match="Theta"):
-            coverage_check(cfg, 5.0, 5000.0)
+        assert resolve_band(cfg, (10.0, 100.0)) is cfg
+        with pytest.raises(ConfigError, match="^Theta: table covers 10..100 Hz "
+                           "but the requested band is 5..5000 Hz$"):
+            resolve_band(cfg, (5.0, 5000.0))
+        doc = config_to_dict(default_config())
+        doc["eps_src_channels"] = [1e-4, {"f_hz": [20.0, 800.0],
+                                          "values": [1e-4, 1e-3]}]
+        cfg = config_from_dict(doc)
+        with pytest.raises(ConfigError, match=r"^eps_src_channels\[1\]: table "
+                           "covers 20..800 Hz but the requested band is "
+                           "12..980 Hz$"):
+            resolve_band(cfg, (12.0, 980.0))

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, ConfigError, DegeneracyError,
@@ -14,7 +16,6 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       loop_matrix, loss_limit, optimal_spectrum,
                       ponderomotive_gain, qcrb_lossless, random_config,
                       resolve_band, total_covariance, value_at)
-from qnbudget.ifo import BAND_SAMPLES
 from qnbudget.constants import C_LIGHT, HBAR
 
 TWO_PI = 2 * math.pi
@@ -81,24 +82,32 @@ class TestEffectiveLosses:
         assert got == pytest.approx(1e-4, rel=1e-12)
         assert got <= brute + 1e-15
 
-    def test_band_search_matches_pointwise_lookup(self):
-        table = FreqTable(f_hz=(2.0, 40.0, 900.0, 6000.0),
-                          values=(2e-3, 5e-4, 7e-4, 3e-3))
-        cases = [((5e-4, V_TABLE, table), band)
-                 for band in ((5.0, 5000.0), (30.0, 700.0), (100.0, 100.0))]
-        # the minimum on the upper band edge, off every knot
-        cases.append(((5e-4, V_TABLE), (7.3, 61.7)))
-        for channels, band in cases:
-            knots = [f for ch in channels[1:] for f in ch.f_hz
-                     if band[0] <= f <= band[1]]
-            grid = np.unique(np.concatenate(
-                [np.geomspace(*band, BAND_SAMPLES), knots]))
-            for ch in channels[1:]:
-                assert np.array_equal(value_at(ch, grid),
-                                      [value_at(ch, float(f)) for f in grid])
-            pointwise = min(sum(value_at(ch, float(f)) for ch in channels)
-                            for f in grid)
-            assert effective_src_loss(channels, band) == pointwise
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_band_search_matches_pointwise_lookup(self, data):
+        channels = data.draw(LOSS_CHANNELS)
+        tables = [ch for ch in channels if isinstance(ch, FreqTable)]
+        cover = (max([1.0] + [t.f_hz[0] for t in tables]),
+                 min([1e4] + [t.f_hz[-1] for t in tables]))
+        lo = data.draw(st.floats(*cover))
+        band = (lo, data.draw(st.floats(lo, cover[1])))
+        got = effective_src_loss(channels, band)
+        knots = [f for t in tables for f in t.f_hz if band[0] < f < band[1]]
+
+        def total(f):
+            return sum(value_at(ch, f) for ch in channels)
+
+        edges_and_knots = [total(f) for f in (*band, *knots)]
+        # geomspace may round a point of a one-point band off its edge
+        between = [total(float(f))
+                   for f in np.clip(np.geomspace(*band, 256), *band)]
+        # the minimum is the least sum on a band edge or an inner knot; a
+        # point in between can undercut it only by the rounding of its
+        # interpolation (by an ulp where two tables' slopes cancel)
+        assert got == min(edges_and_knots)
+        assert got == pytest.approx(min(edges_and_knots + between),
+                                    rel=1e-15, abs=1e-18)
 
     def test_errors(self):
         with pytest.raises(ConfigError):
@@ -122,6 +131,21 @@ class TestEffectiveLosses:
         for omega in (OMEGA, 100 * OMEGA):
             assert effective_internal_loss(c, omega) == cfg.eps_arm
 
+
+LOSSES = st.floats(0.0, 3e-3)
+
+
+@st.composite
+def _loss_table(draw):
+    """A recycling-loss table covering at least 5..2000 Hz."""
+    inner = draw(st.lists(st.floats(5.0, 2000.0, exclude_min=True,
+                                    exclude_max=True), max_size=4, unique=True))
+    f_hz = (draw(st.floats(1.0, 5.0)), *sorted(inner),
+            draw(st.floats(2000.0, 1e4)))
+    return FreqTable(f_hz, tuple(draw(LOSSES) for _ in f_hz))
+
+
+LOSS_CHANNELS = st.lists(LOSSES | _loss_table(), min_size=1, max_size=3)
 
 # recycling loss with its minimum (1e-3) on the 100 Hz knot
 V_TABLE = FreqTable(f_hz=(1.0, 100.0, 10000.0), values=(3e-3, 1e-3, 3e-3))

@@ -241,11 +241,12 @@ def json_oracle(req, columns):
 
 
 def written(req, columns, fmt):
-    """The text write_budget writes for columns {"f_hz": ..., curve: ...}."""
+    """The text write_budget writes for columns {"f_hz": ..., curve: ...} in
+    the format fmt."""
     fh = io.StringIO()
     f_hz, *_ = columns.values()
     spectra = dict(list(columns.items())[1:])
-    write_budget(fh, req, f_hz, spectra, fmt)
+    write_budget(fh, replace(req, fmt=fmt), f_hz, spectra)
     return fh.getvalue()
 
 
