@@ -5,9 +5,11 @@ Builds the frequency-domain input-output relation of the effective cavity
 including internal and external loss channels, and the signal-referred noise
 spectra for fixed or optimal homodyne readout.  All evaluations are pure
 functions of (config, sideband angular frequency).  Each takes a scalar
-omega or a 1-D array of them: an array is evaluated in one pass of stacked
-2x2 algebra, and a scalar runs the same code on numpy scalars, giving plain
-2x2 matrices and floats.
+omega or a 1-D array of them.  Every 2x2 quantity is held as its four
+entries (m11, m12, m21, m22), each an (N,) array over a batch of N
+frequencies, so a batch is evaluated in one pass of elementwise arithmetic;
+a scalar omega runs the same code on numpy scalars.  loop_matrix and
+total_covariance assemble the entries into 2x2 matrices or (N, 2, 2) stacks.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .config import (DEFAULT_BAND_HZ, FreqTable, IfoConfig, coverage_check,
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
                      LasingThresholdError)
-from .quadrature import (MAX_SQUEEZE_FACTOR, adjoint, all_true, any_true,
-                         entries, mat_inv, ponderomotive_decompose,
-                         rotation_matrix, squeeze_matrix)
+from .quadrature import (MAX_SQUEEZE_FACTOR, all_true, any_true, mat2,
+                         ponderomotive_decompose, rotation_entries,
+                         squeeze_entries)
 
 # |det| below this is treated as a hit on the lasing threshold
 LASING_DET_TOL = 1e-14
@@ -35,10 +37,9 @@ BLIND_TOL = 1e-12
 # rank test of the covariance factor F (2 x 6): numpy's lstsq default,
 # machine epsilon times the larger dimension of F
 _RANK_TOL = 6.0 * np.finfo(float).eps
-_ONES4 = np.ones(4)
 
-_EYE = np.eye(2)
-_EYE.flags.writeable = False
+# the entries of the 2x2 identity
+_EYE = (1.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -48,13 +49,15 @@ class IoRelation:
     M_io maps the input field to the output, M_c maps intra-cavity noise to
     the output, v is the strain response vector, and the coupling factors
     scale the internal (sqrt(T_src * eps_int)) and external (sqrt(eps_ext))
-    loss channels.  For a batch of N frequencies the matrices, v and the
-    internal coupling are stacked along a leading axis of length N.
+    loss channels.  The matrices are entry tuples (m11, m12, m21, m22) and
+    v is (v1, v2); mat2(*io.M_io) gives the matrix.  Each entry, and the
+    internal coupling, is a scalar for one frequency and an (N,) array for
+    a batch of N.
     """
 
-    M_io: np.ndarray
-    M_c: np.ndarray
-    v: np.ndarray
+    M_io: tuple
+    M_c: tuple
+    v: tuple
     internal_coupling: float
     external_coupling: float
 
@@ -182,6 +185,14 @@ def _squeeze_state(cfg: IfoConfig, omega):
     return r * live, theta * live, phi * live
 
 
+def _mul(a, b):
+    """Product of two 2x2 matrices given as entry tuples."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
 def loop_matrix(cfg: IfoConfig, omega) -> np.ndarray:
     """One round trip through the effective recycling loop.
 
@@ -193,7 +204,11 @@ def loop_matrix(cfg: IfoConfig, omega) -> np.ndarray:
     beyond MAX_SQUEEZE_FACTOR, which strong radiation pressure reaches at
     low frequency, raises DegeneracyError.
     """
-    w = _frequencies(omega)
+    return mat2(*_loop(cfg, _frequencies(omega)))
+
+
+def _loop(cfg: IfoConfig, w):
+    """The entries of loop_matrix, each of the shape of w."""
     f_hz = w / TWO_PI
     theta_rot = value_at(cfg.Theta, f_hz)
     r, theta_sqz, extra = _squeeze_state(cfg, w)
@@ -201,33 +216,32 @@ def loop_matrix(cfg: IfoConfig, omega) -> np.ndarray:
     _raise_first((size > MAX_SQUEEZE_FACTOR, DegeneracyError, lambda i: (
         f"internal squeeze |r| = {size.flat[i]:.3g} exceeds the overflow "
         f"guard ({MAX_SQUEEZE_FACTOR:g}) at Omega = {w.flat[i]:.6g} rad/s")))
-    x = (rotation_matrix(theta_rot)
-         @ squeeze_matrix(r, theta_sqz)
-         @ rotation_matrix(theta_rot + extra))
+    x = _mul(_mul(rotation_entries(theta_rot), squeeze_entries(r, theta_sqz)),
+             rotation_entries(theta_rot + extra))
     phase = value_at(cfg.residual_phase, f_hz)
     if any_true(phase != 0.0):
-        x = x * np.exp(1j * phase)[..., None, None]
-    if x.ndim - 2 < w.ndim:
+        turn = np.exp(1j * phase)
+        x = tuple(e * turn for e in x)
+    if np.ndim(x[0]) < w.ndim:
         # no factor depends on frequency: every frequency gets the same matrix
-        x = x + np.zeros(w.shape + (1, 1))
+        x = tuple(e + np.zeros(w.shape) for e in x)
     return x
 
 
 def io_relation(cfg: IfoConfig, omega) -> IoRelation:
     """Input-output relation of the effective cavity.
 
-    A scalar omega gives 2x2 matrices, a 2-vector and a float coupling; a
-    1-D array gives stacks of shape (N, 2, 2), (N, 2) and (N,).  Raises
+    Returns an IoRelation whose entries are scalars for a scalar omega and
+    (N,) arrays for a 1-D array of N.  Raises
     LasingThresholdError when the round-trip gain of the loop hits unity,
     where the cavity inverse does not exist, or exceeds it, where the loop
     has no steady state.
     """
     w = _frequencies(omega)
-    x = _in_order(lambda v: loop_matrix(cfg, v), w,
+    x = _in_order(lambda v: _loop(cfg, v), w,
                   lambda head: io_relation(cfg, head))
     sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
-    trip = _EYE - sqrt_r_src * x
-    t11, t12, t21, t22 = entries(trip)
+    t11, t12, t21, t22 = (i - sqrt_r_src * e for i, e in zip(_EYE, x))
     det = t11 * t22 - t12 * t21
     det_abs = np.abs(det)
     # the round-trip eigenvalues, those of sqrt(R_src) x, are 1 - g -+ root
@@ -242,11 +256,12 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
         (round_trip > 1.0, LasingThresholdError, lambda i: (
             "recycling loop beyond lasing threshold (round-trip eigenvalue "
             f"{round_trip.flat[i]:.4g}) at Omega = {w.flat[i]:.6g} rad/s")))
-    m_c = mat_inv(trip)
-    m_io = -sqrt_r_src * _EYE + cfg.T_src * (m_c @ x)
+    m_c = (t22 / det, -t12 / det, -t21 / det, t11 / det)
+    m_io = tuple(-sqrt_r_src * i + cfg.T_src * e
+                 for i, e in zip(_EYE, _mul(m_c, x)))
     beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
     # m_c @ (0, beta)
-    v = math.sqrt(cfg.T_src) * (m_c[..., 1] * beta)
+    v = tuple(math.sqrt(cfg.T_src) * (e * beta) for e in m_c[1::2])
     coupling = np.sqrt(cfg.T_src * effective_internal_loss(cfg, w))
     return IoRelation(M_io=m_io, M_c=m_c, v=v,
                       internal_coupling=_scalar_or_array(coupling),
@@ -254,15 +269,21 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
 
 
 def _covariance_from(cfg: IfoConfig, io: IoRelation):
-    """(F4, Sigma): the output covariance Sigma = F F^dag and the first
-    four columns of its square-root factor F = [F4, c_ext I], where
-    F4 = [M_io S_in, c_int M_c]."""
-    internal = np.asarray(io.internal_coupling)[..., None, None]
-    f4 = np.concatenate(
-        (io.M_io @ squeeze_matrix(cfg.r_input, cfg.theta_input),
-         internal * io.M_c), axis=-1)
-    sigma = f4 @ adjoint(f4) + io.external_coupling**2 * _EYE
-    return f4, 0.5 * (sigma + adjoint(sigma))
+    """(F4 rows, Sigma entries) of the output covariance Sigma = F F^dag.
+
+    F4 = [M_io S_in, c_int M_c] is the first four columns of the
+    square-root factor F = [F4, c_ext I]; each of its two rows is a tuple
+    of four entries.  Sigma's diagonal is real and Sigma_21 is
+    conj(Sigma_12).
+    """
+    p11, p12, p21, p22 = _mul(io.M_io,
+                              squeeze_entries(cfg.r_input, cfg.theta_input))
+    c11, c12, c21, c22 = (io.internal_coupling * e for e in io.M_c)
+    rows = (p11, p12, c11, c12), (p21, p22, c21, c22)
+    ext_sq = io.external_coupling**2
+    s11, s22 = (sum(np.abs(e) ** 2 for e in row) + ext_sq for row in rows)
+    s12 = sum(a * np.conj(b) for a, b in zip(*rows))
+    return rows, (s11, s12, np.conj(s12), s22)
 
 
 def total_covariance(cfg: IfoConfig, omega) -> np.ndarray:
@@ -272,7 +293,7 @@ def total_covariance(cfg: IfoConfig, omega) -> np.ndarray:
     internal loss channel through M_c, and the external loss channel.  A
     1-D array of omega gives a stack of shape (N, 2, 2).
     """
-    return _covariance_from(cfg, io_relation(cfg, omega))[1]
+    return mat2(*_covariance_from(cfg, io_relation(cfg, omega))[1])
 
 
 def _in_order(step, w: np.ndarray, evaluate):
@@ -304,9 +325,9 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
         raise ValueError("omega and zeta cannot both be arrays")
     io = _in_order(lambda v: io_relation(cfg, v), w,
                    lambda head: homodyne_spectrum(cfg, head, zeta))
-    _, sigma = _covariance_from(cfg, io)
+    _, (s11, s12, _, s22) = _covariance_from(cfg, io)
     c, s = np.cos(zeta_arr), np.sin(zeta_arr)
-    v1, v2 = io.v.T
+    v1, v2 = io.v
     qv = c * v1 + s * v2
     blind = np.abs(qv) < BLIND_TOL * np.sqrt(np.abs(v1) ** 2 + np.abs(v2) ** 2)
     if any_true(blind):
@@ -316,8 +337,7 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
         raise BlindQuadratureError(
             f"readout angle {bad:.6g} rad is orthogonal to the signal response",
             index=i if w.ndim else 0)
-    s11, s12, s21, s22 = entries(sigma)
-    noise = np.real(c * c * s11 + c * s * (s12 + s21) + s * s * s22)
+    noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
     return _scalar_or_array(noise / np.abs(qv) ** 2)
 
 
@@ -336,11 +356,9 @@ def optimal_spectrum(cfg: IfoConfig, omega):
     w = _frequencies(omega)
     io = _in_order(lambda v: io_relation(cfg, v), w,
                    lambda head: optimal_spectrum(cfg, head))
-    f4, sigma = _covariance_from(cfg, io)
-    g11, _, g21, g22 = entries(sigma)
-    g11, g22 = g11.real, g22.real
+    rows, (g11, _, g21, g22) = _covariance_from(cfg, io)
     ext_sq = io.external_coupling**2
-    v1, v2 = io.v.T
+    v1, v2 = io.v
     # Gram-Schmidt on the rows of F gives Sigma = L L^dag with L lower
     # triangular, so v^dag Sigma^-1 v = |L^-1 v|^2; forming the residual
     # row f2 - mu f1 explicitly keeps l22 accurate when the rows are nearly
@@ -349,9 +367,8 @@ def optimal_spectrum(cfg: IfoConfig, omega):
         l11 = np.sqrt(g11)
         l21 = g21 / l11
         mu = g21 / g11
-        residual = f4[..., 1, :] - mu[..., None] * f4[..., 0, :]
-        l22 = np.sqrt(np.abs(residual) ** 2 @ _ONES4
-                      + ext_sq * (1.0 + np.abs(mu) ** 2))
+        residual = sum(np.abs(b - mu * a) ** 2 for a, b in zip(*rows))
+        l22 = np.sqrt(residual + ext_sq * (1.0 + np.abs(mu) ** 2))
         y1 = v1 / l11
         y2 = (v2 - l21 * y1) / l22
         quad = np.abs(y1) ** 2 + np.abs(y2) ** 2

@@ -41,18 +41,9 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2).conj()
 
 
-def entries(m: np.ndarray):
-    """(m11, m12, m21, m22) of a matrix, or of each matrix in a stack.
-
-    Each entry is a scalar for one matrix and an (N,) array for a stack of
-    N; m.T reverses every axis, so m.T[j, i] is m[..., i, j].
-    """
-    t = m.T
-    return t[0, 0], t[1, 0], t[0, 1], t[1, 1]
-
-
 def det2(m: np.ndarray):
-    m11, m12, m21, m22 = entries(m)
+    # m.T reverses every axis, so m.T[j, i] is m[..., i, j]
+    (m11, m21), (m12, m22) = m.T
     return m11 * m22 - m12 * m21
 
 
@@ -73,7 +64,7 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     reproduces the identity to machine-limited accuracy for well-conditioned
     input (roughly cond(M) * machine epsilon per entry).
     """
-    m11, m12, m21, m22 = entries(m)
+    (m11, m21), (m12, m22) = m.T
     d = np.asarray(m11 * m22 - m12 * m21)
     if any_true(d == 0.0):
         raise ValueError("matrix is singular, cannot invert")
@@ -91,6 +82,21 @@ def _all_finite(x) -> bool:
     return bool(np.isfinite(x).all())
 
 
+def rotation_entries(angle):
+    """(m11, m12, m21, m22) of rotation_matrix(angle), unchecked."""
+    c, s = np.cos(angle), np.sin(angle)
+    return c, -s, s, c
+
+
+def squeeze_entries(r, theta):
+    """(m11, m12, m21, m22) of squeeze_matrix(r, theta), unchecked."""
+    c, s = np.cos(theta), np.sin(theta)
+    grow, shrink = np.exp(r), np.exp(-r)
+    cc, ss = c * c, s * s
+    off = c * s * (grow - shrink)
+    return cc * grow + ss * shrink, off, off, ss * grow + cc * shrink
+
+
 def rotation_matrix(angle) -> np.ndarray:
     """Quadrature rotation [[cos, -sin], [sin, cos]] of a passive element.
 
@@ -100,8 +106,7 @@ def rotation_matrix(angle) -> np.ndarray:
     """
     if not _all_finite(angle):
         raise ValueError("rotation angle must be finite")
-    c, s = np.cos(angle), np.sin(angle)
-    return mat2(c, -s, s, c)
+    return mat2(*rotation_entries(angle))
 
 
 def squeeze_matrix(r, theta=0.0) -> np.ndarray:
@@ -118,11 +123,7 @@ def squeeze_matrix(r, theta=0.0) -> np.ndarray:
     if any_true(size > MAX_SQUEEZE_FACTOR):
         raise ValueError(f"|r| = {np.max(size):.3g} exceeds the overflow "
                          f"guard ({MAX_SQUEEZE_FACTOR})")
-    c, s = np.cos(theta), np.sin(theta)
-    grow, shrink = np.exp(r), np.exp(-r)
-    cc, ss = c * c, s * s
-    off = c * s * (grow - shrink)
-    return mat2(cc * grow + ss * shrink, off, off, ss * grow + cc * shrink)
+    return mat2(*squeeze_entries(r, theta))
 
 
 def ponderomotive_matrix(gain) -> np.ndarray:

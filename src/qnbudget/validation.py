@@ -15,6 +15,7 @@ import numpy as np
 
 from . import fdt, ifo, limits
 from .config import IfoConfig, InternalSqueeze, config_hash
+from .errors import ConfigError
 from .constants import TWO_PI
 from .quadrature import (SYMPLECTIC_FORM, ponderomotive_decompose,
                          ponderomotive_matrix, rotation_matrix, squeeze_matrix)
@@ -107,7 +108,7 @@ def _check_decomposition(rng) -> CheckResult:
 _CHECK_HZ = np.array([12.0, 110.0, 980.0])
 
 
-def _check_optimal_vs_grid(cfg, rng) -> CheckResult:
+def _check_optimal_vs_grid(cfg) -> CheckResult:
     zetas = (np.arange(4000) + 0.5) * math.pi / 4000
     omega = TWO_PI * _CHECK_HZ
     s_opt = ifo.optimal_spectrum(cfg, omega)[0]
@@ -177,14 +178,17 @@ def run_validation(cfg: IfoConfig, seed: int = 42) -> ValidationReport:
     """Run the cross-check suite against a configuration.
 
     The config is resolved over the band the checks evaluate, 12..980 Hz
-    (_CHECK_HZ), so every table must cover it.
+    (_CHECK_HZ), so every table must cover it.  The seed must be a
+    non-negative integer.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed: must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     resolved = ifo.resolve_band(cfg, (_CHECK_HZ[0], _CHECK_HZ[-1]))
     checks = (
         _check_symplectic(rng),
         _check_decomposition(rng),
-        _check_optimal_vs_grid(resolved, rng),
+        _check_optimal_vs_grid(resolved),
         _check_monotonicity(rng),
         _check_fdt(resolved),
         *_check_taylor_regime(resolved),

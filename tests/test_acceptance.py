@@ -19,7 +19,7 @@ from qnbudget import (ALPHA_NO_INTERNAL, InternalSqueeze, RegimeWarning,
                       SYMPLECTIC_FORM, chi_phase_amp, chi_phase_phase,
                       config_to_dict, coupled_susceptibilities,
                       default_config, homodyne_spectrum, io_relation,
-                      limit_params, loss_floor_fdt, loss_limit, mat_inv,
+                      limit_params, loss_floor_fdt, loss_limit, mat2, mat_inv,
                       mode_for, optimal_spectrum, ponderomotive_decompose,
                       ponderomotive_matrix, qcrb_lossless, r_from_db,
                       random_config, rotation_matrix, squeeze_matrix,
@@ -58,7 +58,7 @@ def aligned_input_angle(cfg):
     lossless = replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,),
                        eps_ext=0.0, r_input=0.0)
     io = io_relation(lossless, OMEGA)
-    w = np.real(mat_inv(io.M_io) @ io.v)
+    w = np.real(mat_inv(mat2(*io.M_io)) @ np.array(io.v))
     return math.atan2(w[1], w[0]) - math.pi / 2
 
 

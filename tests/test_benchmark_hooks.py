@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import qnbudget.ifo
 import qnbudget.limits
+from qnbudget import default_config
 
 QNBENCH = Path(__file__).resolve().parent.parent / "qnbench"
 IMPORTING_FILES = ("probe.py", "reference.py", "workloads.py", "selftest.py")
@@ -50,3 +52,24 @@ def test_tracer_installs_on_every_layer(monkeypatch):
     finally:
         tracer.uninstall()
     assert qnbudget.limits.loss_limit is original
+
+
+def test_exact_pipeline_calls_its_public_layers(monkeypatch):
+    # the per-layer metrics see the exact pipeline through these public
+    # functions; a spectrum that routes around them leaves its layers empty
+    monkeypatch.syspath_prepend(str(QNBENCH))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer(100)
+    try:
+        tracer.install()
+        with pytest.raises(ValueError):
+            qnbudget.ifo.optimal_spectrum(default_config(), -1.0)
+    finally:
+        tracer.uninstall()
+    names = [spans.SPAN_NAMES[i] for i in tracer.name_id]
+    chain, i = [], names.index("ifo.effective_internal_loss")
+    while i >= 0:
+        chain.append(names[i])
+        i = tracer.parent[i]
+    assert chain == ["ifo.effective_internal_loss", "ifo.io_relation",
+                     "ifo.optimal_spectrum"]

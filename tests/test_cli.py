@@ -472,3 +472,10 @@ class TestValidation:
         doc["eps_ext"] = 2.0
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 2
+
+    def test_negative_seed_is_config_error(self, capsys):
+        # exit 1 means a failed check; a seed numpy rejects is a bad input
+        assert main(["validate", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="seed"):
+            run_validation(default_config(), seed=-3)

@@ -23,11 +23,14 @@ from hypothesis import strategies as st
 
 from qnbudget import (ALPHA_NO_INTERNAL, BlindQuadratureError, BudgetRequest,
                       DegeneracyError, FreqTable, InternalSqueeze,
-                      __version__, config_from_dict, config_hash,
+                      __version__, adjoint, config_from_dict, config_hash,
                       config_to_dict, default_config,
-                      evaluate_curve, homodyne_spectrum, io_relation,
-                      loss_floor_fdt, loss_limit, optimal_spectrum,
-                      random_config, run_budget, total_covariance)
+                      effective_internal_loss, evaluate_curve,
+                      homodyne_spectrum, io_relation, loop_matrix,
+                      loss_floor_fdt, loss_limit, mat2, mat_inv,
+                      optimal_spectrum, ponderomotive_decompose,
+                      ponderomotive_gain, random_config, rotation_matrix,
+                      run_budget, squeeze_matrix, total_covariance, value_at)
 from qnbudget.cli import write_budget
 from qnbudget.constants import C_LIGHT, HBAR
 
@@ -151,6 +154,58 @@ def test_output_covariance_is_physical(cfg, f_hz):
     det = np.real(sigma[:, 0, 0] * sigma[:, 1, 1]
                   - sigma[:, 0, 1] * sigma[:, 1, 0])
     assert np.all(det >= 1.0 - 1e-9)
+
+
+def stacked_matrix_oracle(cfg, omega):
+    """(loop, M_io, M_c, v, Sigma) at the frequencies omega, from products
+    of (N, 2, 2) matrix stacks."""
+    f_hz = omega / TWO_PI
+    theta_rot = value_at(cfg.Theta, f_hz) + 0.0 * omega
+    r = theta_sqz = extra = 0.0 * omega
+    if cfg.internal_sqz.mode == "fixed":
+        r = r + value_at(cfg.internal_sqz.r, f_hz)
+        theta_sqz = theta_sqz + value_at(cfg.internal_sqz.theta, f_hz)
+    elif cfg.internal_sqz.mode == "ponderomotive":
+        extra, r, theta_sqz = ponderomotive_decompose(
+            ponderomotive_gain(cfg, omega))
+    x = (rotation_matrix(theta_rot) @ squeeze_matrix(r, theta_sqz)
+         @ rotation_matrix(theta_rot + extra))
+    phase = value_at(cfg.residual_phase, f_hz) + 0.0 * omega
+    x = x * np.exp(1j * phase)[:, None, None]
+    sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
+    m_c = mat_inv(np.eye(2) - sqrt_r_src * x)
+    m_io = -sqrt_r_src * np.eye(2) + cfg.T_src * (m_c @ x)
+    beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
+    v = math.sqrt(cfg.T_src) * beta * m_c[:, :, 1]
+    internal = np.sqrt(cfg.T_src * effective_internal_loss(cfg, omega))
+    f4 = np.concatenate((m_io @ squeeze_matrix(cfg.r_input, cfg.theta_input),
+                         internal[:, None, None] * m_c), axis=-1)
+    sigma = f4 @ adjoint(f4) + cfg.eps_ext * np.eye(2)
+    return x, m_io, m_c, v, sigma
+
+
+def assert_rel(got, want, rel=1e-12):
+    """got equals want within rel of want's largest entry at each frequency."""
+    got, want = np.asarray(got), np.asarray(want)
+    axes = tuple(range(1, want.ndim))
+    scale = np.max(np.abs(want), axis=axes, keepdims=True)
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+@PROFILE
+@given(configs, frequencies)
+def test_entry_algebra_equals_stacked_matrices(cfg, f_hz):
+    omega = TWO_PI * np.array(f_hz)
+    try:
+        io = io_relation(cfg, omega)
+    except DegeneracyError:
+        assume(False)
+    x, m_io, m_c, v, sigma = stacked_matrix_oracle(cfg, omega)
+    assert_rel(loop_matrix(cfg, omega), x)
+    assert_rel(mat2(*io.M_io), m_io)
+    assert_rel(mat2(*io.M_c), m_c)
+    assert_rel(np.transpose(io.v), v)
+    assert_rel(total_covariance(cfg, omega), sigma)
 
 
 @PROFILE
