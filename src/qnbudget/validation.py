@@ -15,8 +15,8 @@ import numpy as np
 
 from . import fdt, ifo, limits
 from .config import IfoConfig, InternalSqueeze, config_hash
-from .errors import ConfigError
 from .constants import TWO_PI
+from .errors import ConfigError
 from .quadrature import (SYMPLECTIC_FORM, ponderomotive_decompose,
                          ponderomotive_matrix, rotation_matrix, squeeze_matrix)
 
@@ -96,7 +96,7 @@ def _check_symplectic(rng) -> CheckResult:
     return CheckResult("symplectic", worst, 1e-12)
 
 
-def _check_decomposition(rng) -> CheckResult:
+def _check_decomposition() -> CheckResult:
     gain = np.geomspace(1e-3, 1e3, 61)
     phi, r, theta = ponderomotive_decompose(gain)
     recomposed = squeeze_matrix(r, theta) @ rotation_matrix(phi)
@@ -187,7 +187,7 @@ def run_validation(cfg: IfoConfig, seed: int = 42) -> ValidationReport:
     resolved = ifo.resolve_band(cfg, (_CHECK_HZ[0], _CHECK_HZ[-1]))
     checks = (
         _check_symplectic(rng),
-        _check_decomposition(rng),
+        _check_decomposition(),
         _check_optimal_vs_grid(resolved),
         _check_monotonicity(rng),
         _check_fdt(resolved),
