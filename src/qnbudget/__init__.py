@@ -25,11 +25,10 @@ from .limits import (ALPHA_INTERNAL, ALPHA_NO_INTERNAL, limit_params,
                      loss_limit, qcrb_from_spp, signal_response_ratio, sql,
                      taylor_loss_internal, taylor_loss_no_internal,
                      taylor_qcrb_internal, taylor_qcrb_no_internal)
-from .quadrature import (SYMPLECTIC_FORM, adjoint, arccot, db_from_r, det2,
-                         mat2, mat_inv, ponderomotive_decompose,
-                         ponderomotive_matrix, r_from_db, rotation_matrix,
-                         squeeze_matrix)
-from .curves import BASE_CURVES, CURVE_CHOICES, evaluate_curve, frequency_grid
+from .quadrature import (SYMPLECTIC_FORM, arccot, db_from_r, mat2, mat_inv,
+                         ponderomotive_decompose, ponderomotive_matrix,
+                         r_from_db, rotation_matrix, squeeze_matrix)
+from .curves import BASE_CURVES, CURVE_CHOICES, evaluate_curve
 from .validation import (CheckResult, ValidationReport, random_config,
                          run_validation)
 from .cli import BudgetRequest, main, run_budget

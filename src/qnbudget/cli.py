@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation check failed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,8 +20,7 @@ from .config import (DEFAULT_BAND_HZ, MIN_FREQUENCY_HZ, IfoConfig,
                      config_hash, config_template, default_config,
                      load_config)
 from .constants import C_LIGHT, HBAR
-from .curves import (CHUNK_POINTS, evaluate_curve, frequency_grid,
-                     parse_curve_name)
+from .curves import CHUNK_POINTS, evaluate_curve, parse_curve_name
 from .errors import ConfigError, DegeneracyError
 from .ifo import resolve_band
 from .validation import run_validation
@@ -113,7 +113,7 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     first such frequency.
     """
     lo, hi = req.band_hz
-    f_hz = frequency_grid(lo, hi, req.points)
+    f_hz = np.geomspace(lo, hi, req.points)
     if not np.all(f_hz[1:] > f_hz[:-1]):
         raise ConfigError(f"points: {req.points} frequencies are not distinct "
                           f"doubles in the band {lo!r}..{hi!r} Hz")
@@ -137,7 +137,9 @@ def _load(path: str | None) -> IfoConfig:
     return default_config() if path is None else load_config(path)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qnbudget",
         description="Quantum-noise sensitivity limits of laser "

@@ -23,7 +23,7 @@ import re
 import numpy as np
 
 from . import fdt, ifo, limits
-from .config import IfoConfig, value_at
+from .config import IfoConfig
 from .constants import TWO_PI
 from .errors import ConfigError, DegeneracyError
 
@@ -53,39 +53,11 @@ def parse_curve_name(name: str) -> tuple[str, float | None]:
         f"unknown curve {name!r}; choose from {', '.join(CURVE_CHOICES)}")
 
 
-def frequency_grid(f_lo_hz: float, f_hi_hz: float, points: int) -> np.ndarray:
-    """Log-spaced frequency grid [Hz]."""
-    return np.geomspace(f_lo_hz, f_hi_hz, points)
-
-
-def _expansion_inputs(cfg: IfoConfig, omega: np.ndarray):
-    """(Theta, r, theta) for the expansion formulas over omega.
-
-    The formulas use the expansion angle convention, which is minus twice
-    the squeeze-matrix ellipse angle.
-    """
-    theta_rot = value_at(cfg.Theta, omega / TWO_PI)
-    r, theta_m, _ = ifo._squeeze_state(cfg, omega)
-    return theta_rot, r, -2.0 * theta_m
-
-
-def _taylor_qcrb_internal(cfg, omega, _):
-    theta_rot, r, theta = _expansion_inputs(cfg, omega)
-    return limits.taylor_qcrb_internal(cfg.T_src, theta_rot, r, theta,
-                                       cfg.r_input, cfg.L, cfg.omega0, cfg.P)
-
-
-def _taylor_qcrb_no_internal(cfg, omega, _):
-    theta_rot, _, _ = _expansion_inputs(cfg, omega)
-    return limits.taylor_qcrb_no_internal(cfg.T_src, theta_rot, cfg.r_input,
-                                          cfg.L, cfg.omega0, cfg.P)
-
-
 # kind -> f(cfg, omega array, parameter), each returning the PSD over omega
 # (a constant where the curve does not depend on frequency); the module
 # functions are looked up at call time, so wrappers installed on them apply
 _CURVES = {
-    "sql": lambda cfg, w, _: limits.sql(cfg.M, cfg.L, w),
+    "sql": lambda cfg, w, _: limits.sql(cfg, w),
     "qcrb": lambda cfg, w, _: ifo.qcrb_lossless(cfg, w),
     "loss_limit_a1": lambda cfg, w, _: limits.loss_limit(
         cfg, w, limits.ALPHA_INTERNAL),
@@ -94,8 +66,10 @@ _CURVES = {
     "full_optimal": lambda cfg, w, _: ifo.optimal_spectrum(cfg, w)[0],
     "full_fixed_zeta": lambda cfg, w, zeta: ifo.homodyne_spectrum(cfg, w, zeta),
     "fdt_floor": lambda cfg, w, _: fdt.loss_floor_fdt(cfg, w),
-    "taylor_qcrb_internal": _taylor_qcrb_internal,
-    "taylor_qcrb_no_internal": _taylor_qcrb_no_internal,
+    "taylor_qcrb_internal": lambda cfg, w, _: limits.taylor_qcrb_internal(
+        cfg, w),
+    "taylor_qcrb_no_internal": lambda cfg, w, _: limits.taylor_qcrb_no_internal(
+        cfg, w),
     "taylor_loss_internal": lambda cfg, w, _: limits.taylor_loss_internal(
         cfg, w),
     "taylor_loss_no_internal": lambda cfg, w, _: limits.taylor_loss_no_internal(

@@ -7,13 +7,13 @@ optimal-readout spectra.  The expansion formulas are valid for small
 recycling transmissivity and rotation angle; out-of-regime use emits a
 RegimeWarning rather than an error, since the exact pipeline in
 :mod:`qnbudget.ifo` remains authoritative.  The frequency-dependent forms
-take a scalar or an array of frequencies (or of their per-frequency
-inputs) and return the same shape.
+take a scalar or an array of frequencies and return the same shape.
 
 Angle convention: the squeeze angle ``theta`` appearing in the expansion
 formulas equals minus twice the ellipse angle of
 :func:`qnbudget.quadrature.squeeze_matrix`; the two parametrizations
-coincide at theta = 0.
+coincide at theta = 0.  The expansions read the internal squeeze element
+of a config and make this conversion themselves.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import warnings
 
 import numpy as np
 
-from .config import FreqTable, IfoConfig
-from .constants import C_LIGHT, HBAR
+from .config import FreqTable, IfoConfig, value_at
+from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import DegeneracyError, RegimeWarning
-from .ifo import effective_internal_loss
+from .ifo import _squeeze_state, effective_internal_loss
 from .quadrature import arccot
 
 REGIME_T_SRC = 0.05
@@ -68,11 +68,11 @@ def _max_theta(cfg: IfoConfig) -> float:
     return abs(cfg.Theta)
 
 
-def sql(mirror_mass: float, arm_length: float, omega):
+def sql(cfg: IfoConfig, omega):
     """Free-mass standard quantum limit 8 hbar / (M Omega^2 L^2) [1/Hz]."""
-    if mirror_mass <= 0 or arm_length <= 0 or np.any(np.asarray(omega) <= 0):
-        raise ValueError("mass, length and frequency must be positive")
-    return 8.0 * HBAR / (mirror_mass * omega**2 * arm_length**2)
+    if np.any(np.asarray(omega) <= 0):
+        raise ValueError("sideband frequency must be positive")
+    return 8.0 * HBAR / (cfg.M * omega**2 * cfg.L**2)
 
 
 def qcrb_from_spp(s_pp: float, arm_length: float) -> float:
@@ -101,17 +101,21 @@ def loss_limit(cfg: IfoConfig, omega, alpha: float):
     return _prefactor(cfg) * (eps_int + alpha * cfg.T_src * cfg.eps_ext)
 
 
-def taylor_qcrb_internal(t_src: float, theta_rot, r, theta, r_input: float,
-                         arm_length: float, omega0: float, power: float):
+def taylor_qcrb_internal(cfg: IfoConfig, omega):
     """Leading-order lossless optimal-readout PSD with internal squeezing.
 
     hbar c^2 (delta^2 - 4 r^2)^2 e^(-2 r_input)
     / (16 L^2 omega0 P T_src [delta^2 + 4 r^2 + 4 delta r sin(theta + theta0)])
 
-    Vanishes identically at r = delta / 2.  A non-positive denominator is
-    outside the validity domain and raises DegeneracyError for its first
-    point.  theta_rot, r and theta may be arrays over frequency.
+    r and theta are the internal squeeze element's at omega, theta in the
+    expansion convention.  Vanishes identically at r = delta / 2.  A
+    non-positive denominator is outside the validity domain and raises
+    DegeneracyError for its first point.
     """
+    t_src = cfg.T_src
+    theta_rot = value_at(cfg.Theta, omega / TWO_PI)
+    r, theta_m, _ = _squeeze_state(cfg, omega)
+    theta = -2.0 * theta_m
     delta, theta0 = limit_params(t_src, theta_rot)
     _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA),
                  r=(r, delta))
@@ -121,20 +125,23 @@ def taylor_qcrb_internal(t_src: float, theta_rot, r, theta, r_input: float,
         raise DegeneracyError("outside validity: expansion denominator is <= 0",
                               index=int(np.argmax(invalid)))
     num = (HBAR * C_LIGHT**2 * (delta**2 - 4.0 * r**2) ** 2
-           * math.exp(-2.0 * r_input))
-    return num / (16.0 * arm_length**2 * omega0 * power * t_src * den)
+           * math.exp(-2.0 * cfg.r_input))
+    return num / (16.0 * cfg.L**2 * cfg.omega0 * cfg.P * t_src * den)
 
 
-def taylor_qcrb_no_internal(t_src: float, theta_rot, r_input: float,
-                            arm_length: float, omega0: float, power: float):
+def taylor_qcrb_no_internal(cfg: IfoConfig, omega):
     """Leading-order shot-noise-only PSD, no internal squeezing.
 
     hbar c^2 delta^2 e^(-2 r_input) / (16 T_src L^2 omega0 P)
+
+    The internal squeeze element of cfg is not read.
     """
+    t_src = cfg.T_src
+    theta_rot = value_at(cfg.Theta, omega / TWO_PI)
     delta, _ = limit_params(t_src, theta_rot)
     _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA))
-    return (HBAR * C_LIGHT**2 * delta**2 * math.exp(-2.0 * r_input)
-            / (16.0 * t_src * arm_length**2 * omega0 * power))
+    return (HBAR * C_LIGHT**2 * delta**2 * math.exp(-2.0 * cfg.r_input)
+            / (16.0 * t_src * cfg.L**2 * cfg.omega0 * cfg.P))
 
 
 def taylor_loss_internal(cfg: IfoConfig, omega):

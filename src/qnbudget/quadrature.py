@@ -36,17 +36,6 @@ def mat2(m11, m12, m21, m22) -> np.ndarray:
     return m.T.reshape(m.shape[1:] + (2, 2))
 
 
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint of a matrix or of each matrix in a stack."""
-    return m.swapaxes(-1, -2).conj()
-
-
-def det2(m: np.ndarray):
-    # m.T reverses every axis, so m.T[j, i] is m[..., i, j]
-    (m11, m21), (m12, m22) = m.T
-    return m11 * m22 - m12 * m21
-
-
 def any_true(mask) -> bool:
     """Whether a boolean scalar or array holds any True entry."""
     return bool(mask.any() if getattr(mask, "ndim", 0) else mask)

@@ -162,8 +162,7 @@ def _check_taylor_regime(cfg) -> tuple[CheckResult, CheckResult]:
     exact_qcrb = ifo.qcrb_lossless(small, omega)
     s_full = ifo.optimal_spectrum(small, omega)[0]
     floor = limits.loss_limit(small, omega, limits.ALPHA_NO_INTERNAL)
-    shot = limits.taylor_qcrb_no_internal(small.T_src, 0.0, 0.0,
-                                          small.L, small.omega0, small.P)
+    shot = limits.taylor_qcrb_no_internal(small, omega)
     deviations = [_worst(exact_qcrb, shot)]
     # without loss both loss terms vanish and only the lossless one compares
     if small.eps_arm or small.eps_ext or any(small.eps_src_channels):

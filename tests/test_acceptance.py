@@ -2,10 +2,10 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -s) and then
 asserts, so the suite doubles as a human-readable checklist.  Expansion
-comparisons use the formula-angle convention theta_formula = -2 *
-theta_matrix and, where input squeezing is on, align the input squeeze
-angle with the input-referred signal quadrature; both conventions are
-documented in qnbudget.limits.
+comparisons give the expansions the same config as the exact pipeline, and
+qnbudget.limits converts its squeeze angle to the formula-angle convention
+theta_formula = -2 * theta_matrix.  Where input squeezing is on, they align
+the input squeeze angle with the input-referred signal quadrature.
 """
 
 import math
@@ -107,22 +107,18 @@ def _taylor_grid_deviation(t_src):
                 c0 = cfg_taylor(t_src, theta_rot, delta / 4, theta_m)
                 theta_in = aligned_input_angle(c0) if r_in else 0.0
                 c = replace(c0, r_input=r_in, theta_input=theta_in)
-                tay = taylor_qcrb_internal(t_src, theta_rot, delta / 4,
-                                           -2.0 * theta_m, r_in,
-                                           c.L, c.omega0, c.P)
+                tay = taylor_qcrb_internal(c, OMEGA)
                 devs.append(abs(qcrb_lossless(c, OMEGA) - tay) / tay)
             # nulling value r = delta/2: expansion is exactly zero, so
             # compare against the r = 0 scale (criterion 3 bounds it harder)
             c0 = cfg_taylor(t_src, theta_rot, delta / 2, 0.0)
-            ref = taylor_qcrb_no_internal(t_src, theta_rot, 0.0,
-                                          c0.L, c0.omega0, c0.P)
+            ref = taylor_qcrb_no_internal(c0, OMEGA)
             devs.append(qcrb_lossless(c0, OMEGA) / ref)
             # lossless bound without internal squeezing
             c0 = cfg_taylor(t_src, theta_rot)
             theta_in = aligned_input_angle(c0) if r_in else 0.0
             c = replace(c0, r_input=r_in, theta_input=theta_in)
-            tay = taylor_qcrb_no_internal(t_src, theta_rot, r_in,
-                                          c.L, c.omega0, c.P)
+            tay = taylor_qcrb_no_internal(c, OMEGA)
             devs.append(abs(qcrb_lossless(c, OMEGA) - tay) / tay)
             # loss floor with the nulling squeeze
             got = _exact_loss_with_nulling_squeeze(t_src, theta_rot, r_in)

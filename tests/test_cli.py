@@ -13,9 +13,9 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, BudgetRequest, ConfigError,
                       DegeneracyError,
                       config_hash, config_to_dict, default_config,
-                      evaluate_curve, frequency_grid, load_config, loss_limit,
+                      evaluate_curve, load_config, loss_limit,
                       resolve_band, run_budget, run_validation)
-from qnbudget.cli import main
+from qnbudget.cli import build_parser, main
 from qnbudget.curves import parse_curve_name
 
 
@@ -72,7 +72,7 @@ class TestRunBudget:
                             curves=("loss_limit_a4", "sql"))
         f_hz, spectra = run_budget(req)
         assert list(spectra) == ["loss_limit_a4", "sql"]
-        assert np.array_equal(f_hz, frequency_grid(5.0, 5000.0, 16))
+        assert np.array_equal(f_hz, np.geomspace(5.0, 5000.0, 16))
         assert all(len(psd) == 16 for psd in spectra.values())
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-40, math.inf])
@@ -81,12 +81,12 @@ class TestRunBudget:
         from qnbudget import curves
 
         def broken(c, w, _):
-            psd = qnbudget.limits.sql(c.M, c.L, w)
+            psd = qnbudget.limits.sql(c, w)
             psd[2:] = bad
             return psd
 
         monkeypatch.setitem(curves._CURVES, "sql", broken)
-        f_hz = frequency_grid(5.0, 5000.0, 8)
+        f_hz = np.geomspace(5.0, 5000.0, 8)
         req = BudgetRequest(config=cfg, points=8, curves=("qcrb", "sql"))
         with pytest.raises(DegeneracyError) as info:
             run_budget(req)
@@ -170,7 +170,7 @@ class TestBandResolution:
                      "--out", str(out)]) == 0
         got = np.genfromtxt(out, delimiter=",", names=True)["loss_limit_a4"]
         loaded = load_config(path)
-        f_hz = frequency_grid(300.0, 1000.0, 16)
+        f_hz = np.geomspace(300.0, 1000.0, 16)
 
         def column(c):
             values = [loss_limit(c, 2 * math.pi * f, ALPHA_NO_INTERNAL)
@@ -210,6 +210,9 @@ class TestCliExitCodes:
                    "--out", str(out)])
         assert rc == 0
         assert out.exists()
+
+    def test_parser_built_once_per_process(self):
+        assert build_parser() is build_parser()
 
     def test_corrupt_config_exits_2(self, cfg, tmp_path, capsys):
         doc = config_to_dict(cfg)

@@ -51,6 +51,7 @@ class TestIfoConfigValidation:
         ("eps_arm", 1.0, "eps_arm"),
         ("eps_ext", -0.1, "eps_ext"),
         ("L", -4000.0, "L"),
+        ("M", -1.0, "M"),
         ("r_input", 25.0, "r_input"),
     ])
     def test_rejects_out_of_range(self, field, value, fragment):

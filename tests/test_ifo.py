@@ -10,7 +10,7 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, ConfigError, DegeneracyError,
                       FreqTable,
                       InternalSqueeze, LasingThresholdError,
-                      adjoint, arm_bandwidth, default_config,
+                      arm_bandwidth, default_config,
                       effective_internal_loss, effective_src_loss,
                       evaluate_curve, homodyne_spectrum, io_relation,
                       loop_matrix, loss_limit, mat2, optimal_spectrum,
@@ -322,7 +322,7 @@ class TestIoRelation:
             c = replace(lossless, Theta=rng.uniform(-0.5, 0.5),
                         T_src=rng.uniform(0.01, 0.9))
             m_io = mat2(*io_relation(c, OMEGA).M_io)
-            assert np.abs(m_io @ adjoint(m_io) - np.eye(2)).max() < 1e-10
+            assert np.abs(m_io @ m_io.conj().T - np.eye(2)).max() < 1e-10
 
     def test_coupling_factors(self, cfg):
         io = io_relation(cfg, OMEGA)
@@ -362,8 +362,8 @@ class TestCovariance:
         io = io_relation(cfg, OMEGA)
         sigma = total_covariance(cfg, OMEGA)
         m_io, m_c = mat2(*io.M_io), mat2(*io.M_c)
-        expect = (m_io @ adjoint(m_io)
-                  + io.internal_coupling**2 * (m_c @ adjoint(m_c))
+        expect = (m_io @ m_io.conj().T
+                  + io.internal_coupling**2 * (m_c @ m_c.conj().T)
                   + io.external_coupling**2 * np.eye(2))
         assert np.allclose(sigma, expect, rtol=1e-12)
 
@@ -376,7 +376,7 @@ class TestCovariance:
     def test_hermitian_positive_definite(self, cfg):
         c = replace(cfg, residual_phase=0.3)
         sigma = total_covariance(c, OMEGA)
-        assert np.abs(sigma - adjoint(sigma)).max() < 1e-12
+        assert np.abs(sigma - sigma.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(sigma).min() > 0
 
 

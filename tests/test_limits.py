@@ -33,23 +33,26 @@ def _quiet_regime_warnings():
 
 
 class TestSql:
-    def test_reference_value(self):
-        s = sql(40.0, 4000.0, OMEGA)
+    def test_reference_value(self, cfg):
+        s = sql(replace(cfg, M=40.0, L=4000.0), OMEGA)
         assert s == pytest.approx(3.339077022946588e-48, rel=1e-10)
         assert math.sqrt(s) == pytest.approx(1.83e-24, rel=3e-3)
 
-    def test_frequency_scaling(self):
-        assert sql(40.0, 4000.0, 4 * OMEGA) == pytest.approx(
-            sql(40.0, 4000.0, OMEGA) / 16, rel=1e-12)
+    def test_frequency_scaling(self, cfg):
+        c = replace(cfg, M=40.0, L=4000.0)
+        assert sql(c, 4 * OMEGA) == pytest.approx(sql(c, OMEGA) / 16,
+                                                  rel=1e-12)
 
-    def test_mass_length_scaling(self):
-        ref = sql(40.0, 4000.0, OMEGA)
-        assert sql(80.0, 4000.0 * math.sqrt(2), OMEGA) == pytest.approx(
-            ref / 8, rel=1e-12)
+    def test_mass_length_scaling(self, cfg):
+        ref = sql(replace(cfg, M=40.0, L=4000.0), OMEGA)
+        assert sql(replace(cfg, M=80.0, L=4000.0 * math.sqrt(2)),
+                   OMEGA) == pytest.approx(ref / 8, rel=1e-12)
 
-    def test_positivity_required(self):
-        with pytest.raises(ValueError):
-            sql(-1.0, 4000.0, OMEGA)
+    def test_positivity_required(self, cfg):
+        # a negative mass or length is a ConfigError of the config itself
+        for omega in (0.0, -OMEGA):
+            with pytest.raises(ValueError):
+                sql(cfg, omega)
 
 
 class TestQcrbConversion:
@@ -123,25 +126,33 @@ class TestLimitParams:
         assert limit_params(1e-3, 0.0)[1] == pytest.approx(math.pi / 2)
 
 
+def expansion_cfg(cfg, t_src, theta_rot, r=0.0, theta=0.0, r_input=0.0):
+    """cfg with the expansion inputs; theta in the expansion convention,
+    minus twice the squeeze-matrix ellipse angle."""
+    return replace(cfg, T_src=t_src, Theta=theta_rot, r_input=r_input,
+                   internal_sqz=InternalSqueeze("fixed", r=r,
+                                                theta=-theta / 2))
+
+
 class TestTaylorQcrb:
     def test_vanishes_at_nulling_squeeze(self, cfg):
         delta, _ = limit_params(1e-3, 1e-4)
-        s = taylor_qcrb_internal(1e-3, 1e-4, delta / 2, 0.3, 0.0,
-                                 cfg.L, cfg.omega0, cfg.P)
+        s = taylor_qcrb_internal(
+            expansion_cfg(cfg, 1e-3, 1e-4, delta / 2, 0.3), OMEGA)
         assert s == 0.0
 
     def test_reduces_to_no_internal_at_r_zero(self, cfg):
-        a = taylor_qcrb_internal(1e-3, 1e-4, 0.0, 0.7, 0.5,
-                                 cfg.L, cfg.omega0, cfg.P)
-        b = taylor_qcrb_no_internal(1e-3, 1e-4, 0.5, cfg.L, cfg.omega0, cfg.P)
+        a = taylor_qcrb_internal(
+            expansion_cfg(cfg, 1e-3, 1e-4, 0.0, 0.7, 0.5), OMEGA)
+        b = taylor_qcrb_no_internal(
+            expansion_cfg(cfg, 1e-3, 1e-4, r_input=0.5), OMEGA)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_matches_exact_pipeline(self, cfg):
         c = replace(cfg, T_src=1e-3, Theta=1e-4,
                     internal_sqz=InternalSqueeze("fixed", r=2e-4, theta=0.0))
         exact = qcrb_lossless(c, OMEGA)
-        tay = taylor_qcrb_internal(1e-3, 1e-4, 2e-4, 0.0, 0.0,
-                                   cfg.L, cfg.omega0, cfg.P)
+        tay = taylor_qcrb_internal(c, OMEGA)
         assert exact == pytest.approx(tay, rel=1e-2)
 
     def test_denominator_guard(self, cfg):
@@ -149,11 +160,11 @@ class TestTaylorQcrb:
         # collapse to zero
         delta, _ = limit_params(1e-3, 0.0)
         with pytest.raises(DegeneracyError, match="validity"):
-            taylor_qcrb_internal(1e-3, 0.0, -delta / 2, 0.0, 0.0,
-                                 cfg.L, cfg.omega0, cfg.P)
+            taylor_qcrb_internal(
+                expansion_cfg(cfg, 1e-3, 0.0, -delta / 2, 0.0), OMEGA)
 
     def test_shot_noise_reduction_at_zero_rotation(self, cfg):
-        s = taylor_qcrb_no_internal(1e-3, 0.0, 0.0, cfg.L, cfg.omega0, cfg.P)
+        s = taylor_qcrb_no_internal(expansion_cfg(cfg, 1e-3, 0.0), OMEGA)
         expect = HBAR * C_LIGHT**2 * 1e-3 / (16 * cfg.L**2 * cfg.omega0 * cfg.P)
         assert s == pytest.approx(expect, rel=1e-12)
 
@@ -164,8 +175,8 @@ class TestTaylorQcrb:
             r = rng.uniform(-delta, delta)
             theta = rng.uniform(0, 2 * math.pi)
             try:
-                s = taylor_qcrb_internal(1e-3, 1e-4, r, theta, 0.0,
-                                         cfg.L, cfg.omega0, cfg.P)
+                s = taylor_qcrb_internal(
+                    expansion_cfg(cfg, 1e-3, 1e-4, r, theta), OMEGA)
             except DegeneracyError as exc:
                 assert "validity" in str(exc)
                 continue  # collapsed denominator is outside validity
@@ -174,22 +185,22 @@ class TestTaylorQcrb:
 
     def test_30db_input_squeezing_factor_1000(self, cfg):
         r30 = r_from_db(30.0)
-        s0 = taylor_qcrb_no_internal(1e-3, 0.0, 0.0, cfg.L, cfg.omega0, cfg.P)
-        s1 = taylor_qcrb_no_internal(1e-3, 0.0, r30, cfg.L, cfg.omega0, cfg.P)
+        s0 = taylor_qcrb_no_internal(expansion_cfg(cfg, 1e-3, 0.0), OMEGA)
+        s1 = taylor_qcrb_no_internal(
+            expansion_cfg(cfg, 1e-3, 0.0, r_input=r30), OMEGA)
         assert s0 / s1 == pytest.approx(1000.0, rel=1e-12)
 
     def test_no_internal_matches_exact(self, cfg):
         c = replace(cfg, T_src=1e-3, Theta=0.0)
         exact = qcrb_lossless(c, OMEGA)
-        tay = taylor_qcrb_no_internal(1e-3, 0.0, 0.0, cfg.L, cfg.omega0, cfg.P)
+        tay = taylor_qcrb_no_internal(c, OMEGA)
         assert exact == pytest.approx(tay, rel=1e-2)
 
     def test_regime_warning(self, cfg):
         with pytest.warns(RegimeWarning):
-            taylor_qcrb_no_internal(0.14, 0.0, 0.0, cfg.L, cfg.omega0, cfg.P)
+            taylor_qcrb_no_internal(expansion_cfg(cfg, 0.14, 0.0), OMEGA)
         with pytest.warns(RegimeWarning):
-            taylor_qcrb_internal(1e-3, 0.2, 0.0, 0.0, 0.0,
-                                 cfg.L, cfg.omega0, cfg.P)
+            taylor_qcrb_internal(expansion_cfg(cfg, 1e-3, 0.2), OMEGA)
 
 
 class TestTaylorLoss:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from qnbudget import (ALPHA_NO_INTERNAL, BlindQuadratureError, BudgetRequest,
                       DegeneracyError, FreqTable, InternalSqueeze,
-                      __version__, adjoint, config_from_dict, config_hash,
+                      __version__, config_from_dict, config_hash,
                       config_to_dict, default_config,
                       effective_internal_loss, evaluate_curve,
                       homodyne_spectrum, io_relation, loop_matrix,
@@ -180,7 +180,7 @@ def stacked_matrix_oracle(cfg, omega):
     internal = np.sqrt(cfg.T_src * effective_internal_loss(cfg, omega))
     f4 = np.concatenate((m_io @ squeeze_matrix(cfg.r_input, cfg.theta_input),
                          internal[:, None, None] * m_c), axis=-1)
-    sigma = f4 @ adjoint(f4) + cfg.eps_ext * np.eye(2)
+    sigma = f4 @ np.conj(np.swapaxes(f4, -1, -2)) + cfg.eps_ext * np.eye(2)
     return x, m_io, m_c, v, sigma
 
 
@@ -219,6 +219,30 @@ def test_fdt_oracle_agrees_with_arm_loss_floor(cfg, f_hz):
     closed = loss_limit(arm_only, omega, ALPHA_NO_INTERNAL)
     oracle = loss_floor_fdt(arm_only, omega)
     assert np.all(np.abs(oracle - closed) <= 1e-3 * closed)
+
+
+# largest raise drawn for each loss channel, as in acceptance check c06
+LOSS_BUMPS = {"eps_arm": 3e-4, "eps_src": 3e-3, "eps_ext": 0.1}
+
+
+@settings(PROFILE, max_examples=200)
+@given(configs, frequencies, st.sampled_from(sorted(LOSS_BUMPS)), st.data())
+def test_more_loss_never_lowers_optimal_spectrum(cfg, f_hz, channel, data):
+    # acceptance check c06 over the configuration space, at the tolerance of
+    # the validate check loss_monotonicity
+    bump = data.draw(st.floats(0.0, LOSS_BUMPS[channel], exclude_min=True),
+                     label="loss raise")
+    if channel == "eps_src":
+        more = replace(cfg, eps_src_channels=(cfg.eps_src_channels[0] + bump,))
+    else:
+        more = replace(cfg, **{channel: getattr(cfg, channel) + bump})
+    omega = TWO_PI * np.array(f_hz)
+    try:
+        s0 = optimal_spectrum(cfg, omega)[0]
+        s1 = optimal_spectrum(more, omega)[0]
+    except DegeneracyError:
+        assume(False)
+    assert np.all(s1 >= s0 * (1 - 1e-12))
 
 
 @pytest.mark.parametrize("phase", [st.just(0.0), st.floats(-0.05, 0.05)],
