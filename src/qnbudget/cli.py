@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -30,7 +31,11 @@ MAX_POINTS = 10**6
 
 @dataclass(frozen=True)
 class BudgetRequest:
-    """Validated description of one budget sweep."""
+    """Validated description of one budget sweep.
+
+    points must be an integer.  curves is a sequence of curve names; a
+    single string is one name.
+    """
 
     config: IfoConfig
     band_hz: tuple = DEFAULT_BAND_HZ
@@ -47,11 +52,16 @@ class BudgetRequest:
         if not math.isfinite(hi) or hi <= lo:
             raise ConfigError(f"fmax: must exceed fmin, got {hi!r}")
         object.__setattr__(self, "band_hz", (lo, hi))
-        if not 2 <= int(self.points) <= MAX_POINTS:
+        try:
+            points = operator.index(self.points)
+        except TypeError:
+            raise ConfigError(
+                f"points: must be an integer, got {self.points!r}") from None
+        if not 2 <= points <= MAX_POINTS:
             raise ConfigError(
                 f"points: must be in [2, {MAX_POINTS}], got {self.points!r}")
-        object.__setattr__(self, "points", int(self.points))
-        curves = tuple(self.curves)
+        object.__setattr__(self, "points", points)
+        curves = (self.curves,) if isinstance(self.curves, str) else tuple(self.curves)
         if not curves:
             raise ConfigError("curves: select at least one curve")
         for name in curves:
@@ -108,9 +118,9 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray,
 def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     """Evaluate the requested curves; write the output file if a path is set.
 
-    Returns (f_hz, {name: PSD array}), the curves in request order.  A PSD
-    value that is negative or not finite raises DegeneracyError at the
-    first such frequency.
+    Returns (f_hz, {name: PSD array}), the curves in request order.  A
+    degeneracy, a PSD value that is negative or not finite included, raises
+    evaluate_curve's DegeneracyError, and then no file is written.
     """
     lo, hi = req.band_hz
     f_hz = np.geomspace(lo, hi, req.points)
@@ -118,15 +128,7 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
         raise ConfigError(f"points: {req.points} frequencies are not distinct "
                           f"doubles in the band {lo!r}..{hi!r} Hz")
     cfg = resolve_band(req.config, req.band_hz)
-    spectra = {}
-    for name in req.curves:
-        values = spectra[name] = evaluate_curve(name, cfg, f_hz)
-        bad = ~(np.isfinite(values) & (values >= 0.0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DegeneracyError(
-                f"curve {name!r} failed at {f_hz[i]:.6g} Hz: PSD value "
-                f"{values[i]:.6g} is not finite and non-negative", index=i)
+    spectra = {name: evaluate_curve(name, cfg, f_hz) for name in req.curves}
     if req.out_path is not None:
         with open(req.out_path, "w", newline="") as fh:
             write_budget(fh, req, f_hz, spectra)

@@ -25,7 +25,7 @@ import numpy as np
 from . import fdt, ifo, limits
 from .config import IfoConfig
 from .constants import TWO_PI
-from .errors import ConfigError, DegeneracyError
+from .errors import ConfigError, DegeneracyError, _raise_first
 
 _FIXED_ZETA_RE = re.compile(r"^full_fixed_zeta\(([-+0-9.eE]+)\)$")
 
@@ -83,8 +83,8 @@ CURVE_CHOICES = BASE_CURVES + ("full_fixed_zeta(<rad>)",)
 def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:
     """Evaluate one named curve as a PSD array over the frequency grid.
 
-    The grid is evaluated in chunks of CHUNK_POINTS frequencies; a numerical
-    degeneracy is reported at the first grid frequency where it occurs.
+    The grid runs in chunks of CHUNK_POINTS frequencies.  A degeneracy, or a
+    PSD value negative or not finite, is reported at its first grid frequency.
     """
     kind, param = parse_curve_name(name)
     curve = _CURVES[kind]
@@ -92,10 +92,13 @@ def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:
     out = np.empty(len(f_hz))
     for start in range(0, len(f_hz), CHUNK_POINTS):
         chunk = f_hz[start:start + CHUNK_POINTS]
+        values = out[start:start + len(chunk)]
         try:
-            out[start:start + len(chunk)] = curve(cfg, TWO_PI * chunk, param)
+            values[:] = curve(cfg, TWO_PI * chunk, param)
+            _raise_first((~(np.isfinite(values) & (values >= 0.0)), DegeneracyError,
+                          lambda i: f"PSD value {values[i]:.6g} is not finite "
+                                    "and non-negative"))
         except DegeneracyError as exc:
-            f = chunk[exc.index]
-            raise type(exc)(f"curve {name!r} failed at {f:.6g} Hz: {exc}",
+            raise type(exc)(f"curve {name!r} failed at {chunk[exc.index]:.6g} Hz: {exc}",
                             index=start + exc.index) from exc
     return out

@@ -1,6 +1,10 @@
-"""Exception and warning types used throughout the package."""
+"""Exception and warning types, and the rules by which a point is rejected."""
 
 from __future__ import annotations
+
+import numpy as np
+
+from .quadrature import all_true, any_true
 
 
 class ConfigError(ValueError):
@@ -29,3 +33,27 @@ class BlindQuadratureError(DegeneracyError):
 
 class RegimeWarning(UserWarning):
     """A closed-form result is being used outside its validity regime."""
+
+
+def _raise_first(*checks) -> None:
+    """Raise for the lowest-index point of the batch that fails a check.
+
+    Each check is (mask over the batch, error type, message(index)), listed
+    in the order one point runs them, so a batch reports the failure that a
+    loop over its points meets first, with its index (0 for a scalar).
+    """
+    if not any(any_true(mask) for mask, _, _ in checks):
+        return
+    masks = np.array([np.reshape(mask, -1) for mask, _, _ in checks])
+    i = int(np.argmax(masks.any(axis=0)))
+    _, error, message = checks[int(np.argmax(masks[:, i]))]
+    raise error(message(i), index=i)
+
+
+def _check_sideband(omega) -> None:
+    """Raise ValueError for the first sideband frequency not finite and >= 0."""
+    valid = (omega >= 0.0) & (omega < np.inf)
+    if not all_true(valid):
+        bad = np.reshape(omega, -1)[np.argmin(np.reshape(valid, -1))]
+        raise ValueError(
+            f"sideband frequency must be finite and >= 0, got {float(bad)!r} rad/s")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .config import IfoConfig
 from .constants import C_LIGHT, HBAR
-from .errors import RegimeWarning
+from .errors import RegimeWarning, _check_sideband
 
 # single-mode treatment needs the damping rate far below the resonance
 MODE_VALIDITY_RATIO = 1e3
@@ -85,6 +85,7 @@ def loss_floor_fdt(cfg: IfoConfig, omega):
     denominator, so near-resonance cancellation does not degrade it.  An
     array of omega gives an array.
     """
+    _check_sideband(omega)
     if cfg.eps_arm == 0.0:
         return 0.0 * omega
     mode = mode_for(cfg)

@@ -23,8 +23,8 @@ from .config import (DEFAULT_BAND_HZ, FreqTable, IfoConfig, coverage_check,
                      value_at)
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
-                     LasingThresholdError)
-from .quadrature import (MAX_SQUEEZE_FACTOR, all_true, any_true, mat2,
+                     LasingThresholdError, _check_sideband, _raise_first)
+from .quadrature import (MAX_SQUEEZE_FACTOR, any_true, mat2,
                          ponderomotive_decompose, rotation_entries,
                          squeeze_entries)
 
@@ -73,7 +73,8 @@ def ponderomotive_gain(cfg: IfoConfig, omega):
     Diverges as the sideband frequency goes to zero, so omega = 0 is
     rejected.  An array of omega gives an array.
     """
-    if not all_true(np.isfinite(omega) & (omega > 0.0)):
+    _check_sideband(omega)
+    if any_true(omega == 0.0):
         raise ValueError("sideband frequency must be positive (gain diverges at 0)")
     return 16.0 * cfg.P * cfg.omega0 / (cfg.M * C_LIGHT**2 * omega**2)
 
@@ -129,8 +130,7 @@ def effective_internal_loss(cfg: IfoConfig, omega):
     channels not yet fixed by resolve_band are minimised over
     DEFAULT_BAND_HZ.  An array of omega gives an array.
     """
-    if any_true(np.asarray(omega) < 0):
-        raise ValueError("sideband frequency must be >= 0")
+    _check_sideband(omega)
     eps_src = effective_src_loss(cfg.eps_src_channels)
     gamma = arm_bandwidth(cfg)
     return cfg.eps_arm + 0.25 * cfg.T_itm * (1.0 + (omega / gamma) ** 2) * eps_src
@@ -147,22 +147,6 @@ def _frequencies(omega) -> np.ndarray:
 
 def _scalar_or_array(x):
     return x if x.ndim else float(x)
-
-
-def _raise_first(*checks) -> None:
-    """Raise for the lowest-index point of the batch that fails a check.
-
-    Each check is (mask over the batch, error type, message(index)), listed
-    in the order one point runs them, so a batch reports the failure that a
-    loop over its points would meet first.  The error carries the index,
-    0 for a scalar frequency.
-    """
-    if not any(any_true(mask) for mask, _, _ in checks):
-        return
-    masks = np.array([np.reshape(mask, -1) for mask, _, _ in checks])
-    i = int(np.argmax(masks.any(axis=0)))
-    _, error, message = checks[int(np.argmax(masks[:, i]))]
-    raise error(message(i), index=i)
 
 
 def _squeeze_state(cfg: IfoConfig, omega):
@@ -204,7 +188,9 @@ def loop_matrix(cfg: IfoConfig, omega) -> np.ndarray:
     beyond MAX_SQUEEZE_FACTOR, which strong radiation pressure reaches at
     low frequency, raises DegeneracyError.
     """
-    return mat2(*_loop(cfg, _frequencies(omega)))
+    w = _frequencies(omega)
+    _check_sideband(w)
+    return mat2(*_loop(cfg, w))
 
 
 def _loop(cfg: IfoConfig, w):
@@ -330,13 +316,10 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
     v1, v2 = io.v
     qv = c * v1 + s * v2
     blind = np.abs(qv) < BLIND_TOL * np.sqrt(np.abs(v1) ** 2 + np.abs(v2) ** 2)
-    if any_true(blind):
-        # over the angles at one frequency, or over the frequencies
-        i = int(np.argmax(blind))
-        bad = np.broadcast_to(zeta_arr, blind.shape).flat[i]
-        raise BlindQuadratureError(
-            f"readout angle {bad:.6g} rad is orthogonal to the signal response",
-            index=i if w.ndim else 0)
+    angles = np.broadcast_to(zeta_arr, blind.shape)
+    _raise_first((blind if w.ndim else any_true(blind), BlindQuadratureError,
+                  lambda _: f"readout angle {angles.flat[np.argmax(blind)]:.6g} "
+                            "rad is orthogonal to the signal response"))
     noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
     return _scalar_or_array(noise / np.abs(qv) ** 2)
 

@@ -25,9 +25,10 @@ import numpy as np
 
 from .config import FreqTable, IfoConfig, value_at
 from .constants import C_LIGHT, HBAR, TWO_PI
-from .errors import DegeneracyError, RegimeWarning
+from .errors import (DegeneracyError, RegimeWarning, _check_sideband,
+                     _raise_first)
 from .ifo import _squeeze_state, effective_internal_loss
-from .quadrature import arccot
+from .quadrature import any_true, arccot
 
 REGIME_T_SRC = 0.05
 REGIME_THETA = 0.05
@@ -70,8 +71,9 @@ def _max_theta(cfg: IfoConfig) -> float:
 
 def sql(cfg: IfoConfig, omega):
     """Free-mass standard quantum limit 8 hbar / (M Omega^2 L^2) [1/Hz]."""
-    if np.any(np.asarray(omega) <= 0):
-        raise ValueError("sideband frequency must be positive")
+    _check_sideband(omega)
+    if any_true(omega == 0.0):
+        raise ValueError("sideband frequency must be positive (the SQL diverges at 0)")
     return 8.0 * HBAR / (cfg.M * omega**2 * cfg.L**2)
 
 
@@ -112,6 +114,7 @@ def taylor_qcrb_internal(cfg: IfoConfig, omega):
     non-positive denominator is outside the validity domain and raises
     DegeneracyError for its first point.
     """
+    _check_sideband(omega)
     t_src = cfg.T_src
     theta_rot = value_at(cfg.Theta, omega / TWO_PI)
     r, theta_m, _ = _squeeze_state(cfg, omega)
@@ -120,10 +123,9 @@ def taylor_qcrb_internal(cfg: IfoConfig, omega):
     _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA),
                  r=(r, delta))
     den = delta**2 + 4.0 * r**2 + 4.0 * delta * r * np.sin(theta + theta0)
-    invalid = den <= 0.0
-    if np.any(invalid):
-        raise DegeneracyError("outside validity: expansion denominator is <= 0",
-                              index=int(np.argmax(invalid)))
+    _raise_first((np.broadcast_to(den <= 0.0, np.shape(omega)), DegeneracyError,
+                  lambda i: ("outside validity: expansion denominator is <= 0 "
+                             f"at Omega = {np.reshape(omega, -1)[i]:.6g} rad/s")))
     num = (HBAR * C_LIGHT**2 * (delta**2 - 4.0 * r**2) ** 2
            * math.exp(-2.0 * cfg.r_input))
     return num / (16.0 * cfg.L**2 * cfg.omega0 * cfg.P * t_src * den)
@@ -136,6 +138,7 @@ def taylor_qcrb_no_internal(cfg: IfoConfig, omega):
 
     The internal squeeze element of cfg is not read.
     """
+    _check_sideband(omega)
     t_src = cfg.T_src
     theta_rot = value_at(cfg.Theta, omega / TWO_PI)
     delta, _ = limit_params(t_src, theta_rot)

@@ -40,6 +40,8 @@ class TestBudgetRequest:
         {"band_hz": (100.0, 10.0)},
         {"points": 1},
         {"points": 10**6 + 1},
+        {"points": 2.9},
+        {"points": "7"},
         {"curves": ()},
         {"curves": ("not_a_curve",)},
         {"fmt": "yaml"},
@@ -47,6 +49,11 @@ class TestBudgetRequest:
     def test_invalid_requests(self, cfg, kw):
         with pytest.raises(ConfigError):
             BudgetRequest(config=cfg, **kw)
+
+    def test_bare_string_is_one_curve(self, cfg):
+        assert BudgetRequest(config=cfg, curves="sql").curves == ("sql",)
+        with pytest.raises(ConfigError, match="unknown curve 'sqlx'"):
+            BudgetRequest(config=cfg, curves="sqlx")
 
     def test_unknown_curve_lists_choices_in_order(self):
         with pytest.raises(ConfigError) as info:

@@ -62,8 +62,9 @@ class TestScales:
         assert ponderomotive_gain(replace(cfg, P=1e-30), OMEGA) < 1e-30
 
     def test_gain_rejects_zero_frequency(self, cfg):
-        with pytest.raises(ValueError):
-            ponderomotive_gain(cfg, 0.0)
+        for omega in (0.0, -OMEGA, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ponderomotive_gain(cfg, omega)
 
 
 class TestEffectiveLosses:

@@ -7,11 +7,14 @@ import pytest
 
 from qnbudget import (ALPHA_INTERNAL, ALPHA_NO_INTERNAL, DegeneracyError,
                       InternalSqueeze, RegimeWarning, arm_bandwidth,
-                      default_config, limit_params, loss_limit,
-                      optimal_spectrum, qcrb_from_spp, qcrb_lossless,
-                      r_from_db, signal_response_ratio, sql,
+                      default_config, effective_internal_loss,
+                      homodyne_spectrum, io_relation, limit_params,
+                      loop_matrix, loss_floor_fdt, loss_limit,
+                      optimal_spectrum, ponderomotive_gain, qcrb_from_spp,
+                      qcrb_lossless, r_from_db, signal_response_ratio, sql,
                       taylor_loss_internal, taylor_loss_no_internal,
-                      taylor_qcrb_internal, taylor_qcrb_no_internal)
+                      taylor_qcrb_internal, taylor_qcrb_no_internal,
+                      total_covariance)
 from qnbudget.constants import C_LIGHT, HBAR
 
 TWO_PI = 2 * math.pi
@@ -50,9 +53,50 @@ class TestSql:
 
     def test_positivity_required(self, cfg):
         # a negative mass or length is a ConfigError of the config itself
-        for omega in (0.0, -OMEGA):
+        for omega in (0.0, -OMEGA, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 sql(cfg, omega)
+
+
+# every public route of (cfg, omega); sql and ponderomotive_gain diverge at
+# omega = 0 and reject it, the others accept it
+SIDEBAND_ROUTES = {
+    "sql": sql,
+    "ponderomotive_gain": ponderomotive_gain,
+    "effective_internal_loss": effective_internal_loss,
+    "loop_matrix": loop_matrix,
+    "io_relation": io_relation,
+    "total_covariance": total_covariance,
+    "homodyne_spectrum": lambda c, w: homodyne_spectrum(c, w, math.pi / 2),
+    "optimal_spectrum": optimal_spectrum,
+    "qcrb_lossless": qcrb_lossless,
+    "loss_limit": lambda c, w: loss_limit(c, w, ALPHA_NO_INTERNAL),
+    "taylor_qcrb_internal": taylor_qcrb_internal,
+    "taylor_qcrb_no_internal": taylor_qcrb_no_internal,
+    "taylor_loss_internal": taylor_loss_internal,
+    "taylor_loss_no_internal": taylor_loss_no_internal,
+    "loss_floor_fdt": loss_floor_fdt,
+}
+DIVERGE_AT_ZERO = ("sql", "ponderomotive_gain")
+
+
+class TestSidebandFrequency:
+    @pytest.mark.parametrize("route", SIDEBAND_ROUTES)
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_frequency_named(self, cfg, route, omega):
+        for w in (omega, np.array([OMEGA, omega, -2.0])):
+            with pytest.raises(ValueError) as info:
+                SIDEBAND_ROUTES[route](cfg, w)
+            assert f"got {omega!r} rad/s" in str(info.value)
+
+    @pytest.mark.parametrize("route", SIDEBAND_ROUTES)
+    def test_zero_frequency(self, cfg, route):
+        if route in DIVERGE_AT_ZERO:
+            with pytest.raises(ValueError, match="must be positive"):
+                SIDEBAND_ROUTES[route](cfg, 0.0)
+        else:
+            SIDEBAND_ROUTES[route](cfg, 0.0)
+            SIDEBAND_ROUTES[route](cfg, np.array([0.0, OMEGA]))
 
 
 class TestQcrbConversion:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -30,7 +31,8 @@ from qnbudget import (ALPHA_NO_INTERNAL, BlindQuadratureError, BudgetRequest,
                       loss_floor_fdt, loss_limit, mat2, mat_inv,
                       optimal_spectrum, ponderomotive_decompose,
                       ponderomotive_gain, random_config, rotation_matrix,
-                      run_budget, squeeze_matrix, total_covariance, value_at)
+                      run_budget, squeeze_matrix, taylor_qcrb_internal,
+                      total_covariance, value_at)
 from qnbudget.cli import write_budget
 from qnbudget.constants import C_LIGHT, HBAR
 
@@ -120,23 +122,62 @@ def test_optimal_below_every_readout_angle(cfg, f_hz, zetas):
         assume(False)
 
 
-@PROFILE
-@given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.data())
-def test_blind_angle_reported_at_its_frequency(seed, n, data):
-    cfg = make_config(seed, "theta_table")
-    f_hz = np.geomspace(5.0, 5000.0, n)
+def knot_at(f_k, value):
+    """A table that is 0 away from f_k and reaches value there."""
+    return FreqTable(f_hz=(1.0, f_k, 1e4), values=(0.0, value, 0.0))
+
+
+def planted_failure(kind, seed, f_hz, k):
+    """(config, grid, curve name, route(cfg, omega)) with a failure planted
+    at grid point k."""
+    cfg = default_config()
+    # the frequency the pipeline sees at point k, on which a table knot is hit
+    f_k = TWO_PI * f_hz[k] / TWO_PI
+    if kind == "blind":
+        cfg = make_config(seed, "theta_table")
+        v = np.real(io_relation(cfg, TWO_PI * f_hz[k]).v)
+        zeta = math.atan2(v[1], v[0]) + math.pi / 2
+        return (cfg, f_hz, f"full_fixed_zeta({zeta!r})",
+                lambda c, w: homodyne_spectrum(c, w, zeta))
+    if kind == "lasing":
+        # the tuned loop reaches its lasing threshold at r_crit
+        r_crit = -0.5 * math.log(1 - cfg.T_src)
+        cfg = replace(cfg, internal_sqz=InternalSqueeze(
+            "fixed", r=knot_at(f_k, r_crit)))
+        return cfg, f_hz, "full_optimal", lambda c, w: optimal_spectrum(c, w)[0]
+    if kind == "overflow":
+        # radiation pressure on a 1 microgram mirror squeezes beyond the
+        # overflow guard below about 115 Hz, at k and at the last point
+        cfg = replace(cfg, M=1e-9, internal_sqz=InternalSqueeze("ponderomotive"))
+        f_hz = np.geomspace(200.0, 5000.0, len(f_hz))
+        f_hz[[k, -1]] = 5.0 + (seed % 95)
+        return cfg, f_hz, "full_optimal", lambda c, w: optimal_spectrum(c, w)[0]
+    # r = delta / 2 = T_src / 2 at sin(theta + theta0) = -1 zeroes the
+    # expansion's denominator
+    cfg = replace(cfg, T_src=0.02, internal_sqz=InternalSqueeze(
+        "fixed", r=knot_at(f_k, 0.01), theta=math.pi / 2))
+    return cfg, f_hz, "taylor_qcrb_internal", taylor_qcrb_internal
+
+
+@settings(PROFILE, max_examples=4 * PROFILE.max_examples)
+@given(st.sampled_from(["blind", "lasing", "overflow", "taylor"]),
+       st.integers(0, 2**32 - 1), st.integers(8, 40), st.data())
+def test_planted_failure_reported_at_its_frequency(kind, seed, n, data):
+    k = data.draw(st.integers(1, n - 2), label="failing point")
+    cfg, f_hz, name, route = planted_failure(
+        kind, seed, np.geomspace(5.0, 5000.0, n), k)
     omegas = TWO_PI * f_hz
-    k = data.draw(st.integers(1, n - 2), label="blind point")
-    v = np.real(io_relation(cfg, omegas[k]).v)
-    zeta = math.atan2(v[1], v[0]) + math.pi / 2
-    i, exc = first_failure(lambda w: homodyne_spectrum(cfg, w, zeta), omegas)
-    assert i is not None and i <= k
-    with pytest.raises(BlindQuadratureError) as info:
-        homodyne_spectrum(cfg, omegas, zeta)
+    i, exc = first_failure(lambda w: route(cfg, w), omegas)
+    # a random config may fail before its planted blind angle
+    assert i == k or (kind == "blind" and i is not None and i < k)
+    with pytest.raises(type(exc)) as info:
+        route(cfg, omegas)
     assert info.value.index == i
-    with pytest.raises(BlindQuadratureError,
-                       match=f"failed at {f_hz[i]:.6g} Hz"):
-        evaluate_curve(f"full_fixed_zeta({zeta!r})", cfg, f_hz)
+    assert str(info.value) == str(exc)
+    with pytest.raises(type(exc),
+                       match=re.escape(f"failed at {f_hz[i]:.6g} Hz: {exc}")) as info:
+        evaluate_curve(name, cfg, f_hz)
+    assert info.value.index == i
 
 
 @PROFILE
