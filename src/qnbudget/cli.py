@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import (DEFAULT_BAND_HZ, MIN_FREQUENCY_HZ, IfoConfig,
+from .config import (DEFAULT_BAND_HZ, MIN_FREQUENCY_HZ, IfoConfig, _number,
                      config_hash, config_template, default_config,
                      load_config)
 from .constants import C_LIGHT, HBAR
@@ -33,6 +33,7 @@ MAX_POINTS = 10**6
 class BudgetRequest:
     """Validated description of one budget sweep.
 
+    band_hz is a pair of numbers (fmin, fmax) with 0.1 <= fmin < fmax.
     points must be an integer.  curves is a sequence of curve names; a
     single string is one name.
     """
@@ -45,12 +46,13 @@ class BudgetRequest:
     fmt: str = "csv"
 
     def __post_init__(self):
-        lo, hi = (float(self.band_hz[0]), float(self.band_hz[1]))
-        if not math.isfinite(lo) or lo < MIN_FREQUENCY_HZ:
-            raise ConfigError(
-                f"fmin: must be >= {MIN_FREQUENCY_HZ} Hz, got {lo!r}")
-        if not math.isfinite(hi) or hi <= lo:
-            raise ConfigError(f"fmax: must exceed fmin, got {hi!r}")
+        try:
+            lo, hi = self.band_hz
+        except (TypeError, ValueError):
+            raise ConfigError("band_hz: expected a pair (fmin, fmax), "
+                              f"got {self.band_hz!r}") from None
+        lo = _number("fmin", lo, MIN_FREQUENCY_HZ, math.inf, "[)")
+        hi = _number("fmax", hi, lo)
         object.__setattr__(self, "band_hz", (lo, hi))
         try:
             points = operator.index(self.points)
@@ -65,6 +67,8 @@ class BudgetRequest:
         if not curves:
             raise ConfigError("curves: select at least one curve")
         for name in curves:
+            if not isinstance(name, str):
+                raise ConfigError(f"curves: expected a curve name, got {name!r}")
             parse_curve_name(name)
         object.__setattr__(self, "curves", curves)
         if self.fmt not in ("csv", "json"):

@@ -30,13 +30,28 @@ INTERNAL_SQZ_MODES = ("none", "fixed", "ponderomotive")
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
-def _number(name: str, x) -> float:
-    """x as a float; a boolean or a non-number is a ConfigError naming it."""
-    if type(x) is float:
-        return x
-    if isinstance(x, bool) or not isinstance(x, _REAL_TYPES):
-        raise ConfigError(f"{name}: expected a number, got {x!r}")
-    return float(x)
+def _number(key: str, x, lo: float = -math.inf, hi: float = math.inf,
+            ends: str = "()") -> float:
+    """x as a float if a real, non-boolean, finite number in the interval from
+    lo to hi, each end open ("(", ")") or closed; else a ConfigError on key."""
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, _REAL_TYPES):
+            raise ConfigError(f"{key}: expected a number, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:   # an integer beyond the double range
+            x = math.inf if x > 0 else -math.inf
+    if not ((lo < x or lo == x and ends[0] == "[")
+            and (x < hi or x == hi and ends[1] == "]")
+            and math.isfinite(x)):
+        raise ConfigError(
+            f"{key}: must be in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {x!r}")
+    return x
+
+
+def _within(lo=-math.inf, hi=math.inf, ends="()", **kw):
+    """A config field whose numbers lie in an interval (see _number)."""
+    return field(metadata={"interval": (lo, hi, ends)}, **kw)
 
 
 @dataclass(frozen=True)
@@ -51,18 +66,14 @@ class FreqTable:
     values: tuple
 
     def __post_init__(self):
-        f = tuple(_number("table f_hz", x) for x in self.f_hz)
+        f = tuple(_number("table f_hz", x, 0.0) for x in self.f_hz)
         v = tuple(_number("table values", x) for x in self.values)
         if len(f) != len(v):
             raise ConfigError("table: f_hz and values must have equal length")
         if len(f) < 2:
             raise ConfigError("table: need at least two points")
-        if any(not math.isfinite(x) or x <= 0.0 for x in f):
-            raise ConfigError("table: frequencies must be positive and finite")
         if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
             raise ConfigError("table: frequencies must be strictly increasing")
-        if any(not math.isfinite(x) for x in v):
-            raise ConfigError("table: values must be finite")
         object.__setattr__(self, "f_hz", f)
         object.__setattr__(self, "values", v)
         # interpolation knots, derived once from the immutable fields
@@ -96,46 +107,25 @@ def value_at(quantity, f_hz):
     return float(quantity)
 
 
-def _check_quantity(obj, name: str, key: str, bound: float = math.inf) -> None:
-    """Store field `name` of obj as a float or a FreqTable whose values are all
-    finite with magnitude at most bound; errors name the field as key."""
-    q = getattr(obj, name)
-    if not isinstance(q, FreqTable):
-        q = _number(key, q)
-        object.__setattr__(obj, name, q)
-    for x in (q.values if isinstance(q, FreqTable) else (q,)):
-        if not (math.isfinite(x) and abs(x) <= bound):
-            limit = "" if bound == math.inf else f" with magnitude <= {bound:g}"
-            raise ConfigError(f"{key}: must be finite{limit}, got {x!r}")
-
-
-def _check_loss(name: str, x) -> float:
-    x = _number(name, x)
-    if not math.isfinite(x) or not 0.0 <= x < 1.0:
-        raise ConfigError(f"{name}: loss must be in [0, 1), got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class InternalSqueeze:
     """Squeezing generated inside the recycling cavity.
 
-    mode "none" disables it, "fixed" uses the given squeeze factor and angle
-    (constants or tables), "ponderomotive" derives them from the
-    radiation-pressure gain at each frequency.
+    mode "none" disables it, "fixed" uses the given squeeze factor, in
+    [-20, 20], and angle (constants or tables), "ponderomotive" derives them
+    from the radiation-pressure gain at each frequency.
     """
 
     mode: str = "none"
-    r: float | FreqTable = 0.0
-    theta: float | FreqTable = 0.0
+    r: float | FreqTable = _within(-MAX_SQUEEZE_FACTOR, MAX_SQUEEZE_FACTOR,
+                                   "[]", default=0.0)
+    theta: float | FreqTable = _within(default=0.0)
 
     def __post_init__(self):
         if self.mode not in INTERNAL_SQZ_MODES:
             raise ConfigError(
                 f"internal_sqz.mode: must be one of {INTERNAL_SQZ_MODES}, got {self.mode!r}")
-        # the squeeze matrix overflows beyond MAX_SQUEEZE_FACTOR
-        _check_quantity(self, "r", "internal_sqz.r", MAX_SQUEEZE_FACTOR)
-        _check_quantity(self, "theta", "internal_sqz.theta")
+        _check_fields(self)
         if self.mode != "fixed" and (self.r != 0.0 or self.theta != 0.0):
             raise ConfigError(
                 "internal_sqz: r and theta are only meaningful in 'fixed' mode")
@@ -145,84 +135,85 @@ class InternalSqueeze:
 class IfoConfig:
     """Full parameter set of the simplified interferometer.
 
-    Fields (SI units, angles in rad):
-      L        arm length [m]
-      M        mirror mass [kg]
-      P        optical power per arm [W]
-      omega0   carrier angular frequency [rad/s]
+    Fields (SI units, angles in rad; every number finite, in the interval):
+      L, M, P  arm length [m], mirror mass [kg], power per arm [W], (0, inf)
+      omega0   carrier angular frequency [rad/s], (0, inf)
       T_itm    input test mass power transmissivity, (0, 1)
       T_src    effective recycling-cavity transmissivity, (0, 1]
       eps_arm  arm round-trip loss, [0, 1)
       eps_src_channels  recycling-cavity loss channels, each a constant or a
-                        frequency table; the effective loss is the minimum
-                        over the analysis band of their sum
+                        frequency table in [0, 1); the effective loss is the
+                        minimum over the analysis band of their sum
       eps_ext  external/readout loss, [0, 1)
-      r_input, theta_input  input squeezing factor and angle
+      r_input, theta_input  input squeezing factor in [-20, 20], and angle
       internal_sqz          InternalSqueeze settings
       Theta    intra-cavity quadrature rotation, constant or table
       residual_phase        uncancelled round-trip phase, constant or table
                             (zero means perfect dispersion compensation)
     """
 
-    L: float
-    M: float
-    P: float
-    omega0: float
-    T_itm: float
-    T_src: float
-    eps_arm: float
-    eps_src_channels: tuple[float | FreqTable, ...]
-    eps_ext: float
-    r_input: float = 0.0
-    theta_input: float = 0.0
+    L: float = _within(0.0)
+    M: float = _within(0.0)
+    P: float = _within(0.0)
+    omega0: float = _within(0.0)
+    T_itm: float = _within(0.0, 1.0)
+    T_src: float = _within(0.0, 1.0, "(]")
+    eps_arm: float = _within(0.0, 1.0, "[)")
+    eps_src_channels: tuple[float | FreqTable, ...] = _within(0.0, 1.0, "[)")
+    eps_ext: float = _within(0.0, 1.0, "[)")
+    r_input: float = _within(-MAX_SQUEEZE_FACTOR, MAX_SQUEEZE_FACTOR, "[]",
+                             default=0.0)
+    theta_input: float = _within(default=0.0)
     internal_sqz: InternalSqueeze = field(default_factory=InternalSqueeze)
-    Theta: float | FreqTable = 0.0
-    residual_phase: float | FreqTable = 0.0
+    Theta: float | FreqTable = _within(default=0.0)
+    residual_phase: float | FreqTable = _within(default=0.0)
 
     def __post_init__(self):
-        for name in ("L", "M", "P", "omega0"):
-            x = _number(name, getattr(self, name))
-            if not math.isfinite(x) or x <= 0.0:
-                raise ConfigError(f"{name}: must be positive and finite, got {x!r}")
-            object.__setattr__(self, name, x)
-        t_itm = _number("T_itm", self.T_itm)
-        if not 0.0 < t_itm < 1.0:
-            raise ConfigError(f"T_itm: must be in (0, 1), got {t_itm!r}")
-        object.__setattr__(self, "T_itm", t_itm)
-        t_src = _number("T_src", self.T_src)
-        if not 0.0 < t_src <= 1.0:
-            raise ConfigError(f"T_src: must be in (0, 1], got {t_src!r}")
-        object.__setattr__(self, "T_src", t_src)
-        object.__setattr__(self, "eps_arm", _check_loss("eps_arm", self.eps_arm))
-        object.__setattr__(self, "eps_ext", _check_loss("eps_ext", self.eps_ext))
+        _check_fields(self)
 
-        channels = self.eps_src_channels
-        # one constant or table is one channel, as a bare JSON value is
-        if isinstance(channels, str) or not isinstance(channels, Iterable):
-            channels = (channels,)
-        channels = tuple(channels)
-        if not channels:
-            raise ConfigError("eps_src_channels: must not be empty")
-        for i, ch in enumerate(channels):
-            for x in (ch.values if isinstance(ch, FreqTable) else (ch,)):
-                _check_loss(f"eps_src_channels[{i}]", x)
-        object.__setattr__(self, "eps_src_channels", tuple(
-            ch if isinstance(ch, FreqTable) else float(ch) for ch in channels))
 
-        r_in = _number("r_input", self.r_input)
-        if not math.isfinite(r_in) or abs(r_in) > MAX_SQUEEZE_FACTOR:
-            raise ConfigError(f"r_input: must be finite with |r| <= "
-                              f"{MAX_SQUEEZE_FACTOR:g}, got {r_in!r}")
-        object.__setattr__(self, "r_input", r_in)
-        th_in = _number("theta_input", self.theta_input)
-        if not math.isfinite(th_in):
-            raise ConfigError("theta_input: must be finite")
-        object.__setattr__(self, "theta_input", th_in)
+# how a field is read and checked, by its annotation (a string: annotations
+# are postponed in this module); a field not listed is read as it is
+_KINDS = {"float": "number", "float | FreqTable": "table",
+          "tuple[float | FreqTable, ...]": "channels",
+          "InternalSqueeze": InternalSqueeze}
 
-        if not isinstance(self.internal_sqz, InternalSqueeze):
-            raise ConfigError("internal_sqz: expected an InternalSqueeze")
-        for name in ("Theta", "residual_phase"):
-            _check_quantity(self, name, name)
+# (name, key as errors give it, kind, lo, hi, ends) of each listed field, in
+# field order; built once, as dataclasses.fields costs more than the checks
+_WALKS = {cls: tuple((f.name, prefix + f.name, _KINDS[f.type],
+                      *f.metadata.get("interval", (None,) * 3))
+                     for f in fields(cls) if f.metadata or f.type in _KINDS)
+          for cls, prefix in ((IfoConfig, ""), (InternalSqueeze, "internal_sqz."))}
+
+
+def _quantity(key: str, q, tables: bool, lo: float, hi: float, ends: str):
+    """q as a float, or a FreqTable where tables are allowed, in the interval."""
+    if not (tables and isinstance(q, FreqTable)):
+        return _number(key, q, lo, hi, ends)
+    for x in q.values:
+        _number(key, x, lo, hi, ends)
+    return q
+
+
+def _check_fields(obj) -> None:
+    """Check each field of a config object against its interval, storing
+    numbers as floats; the first bad field in field order is reported."""
+    for name, key, kind, lo, hi, ends in _WALKS[type(obj)]:
+        value = checked = getattr(obj, name)
+        if kind == "channels":
+            # one constant or table is one channel, as a bare JSON value is
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                value = (value,)
+            checked = tuple(_quantity(f"{key}[{i}]", ch, True, lo, hi, ends)
+                            for i, ch in enumerate(value))
+            if not checked:
+                raise ConfigError(f"{key}: must not be empty")
+        elif kind is not InternalSqueeze:
+            checked = _quantity(key, value, kind == "table", lo, hi, ends)
+        elif not isinstance(value, kind):
+            raise ConfigError(f"{key}: expected an InternalSqueeze")
+        if checked is not value:
+            object.__setattr__(obj, name, checked)
 
 
 def default_config() -> IfoConfig:
@@ -261,9 +252,9 @@ def _table(name: str, obj):
 
 
 def _from_dict(cls, doc, prefix: str = ""):
-    """cls(**doc) for a config dataclass, each value read by the annotation
-    of its field (a string: annotations are postponed in this module).  A
-    field without a default is a required key; errors name prefix + key."""
+    """cls(**doc) for a config dataclass, each value read by the kind of its
+    field.  A field without a default is a required key; errors name
+    prefix + key."""
     where = prefix.rstrip(".") or "config"
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object")
@@ -277,14 +268,14 @@ def _from_dict(cls, doc, prefix: str = ""):
             raise ConfigError(f"missing required key '{prefix}{f.name}'")
 
     def read(key, value):
-        kind = schema[key].type
-        if kind == "InternalSqueeze":
+        kind = _KINDS.get(schema[key].type)
+        if kind is InternalSqueeze:
             sqz = {"mode": value} if isinstance(value, str) else value
             return _from_dict(InternalSqueeze, sqz, f"{key}.")
-        if kind.startswith("tuple"):
+        if kind == "channels":
             items = value if isinstance(value, list) else [value]
             return tuple(_table(f"{key}[{i}]", x) for i, x in enumerate(items))
-        return _table(prefix + key, value) if "FreqTable" in kind else value
+        return _table(prefix + key, value) if kind == "table" else value
 
     return cls(**{key: read(key, value) for key, value in doc.items()})
 
@@ -299,12 +290,11 @@ def config_from_dict(doc: dict) -> IfoConfig:
             raise ConfigError("config gives both 'omega0' and 'lambda0'; "
                               "give one of the two")
         doc = dict(doc)
-        lam = _number("lambda0", doc.pop("lambda0"))
-        omega0 = TWO_PI_C / lam if lam > 0.0 else math.nan
-        if not (math.isfinite(lam) and math.isfinite(omega0)):
-            raise ConfigError("lambda0: must be positive and finite, with "
-                              f"2*pi*c/lambda0 finite, got {lam!r}")
-        doc["omega0"] = omega0
+        lam = _number("lambda0", doc.pop("lambda0"), 0.0)
+        doc["omega0"] = TWO_PI_C / lam
+        if not math.isfinite(doc["omega0"]):
+            raise ConfigError(
+                f"lambda0: 2*pi*c/lambda0 must be finite, got {lam!r}")
     elif isinstance(doc, dict) and "omega0" not in doc:
         raise ConfigError("config needs 'omega0' [rad/s] or 'lambda0' [m]")
     return _from_dict(IfoConfig, doc)
@@ -347,15 +337,16 @@ def load_config(path) -> IfoConfig:
     return config_from_dict(doc)
 
 
-def coverage_check(cfg: IfoConfig, f_lo_hz: float, f_hi_hz: float) -> None:
-    """Verify every tabulated quantity covers the requested band."""
-    tables = [("Theta", cfg.Theta), ("residual_phase", cfg.residual_phase),
-              ("internal_sqz.r", cfg.internal_sqz.r),
-              ("internal_sqz.theta", cfg.internal_sqz.theta)]
-    tables += [(f"eps_src_channels[{i}]", ch)
-               for i, ch in enumerate(cfg.eps_src_channels)]
-    for name, q in tables:
-        if isinstance(q, FreqTable) and not q.covers(f_lo_hz, f_hi_hz):
-            raise ConfigError(
-                f"{name}: table covers {q.f_hz[0]:g}..{q.f_hz[-1]:g} Hz but the "
-                f"requested band is {f_lo_hz:g}..{f_hi_hz:g} Hz")
+def coverage_check(cfg, f_lo_hz: float, f_hi_hz: float) -> None:
+    """Verify every table of a config covers the requested band; the first
+    short one in field order is reported."""
+    for name, key, kind, *_ in _WALKS[type(cfg)]:
+        value = getattr(cfg, name)
+        if kind is InternalSqueeze:
+            coverage_check(value, f_lo_hz, f_hi_hz)
+        for i, q in enumerate(value if kind == "channels" else (value,)):
+            if isinstance(q, FreqTable) and not q.covers(f_lo_hz, f_hi_hz):
+                where = f"{key}[{i}]" if kind == "channels" else key
+                raise ConfigError(
+                    f"{where}: table covers {q.f_hz[0]:g}..{q.f_hz[-1]:g} Hz but the "
+                    f"requested band is {f_lo_hz:g}..{f_hi_hz:g} Hz")

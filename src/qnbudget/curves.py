@@ -25,7 +25,7 @@ import numpy as np
 from . import fdt, ifo, limits
 from .config import IfoConfig
 from .constants import TWO_PI
-from .errors import ConfigError, DegeneracyError, _raise_first
+from .errors import ConfigError, DegeneracyError, _as_degeneracy, _raise_first
 
 _FIXED_ZETA_RE = re.compile(r"^full_fixed_zeta\(([-+0-9.eE]+)\)$")
 
@@ -85,6 +85,8 @@ def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:
 
     The grid runs in chunks of CHUNK_POINTS frequencies.  A degeneracy, or a
     PSD value negative or not finite, is reported at its first grid frequency.
+    So is an OverflowError or ZeroDivisionError, at the chunk's first
+    frequency (see errors._as_degeneracy).
     """
     kind, param = parse_curve_name(name)
     curve = _CURVES[kind]
@@ -98,7 +100,9 @@ def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:
             _raise_first((~(np.isfinite(values) & (values >= 0.0)), DegeneracyError,
                           lambda i: f"PSD value {values[i]:.6g} is not finite "
                                     "and non-negative"))
-        except DegeneracyError as exc:
-            raise type(exc)(f"curve {name!r} failed at {chunk[exc.index]:.6g} Hz: {exc}",
-                            index=start + exc.index) from exc
+        except ArithmeticError as exc:
+            error = _as_degeneracy(exc)
+            raise type(error)(
+                f"curve {name!r} failed at {chunk[error.index]:.6g} Hz: {error}",
+                index=start + error.index) from exc
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .config import IfoConfig
 from .constants import C_LIGHT, HBAR
-from .errors import RegimeWarning, _check_sideband
+from .errors import DegeneracyError, RegimeWarning, _check_sideband
 
 # single-mode treatment needs the damping rate far below the resonance
 MODE_VALIDITY_RATIO = 1e3
@@ -45,13 +45,20 @@ class CavityMode:
             warnings.warn(
                 f"omega_cav/gamma_eps = {self.omega_cav / self.gamma_eps:.3g} "
                 f"< {MODE_VALIDITY_RATIO:g}: single-mode approximation is "
-                "unreliable", RegimeWarning, stacklevel=2)
+                "unreliable", RegimeWarning, stacklevel=3)
 
 
 def mode_for(cfg: IfoConfig) -> CavityMode:
-    """Cavity mode implied by a configuration: resonant carrier, loss damping."""
-    return CavityMode(omega_cav=cfg.omega0,
-                      gamma_eps=C_LIGHT * cfg.eps_arm / (4.0 * cfg.L))
+    """Cavity mode implied by a configuration: resonant carrier, loss damping.
+
+    A damping rate that underflows to 0 (L beyond about 1e307 m) raises
+    DegeneracyError.
+    """
+    gamma_eps = C_LIGHT * cfg.eps_arm / (4.0 * cfg.L)
+    if gamma_eps == 0.0 < cfg.eps_arm:
+        raise DegeneracyError(f"loss damping rate c * eps_arm / (4 L) is 0 "
+                              f"at L = {cfg.L!r}", index=0)
+    return CavityMode(omega_cav=cfg.omega0, gamma_eps=gamma_eps)
 
 
 def _denominator(mode: CavityMode, omega: float) -> complex:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (DEFAULT_BAND_HZ, FreqTable, IfoConfig, coverage_check,
-                     value_at)
+from .config import (DEFAULT_BAND_HZ, FreqTable, IfoConfig, _number,
+                     coverage_check, value_at)
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
                      LasingThresholdError, _check_sideband, _raise_first)
@@ -90,9 +90,8 @@ def effective_src_loss(channels, band_hz=DEFAULT_BAND_HZ) -> float:
     channels = tuple(channels)
     if not channels:
         raise ConfigError("eps_src_channels: must not be empty")
-    lo, hi = (float(band_hz[0]), float(band_hz[1]))
-    if not (0.0 < lo <= hi) or not math.isfinite(hi):
-        raise ConfigError(f"band: need 0 < f_lo <= f_hi, got {band_hz!r}")
+    lo = _number("band_hz[0]", band_hz[0], 0.0)
+    hi = _number("band_hz[1]", band_hz[1], lo, math.inf, "[)")
     tables = [ch for ch in channels if isinstance(ch, FreqTable)]
     if not tables:
         return float(sum(channels))

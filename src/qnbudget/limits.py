@@ -39,13 +39,19 @@ _ALPHAS = (ALPHA_INTERNAL, ALPHA_NO_INTERNAL)
 
 
 def limit_params(t_src: float, theta_rot):
-    """(delta, theta0) = (sqrt(T_src^2 + 16 Theta^2), arccot(4 Theta / T_src))."""
+    """(delta, theta0) = (sqrt(T_src^2 + 16 Theta^2), arccot(4 Theta / T_src)).
+
+    A delta that is not positive and finite, or a theta0 that rounds out
+    of (0, pi) (|Theta| / T_src beyond about 1e16), raises DegeneracyError
+    for the first such point of an array of theta_rot.
+    """
     delta = np.hypot(t_src, 4.0 * theta_rot)
     theta0 = arccot(4.0 * theta_rot / t_src)
-    if not np.all(np.isfinite(delta) & (delta > 0.0)):
-        raise ValueError("delta must be positive and finite")
-    if not np.all((0.0 < theta0) & (theta0 < math.pi)):
-        raise ValueError("theta0 must lie in (0, pi)")
+    _raise_first(
+        (~(np.isfinite(delta) & (delta > 0.0)), DegeneracyError,
+         lambda i: f"delta = {np.reshape(delta, -1)[i]:.3g} must be positive and finite"),
+        (~((0.0 < theta0) & (theta0 < math.pi)), DegeneracyError,
+         lambda i: f"theta0 = {np.reshape(theta0, -1)[i]:.3g} must lie in (0, pi)"))
     return delta, theta0
 
 

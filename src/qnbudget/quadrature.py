@@ -137,11 +137,12 @@ def ponderomotive_decompose(gain):
     equals ponderomotive_matrix(gain), with
         phi = -arctan(gain/2), theta = arccot(gain/2)/2 in (0, pi/4),
         r = -arcsinh(gain/2).
-    An array of gains gives arrays of phi, r and theta.
+    An array of gains gives arrays of phi, r and theta.  An infinite gain
+    gives the limit phi = -pi/2, r = -inf, theta = 0.
 
     The decomposition degenerates at gain <= 0 and is rejected there.
     """
-    if not (_all_finite(gain) and all_true(gain > 0.0)):
+    if not all_true(gain > 0.0):
         raise ValueError("decomposition requires gain > 0")
     half = 0.5 * gain
     phi = -np.arctan(half)

@@ -16,7 +16,7 @@ import numpy as np
 from . import fdt, ifo, limits
 from .config import IfoConfig, InternalSqueeze, config_hash
 from .constants import TWO_PI
-from .errors import ConfigError
+from .errors import ConfigError, _as_degeneracy
 from .quadrature import (SYMPLECTIC_FORM, ponderomotive_decompose,
                          ponderomotive_matrix, rotation_matrix, squeeze_matrix)
 
@@ -180,17 +180,21 @@ def run_validation(cfg: IfoConfig, seed: int = 42) -> ValidationReport:
     (_CHECK_HZ), so every table must cover it.  The seed must be a
     non-negative integer.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
         raise ConfigError(f"seed: must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     resolved = ifo.resolve_band(cfg, (_CHECK_HZ[0], _CHECK_HZ[-1]))
-    checks = (
-        _check_symplectic(rng),
-        _check_decomposition(),
-        _check_optimal_vs_grid(resolved),
-        _check_monotonicity(rng),
-        _check_fdt(resolved),
-        *_check_taylor_regime(resolved),
-    )
+    try:
+        checks = (
+            _check_symplectic(rng),
+            _check_decomposition(),
+            _check_optimal_vs_grid(resolved),
+            _check_monotonicity(rng),
+            _check_fdt(resolved),
+            *_check_taylor_regime(resolved),
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _as_degeneracy(exc) from exc
     return ValidationReport(config_sha256=config_hash(cfg), seed=seed,
                             checks=checks)

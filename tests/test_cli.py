@@ -12,7 +12,8 @@ import qnbudget
 from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, BudgetRequest, ConfigError,
                       DegeneracyError,
-                      config_hash, config_to_dict, default_config,
+                      config_hash, config_template, config_to_dict,
+                      default_config,
                       evaluate_curve, load_config, loss_limit,
                       resolve_band, run_budget, run_validation)
 from qnbudget.cli import build_parser, main
@@ -45,10 +46,27 @@ class TestBudgetRequest:
         {"curves": ()},
         {"curves": ("not_a_curve",)},
         {"fmt": "yaml"},
+        {"band_hz": 5.0},
+        {"band_hz": (5.0,)},
+        {"band_hz": ("5", "5000")},
+        {"curves": ("sql", 3)},
     ])
     def test_invalid_requests(self, cfg, kw):
         with pytest.raises(ConfigError):
             BudgetRequest(config=cfg, **kw)
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"band_hz": 5.0}, "band_hz: expected a pair (fmin, fmax), got 5.0"),
+        ({"band_hz": (5.0,)}, "band_hz: expected a pair (fmin, fmax), got (5.0,)"),
+        ({"band_hz": ("5", "5000")}, "fmin: expected a number, got '5'"),
+        ({"band_hz": (0.05, 100.0)}, "fmin: must be in [0.1, inf), got 0.05"),
+        ({"band_hz": (100.0, 10.0)}, "fmax: must be in (100, inf), got 10.0"),
+        ({"curves": ("sql", 3)}, "curves: expected a curve name, got 3"),
+    ])
+    def test_invalid_request_names_key(self, cfg, kw, message):
+        with pytest.raises(ConfigError) as info:
+            BudgetRequest(config=cfg, **kw)
+        assert str(info.value) == message
 
     def test_bare_string_is_one_curve(self, cfg):
         assert BudgetRequest(config=cfg, curves="sql").curves == ("sql",)
@@ -335,7 +353,8 @@ class TestCliExitCodes:
         path = write_config(tmp_path, doc)
         assert main(verb + ["--config", path]) == 2
         err = capsys.readouterr().err
-        assert "config error: internal_sqz.r" in err and "<= 20" in err
+        bad = r if isinstance(r, float) else r["values"][-1]
+        assert f"config error: internal_sqz.r: must be in [-20, 20], got {bad!r}" in err
 
     @pytest.mark.filterwarnings("ignore::qnbudget.RegimeWarning")
     def test_ponderomotive_overflow_exits_3(self, cfg, tmp_path, capsys):
@@ -380,6 +399,29 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "config error: points: 1000" in err
         assert "100.0..100.0000000001 Hz" in err
+
+    # finite values of valid keys whose arithmetic leaves the double range
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("change,curve,fragment", [
+        ({"Theta": 1e30}, "taylor_qcrb_internal", "theta0 = 0 must lie in"),
+        ({"Theta": 1.7e308}, "taylor_qcrb_no_internal", "delta = inf must be"),
+        ({"L": 1e300}, "sql", "cfg.L**2"),
+        ({"L": 1e300}, "full_optimal", "cfg.L**2"),
+        ({"M": 5e-324, "internal_sqz": "ponderomotive"}, "full_optimal",
+         "|r| = inf exceeds the overflow guard"),
+        ({"lambda0": 1e-150}, "fdt_floor", "mode.omega_cav**2"),
+    ])
+    def test_finite_extreme_exits_3(self, tmp_path, capsys, change, curve,
+                                    fragment):
+        doc = {**config_template(), **change}
+        path = write_config(tmp_path, doc)
+        assert main(["budget", "--config", path, "--points", "8", "--curves",
+                     curve, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert f"curve '{curve}' failed at 5 Hz: " in err and fragment in err
+        if curve != "sql" and not curve.startswith("taylor"):
+            assert main(["validate", "--config", path]) == 3
+            assert fragment in capsys.readouterr().err
 
     def test_degeneracy_chains_original_error(self, cfg):
         with pytest.raises(BlindQuadratureError) as info:
@@ -489,3 +531,5 @@ class TestValidation:
         assert "seed" in capsys.readouterr().err
         with pytest.raises(ConfigError, match="seed"):
             run_validation(default_config(), seed=-3)
+        with pytest.raises(ConfigError, match="^seed: .*, got True$"):
+            run_validation(default_config(), seed=True)

@@ -1,10 +1,10 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from qnbudget import (ConfigError, FreqTable, InternalSqueeze,
+from qnbudget import (ConfigError, FreqTable, IfoConfig, InternalSqueeze,
                       config_from_dict, config_hash, config_template,
                       config_to_dict, default_config, load_config,
                       resolve_band, value_at)
@@ -94,8 +94,9 @@ class TestIfoConfigValidation:
     def test_bad_wavelength_names_lambda0(self, lam):
         doc = config_template()
         doc["lambda0"] = lam
-        with pytest.raises(ConfigError,
-                           match="^lambda0: must be positive and finite"):
+        bound = (r"2\*pi\*c/lambda0 must be finite" if lam == 1e-310
+                 else r"must be in \(0, inf\)")
+        with pytest.raises(ConfigError, match=rf"^lambda0: {bound}, got {lam!r}$"):
             config_from_dict(doc)
 
     def test_missing_keys_named(self):
@@ -158,6 +159,13 @@ class TestIfoConfigValidation:
             config_from_dict(doc)
         with pytest.raises(ConfigError, match="expected a JSON object"):
             config_from_dict([doc])
+
+    def test_docstrings_state_the_field_intervals(self):
+        for cls in (IfoConfig, InternalSqueeze):
+            for f in fields(cls):
+                lo, hi, ends = f.metadata.get("interval", (-math.inf, math.inf, "()"))
+                if (lo, hi) != (-math.inf, math.inf):
+                    assert f"{ends[0]}{lo:g}, {hi:g}{ends[1]}" in cls.__doc__
 
     def test_internal_sqz_modes(self):
         with pytest.raises(ConfigError, match="mode"):

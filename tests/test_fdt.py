@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,15 @@ class TestCavityMode:
     def test_validity_warning(self):
         with pytest.warns(RegimeWarning):
             CavityMode(omega_cav=1e4, gamma_eps=1e2)
+
+    def test_validity_warning_points_at_the_builder(self, cfg):
+        # the line that built the mode, not the generated __init__
+        with pytest.warns(RegimeWarning) as record:
+            loss_floor_fdt(replace(cfg, omega0=1e3), TWO_PI * 10.0)
+        assert os.path.basename(record[0].filename) == "fdt.py"
+        with pytest.warns(RegimeWarning) as record:
+            CavityMode(omega_cav=1e4, gamma_eps=1e2)
+        assert record[0].filename == __file__
 
 
 class TestSusceptibilities:

@@ -9,11 +9,14 @@ round trip also draws tabulated fixed internal squeezing.  The
 output-format examples draw columns of arbitrary floats.
 """
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
+import tempfile
 from dataclasses import replace
 from unittest import mock
 
@@ -22,10 +25,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qnbudget import (ALPHA_NO_INTERNAL, BlindQuadratureError, BudgetRequest,
-                      DegeneracyError, FreqTable, InternalSqueeze,
-                      __version__, config_from_dict, config_hash,
-                      config_to_dict, default_config,
+from qnbudget import (ALPHA_NO_INTERNAL, BASE_CURVES, BlindQuadratureError,
+                      BudgetRequest, DegeneracyError, FreqTable,
+                      InternalSqueeze, __version__, config_from_dict,
+                      config_hash, config_template, config_to_dict,
+                      default_config,
                       effective_internal_loss, evaluate_curve,
                       homodyne_spectrum, io_relation, loop_matrix,
                       loss_floor_fdt, loss_limit, mat2, mat_inv,
@@ -33,7 +37,7 @@ from qnbudget import (ALPHA_NO_INTERNAL, BlindQuadratureError, BudgetRequest,
                       ponderomotive_gain, random_config, rotation_matrix,
                       run_budget, squeeze_matrix, taylor_qcrb_internal,
                       total_covariance, value_at)
-from qnbudget.cli import write_budget
+from qnbudget.cli import main, write_budget
 from qnbudget.constants import C_LIGHT, HBAR
 
 TWO_PI = 2 * math.pi
@@ -325,6 +329,40 @@ def test_config_document_round_trip(cfg):
     again = config_from_dict(doc)
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+
+
+# the template's numeric keys; eps_src_channels stands for its one entry
+EXTREME_KEYS = ("L", "M", "P", "lambda0", "T_itm", "T_src", "eps_arm",
+                "eps_ext", "r_input", "theta_input", "Theta", "residual_phase",
+                "eps_src_channels")
+# log-uniform magnitudes from 1e-320 to 1.7e308, either sign, and 0
+extremes = st.one_of(st.just(0.0), st.builds(
+    lambda exponent, sign: sign * 10.0**exponent,
+    st.floats(-320.0, math.log10(1.7e308)), st.sampled_from((1.0, -1.0))))
+INTERNAL_SQZ = ("none", "ponderomotive", {"mode": "fixed", "r": 0.01,
+                                          "theta": 0.3})
+
+
+@settings(PROFILE, max_examples=60)
+@given(st.sampled_from(EXTREME_KEYS), extremes, st.sampled_from(INTERNAL_SQZ))
+@pytest.mark.filterwarnings("ignore")
+def test_no_traceback_for_any_finite_extreme(key, value, sqz):
+    """Every verb answers a finite extreme of one key with an exit code."""
+    doc = config_template()
+    doc[key] = [value] if key == "eps_src_channels" else value
+    doc["internal_sqz"] = sqz
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        runs = [["validate"]] + [
+            ["budget", "--points", "8", "--curves", curve,
+             "--out", os.path.join(tmp, "out.csv")]
+            for curve in BASE_CURVES + ("full_fixed_zeta(0.3)",)]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + ["--config", path]) in (0, 1, 2, 3)
 
 
 def test_array_omega_with_array_zeta_rejected():
