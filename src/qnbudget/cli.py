@@ -21,7 +21,7 @@ from .config import (DEFAULT_BAND_HZ, MIN_FREQUENCY_HZ, IfoConfig, _number,
                      config_hash, config_template, default_config,
                      load_config)
 from .constants import C_LIGHT, HBAR
-from .curves import CHUNK_POINTS, evaluate_curve, parse_curve_name
+from .curves import CHUNK_POINTS, _evaluate, parse_curve_name
 from .errors import ConfigError, DegeneracyError
 from .ifo import resolve_band
 from .validation import run_validation
@@ -63,7 +63,12 @@ class BudgetRequest:
             raise ConfigError(
                 f"points: must be in [2, {MAX_POINTS}], got {self.points!r}")
         object.__setattr__(self, "points", points)
-        curves = (self.curves,) if isinstance(self.curves, str) else tuple(self.curves)
+        try:
+            curves = ((self.curves,) if isinstance(self.curves, str)
+                      else tuple(self.curves))
+        except TypeError:
+            raise ConfigError("curves: expected a curve name or a sequence of "
+                              f"them, got {self.curves!r}") from None
         if not curves:
             raise ConfigError("curves: select at least one curve")
         for name in curves:
@@ -122,9 +127,11 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray,
 def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     """Evaluate the requested curves; write the output file if a path is set.
 
-    Returns (f_hz, {name: PSD array}), the curves in request order.  A
-    degeneracy, a PSD value that is negative or not finite included, raises
-    evaluate_curve's DegeneracyError, and then no file is written.
+    Returns (f_hz, {name: PSD array}), the curves in request order.  The
+    exact curves share one loop solve per chunk of the grid.  A degeneracy,
+    a PSD value that is negative or not finite included, raises the
+    DegeneracyError that evaluate_curve raises for the first failing curve
+    in request order, and then no file is written.
     """
     lo, hi = req.band_hz
     f_hz = np.geomspace(lo, hi, req.points)
@@ -132,7 +139,7 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
         raise ConfigError(f"points: {req.points} frequencies are not distinct "
                           f"doubles in the band {lo!r}..{hi!r} Hz")
     cfg = resolve_band(req.config, req.band_hz)
-    spectra = {name: evaluate_curve(name, cfg, f_hz) for name in req.curves}
+    spectra = _evaluate(req.curves, cfg, f_hz)
     if req.out_path is not None:
         with open(req.out_path, "w", newline="") as fh:
             write_budget(fh, req, f_hz, spectra)

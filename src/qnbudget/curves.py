@@ -76,6 +76,14 @@ _CURVES = {
         cfg, w),
 }
 
+# the exact pipeline's kinds -> f(chunk's ifo._Solve, parameter): the exact
+# curves of one walk read one loop solve per chunk
+_FROM_SOLVE = {
+    "qcrb": lambda solve, _: solve.qcrb(),
+    "full_optimal": lambda solve, _: solve.optimal(),
+    "full_fixed_zeta": lambda solve, zeta: solve.homodyne(zeta),
+}
+
 BASE_CURVES = tuple(kind for kind in _CURVES if kind != "full_fixed_zeta")
 CURVE_CHOICES = BASE_CURVES + ("full_fixed_zeta(<rad>)",)
 
@@ -88,21 +96,69 @@ def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:
     So is an OverflowError or ZeroDivisionError, at the chunk's first
     frequency (see errors._as_degeneracy).
     """
-    kind, param = parse_curve_name(name)
-    curve = _CURVES[kind]
+    return _evaluate((name,), cfg, f_hz)[name]
+
+
+def _evaluate(names, cfg: IfoConfig, f_hz) -> dict:
+    """{name: PSD array} for the curves `names`, in their order.
+
+    Values, errors and warnings are those of a loop calling evaluate_curve
+    on each name in turn: the first curve in order that fails raises, at
+    its first failing frequency.  The exact curves walk the grid together
+    when the first of them is reached, so they share one loop solve per
+    chunk; every other curve walks it alone, in order, since only those
+    may warn.
+    """
     f_hz = np.asarray(f_hz, dtype=float)
-    out = np.empty(len(f_hz))
+    exact = tuple(dict.fromkeys(
+        name for name in names if parse_curve_name(name)[0] in _FROM_SOLVE))
+    spectra = {}
+    for name in names:
+        if name not in exact:
+            spectra.update(_walk((name,), cfg, f_hz))
+        elif name not in spectra:
+            spectra.update(_walk(exact, cfg, f_hz))
+        if isinstance(spectra[name], DegeneracyError):
+            raise spectra[name]
+    return {name: spectra[name] for name in names}
+
+
+def _walk(names, cfg: IfoConfig, f_hz: np.ndarray) -> dict:
+    """{name: PSD array, or the DegeneracyError it fails with}, from one walk
+    over the chunks.
+
+    A curve that fails stops the walk for itself and every name after it,
+    which a loop over the names would not reach.  Where the shared solve
+    fails in a chunk, each exact curve runs alone there, so its own checks
+    order the failure.
+    """
+    live = [(name, *parse_curve_name(name)) for name in names]
+    out = {name: np.empty(len(f_hz)) for name in names}
     for start in range(0, len(f_hz), CHUNK_POINTS):
         chunk = f_hz[start:start + CHUNK_POINTS]
-        values = out[start:start + len(chunk)]
-        try:
-            values[:] = curve(cfg, TWO_PI * chunk, param)
-            _raise_first((~(np.isfinite(values) & (values >= 0.0)), DegeneracyError,
-                          lambda i: f"PSD value {values[i]:.6g} is not finite "
-                                    "and non-negative"))
-        except ArithmeticError as exc:
-            error = _as_degeneracy(exc)
-            raise type(error)(
-                f"curve {name!r} failed at {chunk[error.index]:.6g} Hz: {error}",
-                index=start + error.index) from exc
+        w = TWO_PI * chunk
+        solve = None
+        if any(kind in _FROM_SOLVE for _, kind, _ in live):
+            try:
+                solve = ifo._Solve(cfg, w)
+            except ArithmeticError:
+                pass
+        for k, (name, kind, param) in enumerate(live):
+            values = out[name][start:start + len(chunk)]
+            try:
+                values[:] = (_FROM_SOLVE[kind](solve, param)
+                             if solve is not None and kind in _FROM_SOLVE
+                             else _CURVES[kind](cfg, w, param))
+                _raise_first((~(np.isfinite(values) & (values >= 0.0)),
+                              DegeneracyError,
+                              lambda i: f"PSD value {values[i]:.6g} is not "
+                                        "finite and non-negative"))
+            except ArithmeticError as exc:
+                error = _as_degeneracy(exc)
+                out[name] = type(error)(
+                    f"curve {name!r} failed at {chunk[error.index]:.6g} Hz: {error}",
+                    index=start + error.index)
+                out[name].__cause__ = exc
+                del live[k:]
+                break
     return out

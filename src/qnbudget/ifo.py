@@ -14,6 +14,7 @@ total_covariance assemble the entries into 2x2 matrices or (N, 2, 2) stacks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -160,7 +161,10 @@ def _squeeze_state(cfg: IfoConfig, omega):
     if mode == "fixed":
         return (value_at(cfg.internal_sqz.r, f_hz),
                 value_at(cfg.internal_sqz.theta, f_hz), 0.0)
-    gain = ponderomotive_gain(cfg, omega)
+    # a gain that overflows decomposes to |r| = inf, which _loop's overflow
+    # guard reports
+    with np.errstate(over="ignore"):
+        gain = ponderomotive_gain(cfg, omega)
     # a gain that underflows to zero leaves the loop unsqueezed: it is
     # decomposed as a gain of 1 and masked out
     live = gain > 0.0
@@ -220,7 +224,8 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
     (N,) arrays for a 1-D array of N.  Raises
     LasingThresholdError when the round-trip gain of the loop hits unity,
     where the cavity inverse does not exist, or exceeds it, where the loop
-    has no steady state.
+    has no steady state, and DegeneracyError where the signal response
+    overflows.
     """
     w = _frequencies(omega)
     x = _in_order(lambda v: _loop(cfg, v), w,
@@ -234,23 +239,36 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
     g = 0.5 * (t11 + t22)
     root = np.sqrt(g * g - det + 0j)
     round_trip = np.maximum(np.abs(1.0 - g - root), np.abs(1.0 - g + root))
+    beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
+    # a point where these divide by a vanishing det, or the signal overflows,
+    # is reported by the checks below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m_c = (t22 / det, -t12 / det, -t21 / det, t11 / det)
+        # m_c @ (0, beta)
+        v1, v2 = (math.sqrt(cfg.T_src) * (e * beta) for e in m_c[1::2])
     _raise_first(
         (det_abs < LASING_DET_TOL, LasingThresholdError, lambda i: (
             f"recycling loop at lasing threshold (|det| = {det_abs.flat[i]:.2e}) "
             f"at Omega = {w.flat[i]:.6g} rad/s")),
         (round_trip > 1.0, LasingThresholdError, lambda i: (
             "recycling loop beyond lasing threshold (round-trip eigenvalue "
-            f"{round_trip.flat[i]:.4g}) at Omega = {w.flat[i]:.6g} rad/s")))
-    m_c = (t22 / det, -t12 / det, -t21 / det, t11 / det)
+            f"{round_trip.flat[i]:.4g}) at Omega = {w.flat[i]:.6g} rad/s")),
+        (~(np.isfinite(v1) & np.isfinite(v2)), DegeneracyError, lambda i: (
+            f"signal response is not finite at Omega = {w.flat[i]:.6g} rad/s")))
     m_io = tuple(-sqrt_r_src * i + cfg.T_src * e
                  for i, e in zip(_EYE, _mul(m_c, x)))
-    beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
-    # m_c @ (0, beta)
-    v = tuple(math.sqrt(cfg.T_src) * (e * beta) for e in m_c[1::2])
+    return IoRelation(m_io, m_c, (v1, v2), *_couplings(cfg, w))
+
+
+def _couplings(cfg: IfoConfig, w):
+    """(internal, external) loss couplings of io_relation(cfg, w)."""
     coupling = np.sqrt(cfg.T_src * effective_internal_loss(cfg, w))
-    return IoRelation(M_io=m_io, M_c=m_c, v=v,
-                      internal_coupling=_scalar_or_array(coupling),
-                      external_coupling=math.sqrt(cfg.eps_ext))
+    return _scalar_or_array(coupling), math.sqrt(cfg.eps_ext)
+
+
+def _lossless(cfg: IfoConfig) -> IfoConfig:
+    """cfg with every loss channel switched off."""
+    return replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,), eps_ext=0.0)
 
 
 def _covariance_from(cfg: IfoConfig, io: IoRelation):
@@ -310,7 +328,12 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
         raise ValueError("omega and zeta cannot both be arrays")
     io = _in_order(lambda v: io_relation(cfg, v), w,
                    lambda head: homodyne_spectrum(cfg, head, zeta))
-    _, (s11, s12, _, s22) = _covariance_from(cfg, io)
+    return _homodyne_from(w, zeta_arr, io, _covariance_from(cfg, io)[1])
+
+
+def _homodyne_from(w, zeta_arr, io: IoRelation, sigma):
+    """homodyne_spectrum over w from its IoRelation and covariance entries."""
+    s11, s12, _, s22 = sigma
     c, s = np.cos(zeta_arr), np.sin(zeta_arr)
     v1, v2 = io.v
     qv = c * v1 + s * v2
@@ -338,7 +361,12 @@ def optimal_spectrum(cfg: IfoConfig, omega):
     w = _frequencies(omega)
     io = _in_order(lambda v: io_relation(cfg, v), w,
                    lambda head: optimal_spectrum(cfg, head))
-    rows, (g11, _, g21, g22) = _covariance_from(cfg, io)
+    return _optimal_from(w, io, _covariance_from(cfg, io))
+
+
+def _optimal_from(w, io: IoRelation, covariance):
+    """optimal_spectrum over w from its IoRelation and _covariance_from."""
+    rows, (g11, _, g21, g22) = covariance
     ext_sq = io.external_coupling**2
     v1, v2 = io.v
     # Gram-Schmidt on the rows of F gives Sigma = L L^dag with L lower
@@ -401,5 +429,36 @@ def qcrb_lossless(cfg: IfoConfig, omega):
     the exact bound for the configured squeezing settings.  A 1-D array of
     omega gives an array.
     """
-    lossless = replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,), eps_ext=0.0)
-    return optimal_spectrum(lossless, omega)[0]
+    return optimal_spectrum(_lossless(cfg), omega)[0]
+
+
+class _Solve:
+    """One loop solve over a batch of omega, read by every exact spectrum.
+
+    io_relation(cfg, omega) runs once.  The optimal and every fixed-angle
+    readout share its covariance.  The lossless bound reads the same M_io,
+    M_c and v with lossless couplings: the loop does not depend on loss.
+    Each spectrum is bitwise that of its public function; an error of the
+    solve itself leaves the batch to those functions, which order it.
+    """
+
+    def __init__(self, cfg: IfoConfig, omega):
+        self.cfg, self.w = cfg, _frequencies(omega)
+        self.io = io_relation(cfg, self.w)
+
+    @functools.cached_property
+    def covariance(self):
+        return _covariance_from(self.cfg, self.io)
+
+    def optimal(self):
+        return _optimal_from(self.w, self.io, self.covariance)[0]
+
+    def homodyne(self, zeta):
+        return _homodyne_from(self.w, np.asarray(zeta, dtype=float), self.io,
+                              self.covariance[1])
+
+    def qcrb(self):
+        lossless = _lossless(self.cfg)
+        io = IoRelation(self.io.M_io, self.io.M_c, self.io.v,
+                        *_couplings(lossless, self.w))
+        return _optimal_from(self.w, io, _covariance_from(lossless, io))[0]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 import qnbudget
 from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, BudgetRequest, ConfigError,
-                      DegeneracyError,
+                      DegeneracyError, FreqTable, InternalSqueeze,
+                      LasingThresholdError,
                       config_hash, config_template, config_to_dict,
                       default_config,
                       evaluate_curve, load_config, loss_limit,
@@ -50,6 +52,7 @@ class TestBudgetRequest:
         {"band_hz": (5.0,)},
         {"band_hz": ("5", "5000")},
         {"curves": ("sql", 3)},
+        {"curves": 5},
     ])
     def test_invalid_requests(self, cfg, kw):
         with pytest.raises(ConfigError):
@@ -62,6 +65,8 @@ class TestBudgetRequest:
         ({"band_hz": (0.05, 100.0)}, "fmin: must be in [0.1, inf), got 0.05"),
         ({"band_hz": (100.0, 10.0)}, "fmax: must be in (100, inf), got 10.0"),
         ({"curves": ("sql", 3)}, "curves: expected a curve name, got 3"),
+        ({"curves": 5},
+         "curves: expected a curve name or a sequence of them, got 5"),
     ])
     def test_invalid_request_names_key(self, cfg, kw, message):
         with pytest.raises(ConfigError) as info:
@@ -178,6 +183,143 @@ class TestRunBudget:
                             points=100, curves=("full_optimal", "loss_limit_a4"))
         _, spectra = run_budget(req)
         assert np.all(spectra["full_optimal"] > spectra["loss_limit_a4"])
+
+
+def curve_by_curve(names, cfg, f_hz):
+    """The spectra, or the first error, of a loop calling evaluate_curve on
+    each name in turn."""
+    try:
+        return {name: evaluate_curve(name, cfg, f_hz) for name in names}
+    except DegeneracyError as exc:
+        return exc
+
+
+def beyond_threshold(cfg):
+    """cfg with its loop driven beyond the lasing threshold from just above
+    30 Hz to about 3 kHz (see test_ifo's TestBatchErrors)."""
+    r_crit = -0.5 * math.log(1 - cfg.T_src)
+    r = FreqTable(f_hz=(1.0, 30.0, 100.0, 1e4),
+                  values=(0.0, r_crit, 2.0 * r_crit, 0.0))
+    return replace(cfg, internal_sqz=InternalSqueeze("fixed", r=r))
+
+
+class TestSharedSolve:
+    """run_budget's exact curves share one loop solve per chunk, and the
+    request still answers as evaluating its curves one by one would."""
+
+    EXACT = ("full_optimal", "qcrb", "full_fixed_zeta(0.5)")
+
+    def test_one_loop_solve_per_chunk(self, cfg, monkeypatch):
+        from qnbudget import curves, ifo
+        calls = []
+        loop = ifo._loop
+        monkeypatch.setattr(ifo, "_loop",
+                            lambda c, w: calls.append(len(w)) or loop(c, w))
+        points = 2 * curves.CHUNK_POINTS + 17
+        run_budget(BudgetRequest(config=cfg, points=points, curves=self.EXACT))
+        assert calls == [curves.CHUNK_POINTS, curves.CHUNK_POINTS, 17]
+        calls.clear()
+        for name in self.EXACT:
+            evaluate_curve(name, cfg, np.geomspace(5.0, 5000.0, 40))
+        assert calls == [40] * 3
+
+    def test_first_curve_in_order_wins_over_earlier_chunk(self, cfg):
+        from qnbudget import curves
+        # on 5-40 Hz the loop passes its lasing threshold in the second
+        # chunk, while the tuned signal is blind to zeta = 0 from the first
+        c = beyond_threshold(cfg)
+        req = BudgetRequest(config=c, band_hz=(5.0, 40.0),
+                            points=2 * curves.CHUNK_POINTS + 17,
+                            curves=("full_optimal", "full_fixed_zeta(0)",
+                                    "qcrb"))
+        f_hz = np.geomspace(5.0, 40.0, req.points)
+        want = curve_by_curve(req.curves, c, f_hz)
+        assert isinstance(want, LasingThresholdError)
+        assert curves.CHUNK_POINTS <= want.index < 2 * curves.CHUNK_POINTS
+        with pytest.raises(LasingThresholdError) as info:
+            run_budget(req)
+        assert (str(info.value), info.value.index) == (str(want), want.index)
+        reordered = replace(req, curves=req.curves[1:] + req.curves[:1])
+        want = curve_by_curve(reordered.curves, c, f_hz)
+        with pytest.raises(BlindQuadratureError) as info:
+            run_budget(reordered)
+        assert (str(info.value), info.value.index) == (str(want), 0)
+
+    @pytest.mark.parametrize("curve_names", [
+        ("full_fixed_zeta(0.5)", "qcrb", "full_optimal"),
+        ("qcrb", "sql", "full_optimal"),
+        ("sql", "full_optimal", "full_fixed_zeta(0)"),
+    ])
+    @pytest.mark.parametrize("band", [(50.0, 100.0), (100.0, 200.0),
+                                      (5.0, 5000.0)])
+    def test_lasing_configs_report_as_curve_by_curve(self, cfg, curve_names,
+                                                     band):
+        r_crit = -0.5 * math.log(1 - cfg.T_src)
+        at_100hz = replace(cfg, internal_sqz=InternalSqueeze(
+            "fixed", r=FreqTable(f_hz=(1.0, 100.0, 1e4),
+                                 values=(0.0, r_crit, 0.0))))
+        for c in (at_100hz, beyond_threshold(cfg)):
+            req = BudgetRequest(config=c, band_hz=band, points=9,
+                                curves=curve_names)
+            want = curve_by_curve(curve_names, c, np.geomspace(*band, 9))
+            if isinstance(want, dict):
+                _, got = run_budget(req)
+                assert all(np.array_equal(got[n], want[n]) for n in want)
+                continue
+            with pytest.raises(type(want)) as info:
+                run_budget(req)
+            assert (str(info.value), info.value.index) == (str(want),
+                                                           want.index)
+
+    def test_stderr_as_curve_by_curve(self, cfg, tmp_path):
+        # the expansion warns (T_src = 0.14 is outside its regime); a
+        # curve's warnings print when it is reached, and the first failing
+        # curve in order ends the request
+        path = write_config(tmp_path, config_to_dict(beyond_threshold(cfg)))
+        src = os.path.dirname(os.path.dirname(qnbudget.__file__))
+
+        def stderr(curve_names):
+            done = subprocess.run(
+                [sys.executable, "-m", "qnbudget", "budget", "--config", path,
+                 "--points", "20", "--curves", curve_names,
+                 "--out", str(tmp_path / "x.csv")],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+            return done.returncode, done.stderr
+
+        code, warned = stderr("taylor_qcrb_no_internal")
+        assert code == 0 and "RegimeWarning" in warned
+        code, failed = stderr("full_fixed_zeta(0.5)")
+        assert code == 3 and failed.startswith("numerical degeneracy: ")
+        assert stderr("taylor_qcrb_no_internal,full_fixed_zeta(0.5),"
+                      "full_optimal") == (3, warned + failed)
+        assert stderr("full_fixed_zeta(0.5),taylor_qcrb_no_internal,"
+                      "qcrb") == (3, failed)
+
+    def test_exact_warnings_follow_earlier_curves(self, cfg, monkeypatch):
+        # the exact curves walk the grid together when the first of them is
+        # reached, so what they warn follows the warnings of earlier curves
+        from qnbudget import ifo
+        optimal_from = ifo._optimal_from
+
+        def warning_optimal_from(*args):
+            warnings.warn("exact readout", RuntimeWarning)
+            return optimal_from(*args)
+
+        monkeypatch.setattr(ifo, "_optimal_from", warning_optimal_from)
+        names = ("taylor_qcrb_no_internal", "full_optimal", "qcrb")
+        messages = []
+        for run in (lambda: curve_by_curve(names, cfg,
+                                           np.geomspace(5.0, 5000.0, 8)),
+                    lambda: run_budget(BudgetRequest(config=cfg, points=8,
+                                                     curves=names))):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                run()
+            messages.append([str(w.message) for w in seen])
+        assert messages[0][-2:] == ["exact readout"] * 2
+        assert "expansion regime" in messages[0][0]
+        assert messages[1] == messages[0]
 
 
 class TestBandResolution:
@@ -410,6 +552,7 @@ class TestCliExitCodes:
         ({"M": 5e-324, "internal_sqz": "ponderomotive"}, "full_optimal",
          "|r| = inf exceeds the overflow guard"),
         ({"lambda0": 1e-150}, "fdt_floor", "mode.omega_cav**2"),
+        ({"P": 1e300}, "full_optimal", "signal response is not finite at"),
     ])
     def test_finite_extreme_exits_3(self, tmp_path, capsys, change, curve,
                                     fragment):
@@ -422,6 +565,24 @@ class TestCliExitCodes:
         if curve != "sql" and not curve.startswith("taylor"):
             assert main(["validate", "--config", path]) == 3
             assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"M": 5e-324, "internal_sqz": "ponderomotive"},
+        {"P": 1e300},
+    ])
+    def test_extreme_exit_3_prints_one_line(self, tmp_path, change):
+        # no numpy RuntimeWarning reaches stderr ahead of the message
+        path = write_config(tmp_path, {**config_template(), **change})
+        src = os.path.dirname(os.path.dirname(qnbudget.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "qnbudget", "budget", "--config", path,
+             "--points", "4", "--curves", "full_optimal,qcrb"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 3
+        assert done.stderr.startswith(
+            "numerical degeneracy: curve 'full_optimal' failed at 5 Hz: ")
+        assert done.stderr.count("\n") == 1
 
     def test_degeneracy_chains_original_error(self, cfg):
         with pytest.raises(BlindQuadratureError) as info:

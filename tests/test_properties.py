@@ -34,11 +34,13 @@ from qnbudget import (ALPHA_NO_INTERNAL, BASE_CURVES, BlindQuadratureError,
                       homodyne_spectrum, io_relation, loop_matrix,
                       loss_floor_fdt, loss_limit, mat2, mat_inv,
                       optimal_spectrum, ponderomotive_decompose,
-                      ponderomotive_gain, random_config, rotation_matrix,
+                      ponderomotive_gain, qcrb_lossless, random_config,
+                      rotation_matrix,
                       run_budget, squeeze_matrix, taylor_qcrb_internal,
                       total_covariance, value_at)
 from qnbudget.cli import main, write_budget
 from qnbudget.constants import C_LIGHT, HBAR
+from qnbudget.curves import CHUNK_POINTS
 
 TWO_PI = 2 * math.pi
 VARIANTS = ("plain", "ponderomotive", "theta_table", "residual_phase")
@@ -182,6 +184,38 @@ def test_planted_failure_reported_at_its_frequency(kind, seed, n, data):
                        match=re.escape(f"failed at {f_hz[i]:.6g} Hz: {exc}")) as info:
         evaluate_curve(name, cfg, f_hz)
     assert info.value.index == i
+
+
+SHARED_SOLVE = {
+    "full_optimal": lambda c, w: optimal_spectrum(c, w)[0],
+    "qcrb": qcrb_lossless,
+    "full_fixed_zeta(0.5)": lambda c, w: homodyne_spectrum(c, w, 0.5),
+    "full_fixed_zeta(1.1)": lambda c, w: homodyne_spectrum(c, w, 1.1),
+}
+
+
+@PROFILE
+@given(configs)
+def test_shared_solve_equals_each_curve_alone(cfg):
+    # three chunks; the spectra of one request share each chunk's solve
+    req = BudgetRequest(config=cfg, points=2 * CHUNK_POINTS + 17,
+                        curves=tuple(SHARED_SOLVE))
+    f_hz = np.geomspace(*req.band_hz, req.points)
+    try:
+        alone = {name: evaluate_curve(name, cfg, f_hz) for name in req.curves}
+    except DegeneracyError as exc:
+        with pytest.raises(type(exc)) as info:
+            run_budget(req)
+        assert (str(info.value), info.value.index) == (str(exc), exc.index)
+        return
+    _, shared = run_budget(req)
+    for name, route in SHARED_SOLVE.items():
+        assert shared[name].tobytes() == alone[name].tobytes(), name
+        # and each chunk is what the public function gives for it
+        for start in range(0, len(f_hz), CHUNK_POINTS):
+            chunk = f_hz[start:start + CHUNK_POINTS]
+            assert (shared[name][start:start + len(chunk)].tobytes()
+                    == route(cfg, TWO_PI * chunk).tobytes()), name
 
 
 @PROFILE
