@@ -8,8 +8,16 @@ functions of (config, sideband angular frequency).  Each takes a scalar
 omega or a 1-D array of them.  Every 2x2 quantity is held as its four
 entries (m11, m12, m21, m22), each an (N,) array over a batch of N
 frequencies, so a batch is evaluated in one pass of elementwise arithmetic;
-a scalar omega runs the same code on numpy scalars.  loop_matrix and
-total_covariance assemble the entries into 2x2 matrices or (N, 2, 2) stacks.
+a scalar omega runs the same code on numpy scalars and gives bitwise the
+matching element of an array call (each per-point square is written as a
+product, which numpy computes alike for scalars and arrays), except where
+a residual phase makes the loop complex: numpy rounds a product of two
+complex scalars differently from its vectorised loop.  io_relation
+and effective_internal_loss also take a tuple of N configs, one per
+frequency of the array: each config's constants are computed as for one
+config and stacked into (N,) arrays, so a batch of configs runs the same
+code too.  loop_matrix and total_covariance assemble the entries into 2x2
+matrices or (N, 2, 2) stacks.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from .config import (DEFAULT_BAND_HZ, FreqTable, IfoConfig, _number,
                      coverage_check, value_at)
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
-                     LasingThresholdError, _check_sideband, _raise_first)
+                     LasingThresholdError, _as_degeneracy, _check_sideband,
+                     _raise_first)
 from .quadrature import (MAX_SQUEEZE_FACTOR, any_true, mat2,
                          ponderomotive_decompose, rotation_entries,
                          squeeze_entries)
@@ -53,7 +62,8 @@ class IoRelation:
     loss channels.  The matrices are entry tuples (m11, m12, m21, m22) and
     v is (v1, v2); mat2(*io.M_io) gives the matrix.  Each entry, and the
     internal coupling, is a scalar for one frequency and an (N,) array for
-    a batch of N.
+    a batch of N.  The external coupling is a float, or an (N,) array for a
+    tuple of N configs.
     """
 
     M_io: tuple
@@ -77,7 +87,7 @@ def ponderomotive_gain(cfg: IfoConfig, omega):
     _check_sideband(omega)
     if any_true(omega == 0.0):
         raise ValueError("sideband frequency must be positive (gain diverges at 0)")
-    return 16.0 * cfg.P * cfg.omega0 / (cfg.M * C_LIGHT**2 * omega**2)
+    return 16.0 * cfg.P * cfg.omega0 / (cfg.M * C_LIGHT**2 * (omega * omega))
 
 
 def effective_src_loss(channels, band_hz=DEFAULT_BAND_HZ) -> float:
@@ -121,19 +131,22 @@ def resolve_band(cfg: IfoConfig, band_hz) -> IfoConfig:
     return replace(cfg, eps_src_channels=(eps_src,))
 
 
-def effective_internal_loss(cfg: IfoConfig, omega):
+def effective_internal_loss(cfg, omega):
     """Lower bound on the internal loss seen from the recycling cavity.
 
     eps_arm enters directly; the recycling-cavity loss is suppressed by
     T_itm/4 at low frequency but grows as (1 + Omega^2/gamma^2) once the
     sideband leaves the arm bandwidth gamma.  Tabulated recycling-loss
     channels not yet fixed by resolve_band are minimised over
-    DEFAULT_BAND_HZ.  An array of omega gives an array.
+    DEFAULT_BAND_HZ.  An array of omega gives an array; cfg may be a tuple
+    of configs, one per frequency of the array.
     """
     _check_sideband(omega)
-    eps_src = effective_src_loss(cfg.eps_src_channels)
-    gamma = arm_bandwidth(cfg)
-    return cfg.eps_arm + 0.25 * cfg.T_itm * (1.0 + (omega / gamma) ** 2) * eps_src
+    eps_arm, t_itm, gamma, eps_src = _per_config(lambda one, _: (
+        one.eps_arm, one.T_itm, arm_bandwidth(one),
+        effective_src_loss(one.eps_src_channels)), cfg, omega)
+    q = omega / gamma
+    return eps_arm + 0.25 * t_itm * (1.0 + q * q) * eps_src
 
 
 def _frequencies(omega) -> np.ndarray:
@@ -147,6 +160,37 @@ def _frequencies(omega) -> np.ndarray:
 
 def _scalar_or_array(x):
     return x if x.ndim else float(x)
+
+
+def _abs2(z):
+    """|z|^2 as a product, which numpy scalars and arrays compute alike."""
+    a = np.abs(z)
+    return a * a
+
+
+def _per_config(f, cfg, w):
+    """f(cfg, w), a tuple of values, for one config.
+
+    For a tuple of N configs, one per point of the (N,) array w,
+    f(cfg_i, w_i) runs for each in turn and each value is stacked into an
+    (N,) array.  A DegeneracyError, OverflowError or ZeroDivisionError of
+    config i is raised as a DegeneracyError at index i, the point a loop
+    over the configs fails at.
+    """
+    if isinstance(cfg, IfoConfig):
+        return f(cfg, w)
+    if np.shape(w) != (len(cfg),):
+        raise ValueError("a tuple of configs needs a 1-D omega of its length")
+    rows = []
+    for i, (one, point) in enumerate(zip(cfg, w)):
+        try:
+            rows.append(f(one, point))
+        except DegeneracyError as exc:
+            exc.index = i
+            raise
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _as_degeneracy(exc, i) from exc
+    return tuple(np.array(values) for values in zip(*rows))
 
 
 def _squeeze_state(cfg: IfoConfig, omega):
@@ -217,20 +261,23 @@ def _loop(cfg: IfoConfig, w):
     return x
 
 
-def io_relation(cfg: IfoConfig, omega) -> IoRelation:
+def io_relation(cfg, omega) -> IoRelation:
     """Input-output relation of the effective cavity.
 
     Returns an IoRelation whose entries are scalars for a scalar omega and
-    (N,) arrays for a 1-D array of N.  Raises
-    LasingThresholdError when the round-trip gain of the loop hits unity,
-    where the cavity inverse does not exist, or exceeds it, where the loop
-    has no steady state, and DegeneracyError where the signal response
-    overflows.
+    (N,) arrays for a 1-D array of N; cfg may be a tuple of N configs, one
+    per frequency.  Raises LasingThresholdError when the round-trip gain of
+    the loop hits unity, where the cavity inverse does not exist, or
+    exceeds it, where the loop has no steady state.  Raises
+    DegeneracyError where the signal response overflows or vanishes (its
+    squared norm underflows to 0), and then where the internal loss is not
+    finite.
     """
     w = _frequencies(omega)
-    x = _in_order(lambda v: _loop(cfg, v), w,
-                  lambda head: io_relation(cfg, head))
-    sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
+    *x, sqrt_r_src, sqrt_t_src, t_src, beta = _in_order(
+        lambda v: _per_config(_loop_stage, cfg, v), w,
+        lambda head: io_relation(
+            cfg if isinstance(cfg, IfoConfig) else cfg[:len(head)], head))
     t11, t12, t21, t22 = (i - sqrt_r_src * e for i, e in zip(_EYE, x))
     det = t11 * t22 - t12 * t21
     det_abs = np.abs(det)
@@ -239,13 +286,13 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
     g = 0.5 * (t11 + t22)
     root = np.sqrt(g * g - det + 0j)
     round_trip = np.maximum(np.abs(1.0 - g - root), np.abs(1.0 - g + root))
-    beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
-    # a point where these divide by a vanishing det, or the signal overflows,
-    # is reported by the checks below
+    # a point where these divide by a vanishing det, or the signal overflows
+    # or underflows, is reported by the checks below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m_c = (t22 / det, -t12 / det, -t21 / det, t11 / det)
         # m_c @ (0, beta)
-        v1, v2 = (math.sqrt(cfg.T_src) * (e * beta) for e in m_c[1::2])
+        v1, v2 = (sqrt_t_src * (e * beta) for e in m_c[1::2])
+        power = _abs2(v1) + _abs2(v2)
     _raise_first(
         (det_abs < LASING_DET_TOL, LasingThresholdError, lambda i: (
             f"recycling loop at lasing threshold (|det| = {det_abs.flat[i]:.2e}) "
@@ -254,16 +301,38 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
             "recycling loop beyond lasing threshold (round-trip eigenvalue "
             f"{round_trip.flat[i]:.4g}) at Omega = {w.flat[i]:.6g} rad/s")),
         (~(np.isfinite(v1) & np.isfinite(v2)), DegeneracyError, lambda i: (
-            f"signal response is not finite at Omega = {w.flat[i]:.6g} rad/s")))
-    m_io = tuple(-sqrt_r_src * i + cfg.T_src * e
+            f"signal response is not finite at Omega = {w.flat[i]:.6g} rad/s")),
+        (power == 0.0, DegeneracyError, lambda i: (
+            f"signal response vanishes at Omega = {w.flat[i]:.6g} rad/s")))
+    m_io = tuple(-sqrt_r_src * i + t_src * e
                  for i, e in zip(_EYE, _mul(m_c, x)))
     return IoRelation(m_io, m_c, (v1, v2), *_couplings(cfg, w))
 
 
-def _couplings(cfg: IfoConfig, w):
-    """(internal, external) loss couplings of io_relation(cfg, w)."""
-    coupling = np.sqrt(cfg.T_src * effective_internal_loss(cfg, w))
-    return _scalar_or_array(coupling), math.sqrt(cfg.eps_ext)
+def _loop_stage(cfg: IfoConfig, w):
+    """The loop entries at w, then sqrt(R_src), sqrt(T_src), T_src and the
+    signal coupling beta of cfg."""
+    x = _loop(cfg, w)
+    beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
+    return (*x, math.sqrt(1.0 - cfg.T_src), math.sqrt(cfg.T_src), cfg.T_src,
+            beta)
+
+
+def _couplings(cfg, w):
+    """(internal, external) loss couplings of io_relation(cfg, w).
+
+    An internal coupling that is not finite, where (Omega / gamma)^2
+    overflows, raises DegeneracyError at the first such Omega.
+    """
+    t_src, external = _per_config(
+        lambda one, _: (one.T_src, math.sqrt(one.eps_ext)), cfg, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = effective_internal_loss(cfg, w)
+        coupling = np.sqrt(t_src * loss)
+    _raise_first((~np.isfinite(coupling), DegeneracyError, lambda i: (
+        f"internal loss {loss.flat[i]:.3g} is not finite at "
+        f"Omega = {w.flat[i]:.6g} rad/s")))
+    return _scalar_or_array(coupling), external
 
 
 def _lossless(cfg: IfoConfig) -> IfoConfig:
@@ -271,22 +340,23 @@ def _lossless(cfg: IfoConfig) -> IfoConfig:
     return replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,), eps_ext=0.0)
 
 
-def _covariance_from(cfg: IfoConfig, io: IoRelation):
-    """(F4 rows, Sigma entries) of the output covariance Sigma = F F^dag.
+def _covariance_from(cfg, w, io: IoRelation):
+    """(F4 rows, Sigma entries, c_ext^2) of the output covariance
+    Sigma = F F^dag over w.
 
     F4 = [M_io S_in, c_int M_c] is the first four columns of the
     square-root factor F = [F4, c_ext I]; each of its two rows is a tuple
     of four entries.  Sigma's diagonal is real and Sigma_21 is
     conj(Sigma_12).
     """
-    p11, p12, p21, p22 = _mul(io.M_io,
-                              squeeze_entries(cfg.r_input, cfg.theta_input))
+    r, theta, ext_sq = _per_config(lambda one, _: (
+        one.r_input, one.theta_input, math.sqrt(one.eps_ext)**2), cfg, w)
+    p11, p12, p21, p22 = _mul(io.M_io, squeeze_entries(r, theta))
     c11, c12, c21, c22 = (io.internal_coupling * e for e in io.M_c)
     rows = (p11, p12, c11, c12), (p21, p22, c21, c22)
-    ext_sq = io.external_coupling**2
-    s11, s22 = (sum(np.abs(e) ** 2 for e in row) + ext_sq for row in rows)
+    s11, s22 = (sum(_abs2(e) for e in row) + ext_sq for row in rows)
     s12 = sum(a * np.conj(b) for a, b in zip(*rows))
-    return rows, (s11, s12, np.conj(s12), s22)
+    return rows, (s11, s12, np.conj(s12), s22), ext_sq
 
 
 def total_covariance(cfg: IfoConfig, omega) -> np.ndarray:
@@ -296,7 +366,8 @@ def total_covariance(cfg: IfoConfig, omega) -> np.ndarray:
     internal loss channel through M_c, and the external loss channel.  A
     1-D array of omega gives a stack of shape (N, 2, 2).
     """
-    return mat2(*_covariance_from(cfg, io_relation(cfg, omega))[1])
+    w = _frequencies(omega)
+    return mat2(*_covariance_from(cfg, w, io_relation(cfg, w))[1])
 
 
 def _in_order(step, w: np.ndarray, evaluate):
@@ -328,22 +399,31 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
         raise ValueError("omega and zeta cannot both be arrays")
     io = _in_order(lambda v: io_relation(cfg, v), w,
                    lambda head: homodyne_spectrum(cfg, head, zeta))
-    return _homodyne_from(w, zeta_arr, io, _covariance_from(cfg, io)[1])
+    return _homodyne_from(w, zeta_arr, io, _covariance_from(cfg, w, io)[1])
 
 
 def _homodyne_from(w, zeta_arr, io: IoRelation, sigma):
-    """homodyne_spectrum over w from its IoRelation and covariance entries."""
+    """homodyne_spectrum over w from its IoRelation and covariance entries.
+
+    zeta_arr broadcasts against w: one angle, angles at a scalar w, or a
+    column of M angles against an (N,) w, which gives (M, N) values.  A
+    frequency with a blind angle fails, and the message names its first
+    blind angle, as a loop over the frequencies and then the angles meets
+    it.
+    """
     s11, s12, _, s22 = sigma
     c, s = np.cos(zeta_arr), np.sin(zeta_arr)
     v1, v2 = io.v
     qv = c * v1 + s * v2
-    blind = np.abs(qv) < BLIND_TOL * np.sqrt(np.abs(v1) ** 2 + np.abs(v2) ** 2)
-    angles = np.broadcast_to(zeta_arr, blind.shape)
-    _raise_first((blind if w.ndim else any_true(blind), BlindQuadratureError,
-                  lambda _: f"readout angle {angles.flat[np.argmax(blind)]:.6g} "
-                            "rad is orthogonal to the signal response"))
+    blind = np.abs(qv) < BLIND_TOL * np.sqrt(_abs2(v1) + _abs2(v2))
+    # one column of angles per frequency
+    by_point = np.reshape(blind, (-1, w.size))
+    angles = np.broadcast_to(zeta_arr, blind.shape).reshape(by_point.shape)
+    _raise_first((by_point.any(axis=0), BlindQuadratureError, lambda i: (
+        f"readout angle {angles[np.argmax(by_point[:, i]), i]:.6g} "
+        "rad is orthogonal to the signal response")))
     noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
-    return _scalar_or_array(noise / np.abs(qv) ** 2)
+    return _scalar_or_array(noise / _abs2(qv))
 
 
 def optimal_spectrum(cfg: IfoConfig, omega):
@@ -361,13 +441,12 @@ def optimal_spectrum(cfg: IfoConfig, omega):
     w = _frequencies(omega)
     io = _in_order(lambda v: io_relation(cfg, v), w,
                    lambda head: optimal_spectrum(cfg, head))
-    return _optimal_from(w, io, _covariance_from(cfg, io))
+    return _optimal_from(w, io, _covariance_from(cfg, w, io))
 
 
 def _optimal_from(w, io: IoRelation, covariance):
     """optimal_spectrum over w from its IoRelation and _covariance_from."""
-    rows, (g11, _, g21, g22) = covariance
-    ext_sq = io.external_coupling**2
+    rows, (g11, _, g21, g22), ext_sq = covariance
     v1, v2 = io.v
     # Gram-Schmidt on the rows of F gives Sigma = L L^dag with L lower
     # triangular, so v^dag Sigma^-1 v = |L^-1 v|^2; forming the residual
@@ -377,11 +456,11 @@ def _optimal_from(w, io: IoRelation, covariance):
         l11 = np.sqrt(g11)
         l21 = g21 / l11
         mu = g21 / g11
-        residual = sum(np.abs(b - mu * a) ** 2 for a, b in zip(*rows))
-        l22 = np.sqrt(residual + ext_sq * (1.0 + np.abs(mu) ** 2))
+        residual = sum(_abs2(b - mu * a) for a, b in zip(*rows))
+        l22 = np.sqrt(residual + ext_sq * (1.0 + _abs2(mu)))
         y1 = v1 / l11
         y2 = (v2 - l21 * y1) / l22
-        quad = np.abs(y1) ** 2 + np.abs(y2) ** 2
+        quad = _abs2(y1) + _abs2(y2)
         # lstsq's rank test sigma_min > 6 eps sigma_max on the singular
         # values of F, which are those of L: their product is |det L| and
         # their squares sum to |L|_F^2 = |F|_F^2
@@ -404,7 +483,7 @@ def _optimal_from(w, io: IoRelation, covariance):
     # det(A) lam^2 - p lam + det(A) det(B) = 0.  Scaling by det(A) keeps a
     # singular A finite: it then yields A's null direction.
     a12 = g21.real
-    b11, b22 = np.abs(v1) ** 2, np.abs(v2) ** 2
+    b11, b22 = _abs2(v1), _abs2(v2)
     b12 = (v1 * v2.conj()).real
     det_a = g11 * g22 - a12 * a12
     p = g11 * b22 + g22 * b11 - 2.0 * a12 * b12
@@ -435,30 +514,36 @@ def qcrb_lossless(cfg: IfoConfig, omega):
 class _Solve:
     """One loop solve over a batch of omega, read by every exact spectrum.
 
-    io_relation(cfg, omega) runs once.  The optimal and every fixed-angle
-    readout share its covariance.  The lossless bound reads the same M_io,
-    M_c and v with lossless couplings: the loop does not depend on loss.
-    Each spectrum is bitwise that of its public function; an error of the
-    solve itself leaves the batch to those functions, which order it.
+    io_relation(cfg, omega) runs once; cfg may be a tuple of configs, one
+    per frequency.  The optimal and every fixed-angle readout share its
+    covariance.  Readouts with the losses of another config read the same
+    M_io, M_c and v with that config's couplings, since the loop does not
+    depend on loss; the lossless bound is one of them.  Each spectrum is
+    bitwise that of its public function; an error of the solve itself
+    leaves the batch to the caller to order.
     """
 
-    def __init__(self, cfg: IfoConfig, omega):
+    def __init__(self, cfg, omega):
         self.cfg, self.w = cfg, _frequencies(omega)
         self.io = io_relation(cfg, self.w)
 
     @functools.cached_property
     def covariance(self):
-        return _covariance_from(self.cfg, self.io)
+        return _covariance_from(self.cfg, self.w, self.io)
 
     def optimal(self):
         return _optimal_from(self.w, self.io, self.covariance)[0]
 
     def homodyne(self, zeta):
+        """homodyne_spectrum at zeta; a column of M angles gives (M, N)."""
         return _homodyne_from(self.w, np.asarray(zeta, dtype=float), self.io,
                               self.covariance[1])
 
-    def qcrb(self):
-        lossless = _lossless(self.cfg)
+    def optimal_with(self, cfg):
+        """optimal() for cfg, the solved config with other losses."""
         io = IoRelation(self.io.M_io, self.io.M_c, self.io.v,
-                        *_couplings(lossless, self.w))
-        return _optimal_from(self.w, io, _covariance_from(lossless, io))[0]
+                        *_couplings(cfg, self.w))
+        return _optimal_from(self.w, io, _covariance_from(cfg, self.w, io))[0]
+
+    def qcrb(self):
+        return self.optimal_with(_lossless(self.cfg))

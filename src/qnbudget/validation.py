@@ -16,7 +16,7 @@ import numpy as np
 from . import fdt, ifo, limits
 from .config import IfoConfig, InternalSqueeze, config_hash
 from .constants import TWO_PI
-from .errors import ConfigError, _as_degeneracy
+from .errors import ConfigError, DegeneracyError, _as_degeneracy
 from .quadrature import (SYMPLECTIC_FORM, ponderomotive_decompose,
                          ponderomotive_matrix, rotation_matrix, squeeze_matrix)
 
@@ -108,21 +108,29 @@ def _check_decomposition() -> CheckResult:
 _CHECK_HZ = np.array([12.0, 110.0, 980.0])
 
 
+def _solve(cfg, omega, first):
+    """ifo._Solve(cfg, omega) for a check whose first spectrum is
+    first(cfg, omega): a failure of the solve is the one that call raises."""
+    return ifo._in_order(lambda w: ifo._Solve(cfg, w), omega,
+                         lambda head: first(cfg, head))
+
+
 def _check_optimal_vs_grid(cfg) -> CheckResult:
     zetas = (np.arange(4000) + 0.5) * math.pi / 4000
-    omega = TWO_PI * _CHECK_HZ
-    s_opt = ifo.optimal_spectrum(cfg, omega)[0]
-    grid_min = np.array([np.min(ifo.homodyne_spectrum(cfg, w, zetas))
-                         for w in omega])
+    solve = _solve(cfg, TWO_PI * _CHECK_HZ, ifo.optimal_spectrum)
+    s_opt = solve.optimal()
+    # one row of the scan per angle, one column per frequency
+    grid_min = np.min(solve.homodyne(zetas[:, None]), axis=0)
     return CheckResult("optimal_vs_grid", _worst(grid_min, s_opt), 1e-3)
 
 
-def _check_monotonicity(rng) -> CheckResult:
-    worst = 0.0
+def _monotonicity_draws(rng):
+    """The 20 (config, omega, config with more loss) draws of the
+    loss_monotonicity check, as (configs, omegas, bumped configs)."""
+    draws = []
     for _ in range(20):
         cfg = random_config(rng)
         omega = TWO_PI * 10.0 ** rng.uniform(math.log10(5.0), math.log10(5e3))
-        s0 = ifo.optimal_spectrum(cfg, omega)[0]
         field = rng.choice(["eps_arm", "eps_ext", "eps_src"])
         if field == "eps_src":
             base = cfg.eps_src_channels[0]
@@ -130,9 +138,46 @@ def _check_monotonicity(rng) -> CheckResult:
         else:
             base = getattr(cfg, field)
             bumped = replace(cfg, **{field: base + rng.uniform(0.0, 0.1 * (1 - base))})
-        s1 = ifo.optimal_spectrum(bumped, omega)[0]
-        worst = max(worst, max(0.0, (s0 - s1) / s0))
-    return CheckResult("loss_monotonicity", worst, 1e-12)
+        draws.append((cfg, omega, bumped))
+    cfgs, omegas, bumped = zip(*draws)
+    return cfgs, np.array(omegas), bumped
+
+
+def _monotonicity_spectra(cfgs, omegas, bumped):
+    """(optimal spectra of cfgs, of bumped) at omegas, one config each.
+
+    bumped[i] differs from cfgs[i] only in its losses, so one loop solve
+    serves both.  A failure is the one a loop over the draws meets first,
+    each draw's config before its bumped copy, with the index 0 of a
+    scalar call.
+    """
+    def spectra(head):
+        n = len(head)
+        solve = ifo._Solve(cfgs[:n], head)
+        return solve.optimal(), solve.optimal_with(bumped[:n])
+
+    def in_draw_order(head):
+        return ifo._in_order(spectra, head, in_draw_order)
+
+    try:
+        return in_draw_order(omegas)
+    except DegeneracyError as exc:
+        exc.index = 0
+        raise
+
+
+def _check_monotonicity(rng) -> CheckResult:
+    """loss_monotonicity: more loss never lowers the optimal spectrum.
+
+    All 20 draws are taken from the generator first, in the order a loop
+    over the draws takes them, since no solve reads it.  One batched solve
+    then evaluates them: one loop solve over all 20 configs, one readout
+    pass with their losses and one with the bumped losses.  A failure is
+    reported in draw order, each config before its bumped copy.
+    """
+    s0, s1 = _monotonicity_spectra(*_monotonicity_draws(rng))
+    return CheckResult("loss_monotonicity",
+                       max(0.0, float(np.max((s0 - s1) / s0))), 1e-12)
 
 
 def _check_fdt(cfg) -> CheckResult:
@@ -159,8 +204,9 @@ def _check_taylor_regime(cfg) -> tuple[CheckResult, CheckResult]:
     """
     small = _taylor_regime(cfg)
     omega = TWO_PI * _CHECK_HZ
-    exact_qcrb = ifo.qcrb_lossless(small, omega)
-    s_full = ifo.optimal_spectrum(small, omega)[0]
+    solve = _solve(small, omega, ifo.qcrb_lossless)
+    exact_qcrb = solve.qcrb()
+    s_full = solve.optimal()
     floor = limits.loss_limit(small, omega, limits.ALPHA_NO_INTERNAL)
     shot = limits.taylor_qcrb_no_internal(small, omega)
     deviations = [_worst(exact_qcrb, shot)]

@@ -7,12 +7,14 @@ traced benchmark run or in qnbench's own self-test.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import qnbudget.ifo
 import qnbudget.limits
+import qnbudget.validation
 from qnbudget import default_config
 
 QNBENCH = Path(__file__).resolve().parent.parent / "qnbench"
@@ -73,3 +75,21 @@ def test_exact_pipeline_calls_its_public_layers(monkeypatch):
         i = tracer.parent[i]
     assert chain == ["ifo.effective_internal_loss", "ifo.io_relation",
                      "ifo.optimal_spectrum"]
+
+
+def test_validate_solves_the_loop_three_times(monkeypatch):
+    # optimal_vs_grid, the 20 loss_monotonicity draws and the Taylor-regime
+    # pair each read one io_relation; no check calls a public spectrum
+    monkeypatch.syspath_prepend(str(QNBENCH))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer(10_000)
+    try:
+        tracer.install()
+        assert qnbudget.validation.run_validation(default_config(), 7).passed
+    finally:
+        tracer.uninstall()
+    calls = Counter(spans.SPAN_NAMES[i] for i in tracer.name_id)
+    assert calls["validation.run_validation"] == 1
+    assert calls["ifo.io_relation"] == 3
+    for name in ("optimal_spectrum", "homodyne_spectrum", "qcrb_lossless"):
+        assert calls[f"ifo.{name}"] == 0, name

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -17,9 +18,11 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       config_hash, config_template, config_to_dict,
                       default_config,
                       evaluate_curve, load_config, loss_limit,
-                      resolve_band, run_budget, run_validation)
+                      optimal_spectrum, resolve_band, run_budget,
+                      run_validation, validation)
 from qnbudget.cli import build_parser, main
 from qnbudget.curves import parse_curve_name
+from qnbudget.errors import _as_degeneracy
 
 
 @pytest.fixture
@@ -553,6 +556,9 @@ class TestCliExitCodes:
          "|r| = inf exceeds the overflow guard"),
         ({"lambda0": 1e-150}, "fdt_floor", "mode.omega_cav**2"),
         ({"P": 1e300}, "full_optimal", "signal response is not finite at"),
+        ({"L": 2.7e-269}, "full_optimal", "signal response vanishes at"),
+        ({"L": 2.7e-269}, "full_fixed_zeta(0.5)", "signal response vanishes at"),
+        ({"T_itm": 1e-300}, "full_optimal", "internal loss inf is not finite at"),
     ])
     def test_finite_extreme_exits_3(self, tmp_path, capsys, change, curve,
                                     fragment):
@@ -569,6 +575,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("change", [
         {"M": 5e-324, "internal_sqz": "ponderomotive"},
         {"P": 1e300},
+        {"L": 2.7e-269},
+        {"T_itm": 1e-300},
     ])
     def test_extreme_exit_3_prints_one_line(self, tmp_path, change):
         # no numpy RuntimeWarning reaches stderr ahead of the message
@@ -583,6 +591,23 @@ class TestCliExitCodes:
         assert done.stderr.startswith(
             "numerical degeneracy: curve 'full_optimal' failed at 5 Hz: ")
         assert done.stderr.count("\n") == 1
+
+    # beta = 0, so the signal's squared norm underflows; and an arm
+    # bandwidth so narrow that (Omega / gamma)^2 overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("change,message", [
+        ({"L": 2.7e-269}, "signal response vanishes at Omega = 31.4159 rad/s"),
+        ({"T_itm": 1e-300},
+         "internal loss inf is not finite at Omega = 31.4159 rad/s"),
+    ])
+    @pytest.mark.parametrize("curve", ["full_optimal", "full_fixed_zeta(0.5)"])
+    def test_degeneracy_named_without_warning(self, tmp_path, capsys, change,
+                                              message, curve):
+        path = write_config(tmp_path, {**config_template(), **change})
+        assert main(["budget", "--config", path, "--points", "4", "--curves",
+                     curve, "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical degeneracy: curve '{curve}' failed at 5 Hz: {message}\n")
 
     def test_degeneracy_chains_original_error(self, cfg):
         with pytest.raises(BlindQuadratureError) as info:
@@ -694,3 +719,123 @@ class TestValidation:
             run_validation(default_config(), seed=-3)
         with pytest.raises(ConfigError, match="^seed: .*, got True$"):
             run_validation(default_config(), seed=True)
+
+
+def per_draw_spectra(cfgs, omegas, bumped):
+    """(config, bumped) optimal spectra of the draws, by scalar calls."""
+    s0, s1 = [], []
+    for cfg, omega, more in zip(cfgs, omegas, bumped):
+        s0.append(optimal_spectrum(cfg, omega)[0])
+        s1.append(optimal_spectrum(more, omega)[0])
+    return s0, s1
+
+
+def first_failing_draw(cfgs, omegas, bumped):
+    """(draw, which config, DegeneracyError) of the first scalar call over
+    the draws that fails, each config before its bumped copy."""
+    for k, (cfg, omega, more) in enumerate(zip(cfgs, omegas, bumped)):
+        for which, one in (("config", cfg), ("bumped", more)):
+            try:
+                optimal_spectrum(one, omega)
+            except ArithmeticError as exc:
+                return k, which, _as_degeneracy(exc)
+    return None
+
+
+def lasing(cfg):
+    # e^r sqrt(R_src) > 1 on the tuned loop: beyond threshold everywhere
+    r = -math.log(1.0 - cfg.T_src)
+    return replace(cfg, Theta=0.0,
+                   internal_sqz=InternalSqueeze("fixed", r=r, theta=0.0))
+
+
+def singular(cfg):
+    # lossless with e^(-2 r_input) below lstsq's rank tolerance
+    return replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,), eps_ext=0.0,
+                   r_input=17.5)
+
+
+def bumped_singular(cfg):
+    # no recycling loss and a tiny signal: an added recycling loss, grown by
+    # (Omega / gamma)^2 ~ 1e300, drives the quadratic form below 1e-324
+    return replace(cfg, P=1e-240, T_itm=1e-153, eps_src_channels=(0.0,))
+
+
+def overflow(cfg):
+    # L**2 overflows in Python's scalar arithmetic
+    return replace(cfg, L=1e300)
+
+
+def guard(cfg):
+    # radiation pressure on a 1e-20 kg mirror squeezes beyond the loop's
+    # overflow guard across the band
+    return replace(cfg, M=1e-20, internal_sqz=InternalSqueeze("ponderomotive"))
+
+
+class TestMonotonicityBatch:
+    """loss_monotonicity evaluates its 20 draws in one batch; its spectra
+    and errors are those of a loop of scalar calls over the draws."""
+
+    def test_batch_equals_per_draw_calls(self):
+        for seed in range(300):
+            draws = validation._monotonicity_draws(np.random.default_rng(seed))
+            s0, s1 = validation._monotonicity_spectra(*draws)
+            want0, want1 = per_draw_spectra(*draws)
+            assert s0.tobytes() == np.array(want0).tobytes(), seed
+            assert s1.tobytes() == np.array(want1).tobytes(), seed
+            worst = 0.0
+            for a, b in zip(want0, want1):
+                worst = max(worst, max(0.0, (a - b) / a))
+            check = validation._check_monotonicity(np.random.default_rng(seed))
+            assert check.deviation == worst, seed
+
+    # plan(j) -> {draw: planted config}; draw j of seed 11 bumps the
+    # recycling loss, which bumped_singular needs
+    @pytest.mark.parametrize("plan,first", [
+        pytest.param(lambda j: {3: lasing}, "config", id="lasing"),
+        pytest.param(lambda j: {0: singular, 1: lasing}, "config",
+                     id="singular,lasing"),
+        pytest.param(lambda j: {7: singular, 12: lasing}, "config",
+                     id="singular,later-lasing"),
+        pytest.param(lambda j: {12: lasing, 7: singular, 19: overflow},
+                     "config", id="singular,lasing,overflow"),
+        pytest.param(lambda j: {4: overflow, 9: lasing}, "config",
+                     id="overflow,lasing"),
+        pytest.param(lambda j: {9: overflow, 4: lasing}, "config",
+                     id="lasing,overflow"),
+        pytest.param(lambda j: {6: singular, 9: guard}, "config",
+                     id="singular,guard"),
+        pytest.param(lambda j: {j: bumped_singular, j + 1: lasing}, "bumped",
+                     id="bumped,lasing"),
+        pytest.param(lambda j: {j: bumped_singular, j + 1: singular},
+                     "bumped", id="bumped,singular"),
+        pytest.param(lambda j: {j: bumped_singular, j + 1: overflow},
+                     "bumped", id="bumped,overflow"),
+        pytest.param(lambda j: {j: bumped_singular, j + 1: guard}, "bumped",
+                     id="bumped,guard"),
+        pytest.param(lambda j: {j + 1: bumped_singular, j: bumped_singular,
+                                j + 2: lasing}, "bumped",
+                     id="bumped,bumped,lasing"),
+    ])
+    def test_failure_is_the_first_a_loop_over_draws_meets(self, monkeypatch,
+                                                          plan, first):
+        seed, j = 11, 5
+        draws = validation._monotonicity_draws(np.random.default_rng(seed))
+        assert draws[2][j].eps_src_channels != draws[0][j].eps_src_channels
+        plan = plan(j)
+        real = validation.random_config
+        count = itertools.count()
+
+        def draw(rng):
+            cfg, k = real(rng), next(count)
+            return plan[k](cfg) if k in plan else cfg
+
+        monkeypatch.setattr(validation, "random_config", draw)
+        draws = validation._monotonicity_draws(np.random.default_rng(seed))
+        count = itertools.count()   # the check below draws from draw 0 again
+        k, which, want = first_failing_draw(*draws)
+        assert (k, which) == (min(plan), first)
+        with pytest.raises(DegeneracyError) as info:
+            validation._check_monotonicity(np.random.default_rng(seed))
+        got = info.value
+        assert (type(got), str(got), got.index) == (type(want), str(want), 0)

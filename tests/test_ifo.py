@@ -332,6 +332,21 @@ class TestIoRelation:
             math.sqrt(cfg.T_src * eps_int), rel=1e-12)
         assert io.external_coupling == pytest.approx(math.sqrt(0.1), rel=1e-12)
 
+    def test_tuple_of_configs_is_one_config_per_frequency(self, cfg):
+        cfgs = (cfg, replace(cfg, T_src=0.3, eps_ext=0.2, P=1e5),
+                replace(cfg, Theta=FreqTable((1.0, 1e4), (-0.1, 0.2))))
+        omegas = TWO_PI * np.array([30.0, 300.0, 3000.0])
+        io = io_relation(cfgs, omegas)
+        for k, (one, omega) in enumerate(zip(cfgs, omegas)):
+            alone = io_relation(one, omega)
+            for got, want in zip((*io.M_io, *io.M_c, *io.v), (
+                    *alone.M_io, *alone.M_c, *alone.v)):
+                assert got[k] == want
+            assert io.internal_coupling[k] == alone.internal_coupling
+            assert io.external_coupling[k] == alone.external_coupling
+        with pytest.raises(ValueError, match="tuple of configs"):
+            io_relation(cfgs, omegas[:2])
+
     def test_lasing_threshold_error(self, cfg):
         r_crit = -0.5 * math.log(1 - cfg.T_src)
         c = replace(cfg, internal_sqz=InternalSqueeze("fixed", r=r_crit))

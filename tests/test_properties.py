@@ -115,6 +115,28 @@ def test_array_call_equals_scalar_calls(cfg, f_hz):
 
 
 @PROFILE
+@given(configs, st.floats(0.0, 1.0))
+def test_scalar_call_is_element_of_array_call(cfg, shift):
+    # each per-point square is a product, which numpy computes alike for
+    # scalars and arrays; a complex product of two numpy scalars rounds
+    # differently from the vectorised loop, so a loop made complex by a
+    # residual phase agrees to rounding only.  A last-bit difference shows
+    # at a few points in a thousand, hence the dense grid.
+    omegas = TWO_PI * np.geomspace(5.0, 5000.0, 64) * 1.1**shift
+    try:
+        batch = np.array([*optimal_spectrum(cfg, omegas),
+                          homodyne_spectrum(cfg, omegas, 0.7)])
+    except DegeneracyError:
+        assume(False)
+    one = np.array([(*optimal_spectrum(cfg, w), homodyne_spectrum(cfg, w, 0.7))
+                    for w in omegas]).T
+    if cfg.residual_phase == 0.0:
+        assert one.tobytes() == batch.tobytes()
+    else:
+        assert_close(one[[0, 2]], batch[[0, 2]])
+
+
+@PROFILE
 @given(configs, frequencies,
        st.lists(st.floats(0.0, math.pi), min_size=1, max_size=8))
 def test_optimal_below_every_readout_angle(cfg, f_hz, zetas):
