@@ -62,7 +62,9 @@ def mode_for(cfg: IfoConfig) -> CavityMode:
 
 
 def _denominator(mode: CavityMode, omega: float) -> complex:
-    return (mode.gamma_eps - 1j * omega) ** 2 + mode.omega_cav**2
+    # omega_cav**2 first: a resonance whose square overflows raises
+    # OverflowError before numpy squares the array term and warns
+    return mode.omega_cav**2 + (mode.gamma_eps - 1j * omega) ** 2
 
 
 def chi_phase_phase(mode: CavityMode, omega: float) -> complex:

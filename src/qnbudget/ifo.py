@@ -405,22 +405,25 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
 def _homodyne_from(w, zeta_arr, io: IoRelation, sigma):
     """homodyne_spectrum over w from its IoRelation and covariance entries.
 
-    zeta_arr broadcasts against w: one angle, angles at a scalar w, or a
-    column of M angles against an (N,) w, which gives (M, N) values.  A
-    frequency with a blind angle fails, and the message names its first
-    blind angle, as a loop over the frequencies and then the angles meets
-    it.
+    One angle gives a value per point of w, angles at a scalar w a value per
+    angle, and a row of M angles against an (N,) w gives (N, M) values, one
+    row per frequency.  A frequency with a blind angle fails, and the
+    message names its first blind angle, as a loop over the frequencies and
+    then the angles meets it.
     """
     s11, s12, _, s22 = sigma
-    c, s = np.cos(zeta_arr), np.sin(zeta_arr)
     v1, v2 = io.v
+    if w.ndim and zeta_arr.ndim:
+        # one row of angles per frequency
+        s11, s12, s22, v1, v2 = (np.reshape(e, (-1, 1))
+                                 for e in (s11, s12, s22, v1, v2))
+    c, s = np.cos(zeta_arr), np.sin(zeta_arr)
     qv = c * v1 + s * v2
     blind = np.abs(qv) < BLIND_TOL * np.sqrt(_abs2(v1) + _abs2(v2))
-    # one column of angles per frequency
-    by_point = np.reshape(blind, (-1, w.size))
+    by_point = np.reshape(blind, (w.size, -1))
     angles = np.broadcast_to(zeta_arr, blind.shape).reshape(by_point.shape)
-    _raise_first((by_point.any(axis=0), BlindQuadratureError, lambda i: (
-        f"readout angle {angles[np.argmax(by_point[:, i]), i]:.6g} "
+    _raise_first((by_point.any(axis=1), BlindQuadratureError, lambda i: (
+        f"readout angle {angles[i, np.argmax(by_point[i])]:.6g} "
         "rad is orthogonal to the signal response")))
     noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
     return _scalar_or_array(noise / _abs2(qv))
@@ -441,11 +444,13 @@ def optimal_spectrum(cfg: IfoConfig, omega):
     w = _frequencies(omega)
     io = _in_order(lambda v: io_relation(cfg, v), w,
                    lambda head: optimal_spectrum(cfg, head))
-    return _optimal_from(w, io, _covariance_from(cfg, w, io))
+    covariance = _covariance_from(cfg, w, io)
+    return _optimal_from(w, io, covariance), _optimal_angle(io, covariance)
 
 
 def _optimal_from(w, io: IoRelation, covariance):
-    """optimal_spectrum over w from its IoRelation and _covariance_from."""
+    """The spectrum of optimal_spectrum over w from its IoRelation and
+    _covariance_from."""
     rows, (g11, _, g21, g22), ext_sq = covariance
     v1, v2 = io.v
     # Gram-Schmidt on the rows of F gives Sigma = L L^dag with L lower
@@ -475,16 +480,27 @@ def _optimal_from(w, io: IoRelation, covariance):
         (~(np.isfinite(quad) & (quad > 0.0)), DegeneracyError,
          lambda i: ("degenerate covariance quadratic form at "
                     f"Omega = {w.flat[i]:.6g} rad/s")))
-    s_min = 1.0 / quad
+    return _scalar_or_array(1.0 / quad)
 
+
+def _optimal_angle(io: IoRelation, covariance):
+    """The zeta_opt of optimal_spectrum, from its IoRelation and
+    _covariance_from."""
+    _, (g11, _, g21, g22), _ = covariance
+    v1, v2 = io.v
     # a real readout direction q sees noise q.A.q and signal q.B.q, with
     # A = Re Sigma and B = Re(v v^dag); the best q spans the null space of
     # C = det(A) B - lam A for the larger root lam of
     # det(A) lam^2 - p lam + det(A) det(B) = 0.  Scaling by det(A) keeps a
-    # singular A finite: it then yields A's null direction.
+    # singular A finite: it then yields A's null direction.  The angle does
+    # not depend on the scale of B, which is divided by the power of two
+    # of its largest entry: an exact step that keeps a strong signal's
+    # products below overflow.
     a12 = g21.real
     b11, b22 = _abs2(v1), _abs2(v2)
     b12 = (v1 * v2.conj()).real
+    _, exponent = np.frexp(np.maximum(np.maximum(b11, b22), np.abs(b12)))
+    b11, b22, b12 = (np.ldexp(b, -exponent) for b in (b11, b22, b12))
     det_a = g11 * g22 - a12 * a12
     p = g11 * b22 + g22 * b11 - 2.0 * a12 * b12
     lam = 0.5 * (p + np.sqrt(np.maximum(
@@ -496,8 +512,7 @@ def _optimal_from(w, io: IoRelation, covariance):
     # alpha, so (c22 - c11, -2 c12) = s (cos 2 alpha, sin 2 alpha); q is
     # orthogonal to u
     alpha = 0.5 * np.arctan2(-2.0 * c12, c22 - c11)
-    zeta_opt = (alpha + 0.5 * math.pi) % math.pi
-    return _scalar_or_array(s_min), _scalar_or_array(zeta_opt)
+    return _scalar_or_array((alpha + 0.5 * math.pi) % math.pi)
 
 
 def qcrb_lossless(cfg: IfoConfig, omega):
@@ -532,10 +547,10 @@ class _Solve:
         return _covariance_from(self.cfg, self.w, self.io)
 
     def optimal(self):
-        return _optimal_from(self.w, self.io, self.covariance)[0]
+        return _optimal_from(self.w, self.io, self.covariance)
 
     def homodyne(self, zeta):
-        """homodyne_spectrum at zeta; a column of M angles gives (M, N)."""
+        """homodyne_spectrum at zeta; a row of M angles gives (N, M)."""
         return _homodyne_from(self.w, np.asarray(zeta, dtype=float), self.io,
                               self.covariance[1])
 
@@ -543,7 +558,7 @@ class _Solve:
         """optimal() for cfg, the solved config with other losses."""
         io = IoRelation(self.io.M_io, self.io.M_c, self.io.v,
                         *_couplings(cfg, self.w))
-        return _optimal_from(self.w, io, _covariance_from(cfg, self.w, io))[0]
+        return _optimal_from(self.w, io, _covariance_from(cfg, self.w, io))
 
     def qcrb(self):
         return self.optimal_with(_lossless(self.cfg))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -17,10 +18,12 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       LasingThresholdError,
                       config_hash, config_template, config_to_dict,
                       default_config,
-                      evaluate_curve, load_config, loss_limit,
+                      evaluate_curve, homodyne_spectrum, ifo,
+                      io_relation, load_config, loss_limit,
                       optimal_spectrum, resolve_band, run_budget,
                       run_validation, validation)
 from qnbudget.cli import build_parser, main
+from qnbudget.constants import TWO_PI
 from qnbudget.curves import parse_curve_name
 from qnbudget.errors import _as_degeneracy
 
@@ -711,6 +714,24 @@ class TestValidation:
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 2
 
+    # signal responses beyond 1e77, where the optimal angle's products
+    # overflowed; the tiny wavelength also overflows the fdt oracle's
+    # resonance squared
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("change,code,err", [
+        ({"L": 1e57}, 0, ""),
+        ({"lambda0": 9.57e-195}, 3,
+         "numerical degeneracy: arithmetic on the config's constants failed "
+         "in `return mode.omega_cav**2 + (mode.gamma_eps - 1j * omega) ** 2` "
+         "(OverflowError: "),
+    ])
+    def test_strong_signal_validates_without_warning(self, tmp_path, capsys,
+                                                     change, code, err):
+        path = write_config(tmp_path, {**config_template(), **change})
+        assert main(["validate", "--config", path]) == code
+        got = capsys.readouterr().err
+        assert got.startswith(err) and got.count("\n") == bool(err)
+
     def test_negative_seed_is_config_error(self, capsys):
         # exit 1 means a failed check; a seed numpy rejects is a bad input
         assert main(["validate", "--seed", "-1"]) == 2
@@ -839,3 +860,93 @@ class TestMonotonicityBatch:
             validation._check_monotonicity(np.random.default_rng(seed))
         got = info.value
         assert (type(got), str(got), got.index) == (type(want), str(want), 0)
+
+
+def scan_by_frequency(cfg, omega, zetas):
+    """homodyne_spectrum over zetas at each frequency in turn, as (N, M)
+    rows, or the BlindQuadratureError of the first frequency that fails."""
+    rows = []
+    for k, w in enumerate(omega):
+        try:
+            rows.append(homodyne_spectrum(cfg, w, zetas))
+        except BlindQuadratureError as exc:
+            return k, exc
+    return np.array(rows)
+
+
+class TestGridScan:
+    """optimal_vs_grid scans its angles with one row per frequency; each row
+    is that frequency's angle scan."""
+
+    OMEGA = TWO_PI * validation._CHECK_HZ
+
+    def test_rows_equal_per_frequency_scans(self):
+        rng = np.random.default_rng(15)
+        zetas = validation._GRID_ZETAS
+        for i in range(200):
+            cfg = validation.random_config(rng)
+            got = ifo._Solve(cfg, self.OMEGA).homodyne(zetas)
+            want = scan_by_frequency(cfg, self.OMEGA, zetas)
+            assert got.shape == (3, zetas.size), i
+            assert got.tobytes() == want.tobytes(), i
+
+    @staticmethod
+    def blind_angle(cfg, omega):
+        v1, v2 = io_relation(cfg, omega).v
+        return math.atan2(-v1, v2) % math.pi
+
+    @pytest.mark.parametrize("plant", [
+        pytest.param({1: [2100]}, id="one"),
+        # frequency 1 before 2, though 2's blind angle comes first in the row
+        pytest.param({2: [700], 1: [2100]}, id="first-frequency"),
+        # the same direction twice at frequency 1: the first in the row
+        pytest.param({1: [3000, 900]}, id="first-angle"),
+    ])
+    def test_blind_angle_is_the_one_a_loop_meets(self, plant):
+        # radiation pressure turns the signal direction with frequency, so
+        # each frequency has its own blind angle
+        cfg = replace(validation.random_config(np.random.default_rng(3)),
+                      internal_sqz=InternalSqueeze("ponderomotive"))
+        zetas = validation._GRID_ZETAS.copy()
+        for k, columns in plant.items():
+            zeta = self.blind_angle(cfg, self.OMEGA[k])
+            for turns, j in enumerate(columns):
+                zetas[j] = zeta + turns * math.pi
+        k, want = scan_by_frequency(cfg, self.OMEGA, zetas)
+        assert k == min(plant)
+        assert str(want).startswith(
+            f"readout angle {zetas[min(plant[k])]:.6g} rad ")
+        with pytest.raises(BlindQuadratureError) as info:
+            ifo._Solve(cfg, self.OMEGA).homodyne(zetas)
+        assert (str(info.value), info.value.index) == (str(want), k)
+
+
+def draw_stream_digest(draws):
+    return hashlib.sha256(json.dumps(draws, separators=(",", ":"))
+                          .encode()).hexdigest()
+
+
+class TestDrawStream:
+    """random_config and the loss_monotonicity draws take the generator
+    calls they always took: `validate --seed` and the benchmark's config
+    pool replay them.  Each digest covers the drawn configs and the
+    generator's next uniform draw after them."""
+
+    def test_random_config(self):
+        draws = []
+        for i in range(500):
+            rng = np.random.default_rng([18071173, i])
+            draws.append([config_to_dict(validation.random_config(rng)),
+                          rng.uniform()])
+        assert draw_stream_digest(draws) == (
+            "6b408da01f8c7bf5444cce1054d87102376d6717d9bec9c8d767a248cfd60859")
+
+    def test_monotonicity_draws(self):
+        draws = []
+        for i in range(500):
+            rng = np.random.default_rng(i)
+            cfgs, omegas, bumped = validation._monotonicity_draws(rng)
+            draws.append([[config_to_dict(c) for c in cfgs], omegas.tolist(),
+                          [config_to_dict(c) for c in bumped], rng.uniform()])
+        assert draw_stream_digest(draws) == (
+            "adbd47761c120b00a18f2a4c59ccea08d04a65192e6ddcf062e8883db43d95e1")

@@ -10,7 +10,8 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, ConfigError, DegeneracyError,
                       FreqTable,
                       InternalSqueeze, LasingThresholdError,
-                      arm_bandwidth, default_config,
+                      arm_bandwidth, config_from_dict, config_template,
+                      default_config,
                       effective_internal_loss, effective_src_loss,
                       evaluate_curve, homodyne_spectrum, io_relation,
                       loop_matrix, loss_limit, mat2, optimal_spectrum,
@@ -482,6 +483,33 @@ class TestOptimal:
             for bump in (replace(c, eps_arm=min(c.eps_arm + 1e-4, 0.999)),
                          replace(c, eps_ext=min(c.eps_ext + 0.05, 0.999))):
                 assert optimal_spectrum(bump, omega)[0] >= s0 * (1 - 1e-12)
+
+    # a signal response near 1e77 and beyond, where b11 * b22 overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("change", [{"L": 1e57}, {"lambda0": 9.57e-195}])
+    def test_angle_of_a_strong_signal(self, change):
+        c = config_from_dict({**config_template(), **change})
+        omega = TWO_PI * np.geomspace(5.0, 5000.0, 50)
+        assert np.abs(np.array(io_relation(c, omega).v)).max() > 1e77
+        s, zeta = optimal_spectrum(c, omega)
+        assert np.all((0 <= zeta) & (zeta < math.pi))
+        attained = np.array([homodyne_spectrum(c, w, z)
+                             for w, z in zip(omega, zeta)])
+        assert np.abs(attained / s - 1.0).max() < 1e-15
+
+    def test_angle_only_where_returned(self, cfg, monkeypatch):
+        # the exact curves and validate read spectra only
+        from qnbudget import ifo, run_validation
+
+        def no_angle(*args):
+            raise AssertionError("optimal angle computed")
+
+        monkeypatch.setattr(ifo, "_optimal_angle", no_angle)
+        for name in ("full_optimal", "qcrb", "full_fixed_zeta(0.5)"):
+            evaluate_curve(name, cfg, np.array([10.0, 100.0]))
+        assert run_validation(cfg).passed
+        with pytest.raises(AssertionError, match="optimal angle computed"):
+            optimal_spectrum(cfg, OMEGA)
 
 
 class TestQcrbLossless:
