@@ -53,36 +53,33 @@ def parse_curve_name(name: str) -> tuple[str, float | None]:
         f"unknown curve {name!r}; choose from {', '.join(CURVE_CHOICES)}")
 
 
-# kind -> f(cfg, omega array, parameter), each returning the PSD over omega
-# (a constant where the curve does not depend on frequency); the module
-# functions are looked up at call time, so wrappers installed on them apply
+# kind -> f(chunk, parameter), the PSD over a grid chunk (a constant where
+# the curve does not depend on frequency).  The chunk is its ifo._Solve:
+# the exact curves read its loop solve, the closed forms only its cfg and w.
+# Module functions are looked up at call time, so wrappers on them apply
 _CURVES = {
-    "sql": lambda cfg, w, _: limits.sql(cfg, w),
-    "qcrb": lambda cfg, w, _: ifo.qcrb_lossless(cfg, w),
-    "loss_limit_a1": lambda cfg, w, _: limits.loss_limit(
-        cfg, w, limits.ALPHA_INTERNAL),
-    "loss_limit_a4": lambda cfg, w, _: limits.loss_limit(
-        cfg, w, limits.ALPHA_NO_INTERNAL),
-    "full_optimal": lambda cfg, w, _: ifo.optimal_spectrum(cfg, w)[0],
-    "full_fixed_zeta": lambda cfg, w, zeta: ifo.homodyne_spectrum(cfg, w, zeta),
-    "fdt_floor": lambda cfg, w, _: fdt.loss_floor_fdt(cfg, w),
-    "taylor_qcrb_internal": lambda cfg, w, _: limits.taylor_qcrb_internal(
-        cfg, w),
-    "taylor_qcrb_no_internal": lambda cfg, w, _: limits.taylor_qcrb_no_internal(
-        cfg, w),
-    "taylor_loss_internal": lambda cfg, w, _: limits.taylor_loss_internal(
-        cfg, w),
-    "taylor_loss_no_internal": lambda cfg, w, _: limits.taylor_loss_no_internal(
-        cfg, w),
+    "sql": lambda chunk, _: limits.sql(chunk.cfg, chunk.w),
+    "qcrb": lambda chunk, _: chunk.read(ifo._Solve.qcrb),
+    "loss_limit_a1": lambda chunk, _: limits.loss_limit(
+        chunk.cfg, chunk.w, limits.ALPHA_INTERNAL),
+    "loss_limit_a4": lambda chunk, _: limits.loss_limit(
+        chunk.cfg, chunk.w, limits.ALPHA_NO_INTERNAL),
+    "full_optimal": lambda chunk, _: chunk.read(ifo._Solve.optimal),
+    "full_fixed_zeta": lambda chunk, zeta: chunk.read(
+        lambda solve: solve.homodyne(zeta)),
+    "fdt_floor": lambda chunk, _: fdt.loss_floor_fdt(chunk.cfg, chunk.w),
+    "taylor_qcrb_internal": lambda chunk, _: limits.taylor_qcrb_internal(
+        chunk.cfg, chunk.w),
+    "taylor_qcrb_no_internal": lambda chunk, _: limits.taylor_qcrb_no_internal(
+        chunk.cfg, chunk.w),
+    "taylor_loss_internal": lambda chunk, _: limits.taylor_loss_internal(
+        chunk.cfg, chunk.w),
+    "taylor_loss_no_internal": lambda chunk, _: limits.taylor_loss_no_internal(
+        chunk.cfg, chunk.w),
 }
 
-# the exact pipeline's kinds -> f(chunk's ifo._Solve, parameter): the exact
-# curves of one walk read one loop solve per chunk
-_FROM_SOLVE = {
-    "qcrb": lambda solve, _: solve.qcrb(),
-    "full_optimal": lambda solve, _: solve.optimal(),
-    "full_fixed_zeta": lambda solve, zeta: solve.homodyne(zeta),
-}
+# the kinds of the exact pipeline, which read the chunk's loop solve
+_EXACT = ("qcrb", "full_optimal", "full_fixed_zeta")
 
 BASE_CURVES = tuple(kind for kind in _CURVES if kind != "full_fixed_zeta")
 CURVE_CHOICES = BASE_CURVES + ("full_fixed_zeta(<rad>)",)
@@ -111,7 +108,7 @@ def _evaluate(names, cfg: IfoConfig, f_hz) -> dict:
     """
     f_hz = np.asarray(f_hz, dtype=float)
     exact = tuple(dict.fromkeys(
-        name for name in names if parse_curve_name(name)[0] in _FROM_SOLVE))
+        name for name in names if parse_curve_name(name)[0] in _EXACT))
     spectra = {}
     for name in names:
         if name not in exact:
@@ -128,27 +125,17 @@ def _walk(names, cfg: IfoConfig, f_hz: np.ndarray) -> dict:
     over the chunks.
 
     A curve that fails stops the walk for itself and every name after it,
-    which a loop over the names would not reach.  Where the shared solve
-    fails in a chunk, each exact curve runs alone there, so its own checks
-    order the failure.
+    which a loop over the names would not reach.
     """
     live = [(name, *parse_curve_name(name)) for name in names]
     out = {name: np.empty(len(f_hz)) for name in names}
     for start in range(0, len(f_hz), CHUNK_POINTS):
         chunk = f_hz[start:start + CHUNK_POINTS]
-        w = TWO_PI * chunk
-        solve = None
-        if any(kind in _FROM_SOLVE for _, kind, _ in live):
-            try:
-                solve = ifo._Solve(cfg, w)
-            except ArithmeticError:
-                pass
+        solve = ifo._Solve(cfg, TWO_PI * chunk)
         for k, (name, kind, param) in enumerate(live):
             values = out[name][start:start + len(chunk)]
             try:
-                values[:] = (_FROM_SOLVE[kind](solve, param)
-                             if solve is not None and kind in _FROM_SOLVE
-                             else _CURVES[kind](cfg, w, param))
+                values[:] = _CURVES[kind](solve, param)
                 _raise_first((~(np.isfinite(values) & (values >= 0.0)),
                               DegeneracyError,
                               lambda i: f"PSD value {values[i]:.6g} is not "

@@ -10,14 +10,14 @@ entries (m11, m12, m21, m22), each an (N,) array over a batch of N
 frequencies, so a batch is evaluated in one pass of elementwise arithmetic;
 a scalar omega runs the same code on numpy scalars and gives bitwise the
 matching element of an array call (each per-point square is written as a
-product, which numpy computes alike for scalars and arrays), except where
-a residual phase makes the loop complex: numpy rounds a product of two
-complex scalars differently from its vectorised loop.  io_relation
-and effective_internal_loss also take a tuple of N configs, one per
-frequency of the array: each config's constants are computed as for one
-config and stacked into (N,) arrays, so a batch of configs runs the same
-code too.  loop_matrix and total_covariance assemble the entries into 2x2
-matrices or (N, 2, 2) stacks.
+product, which numpy computes alike for scalars and arrays), except where a
+residual phase makes the loop complex: numpy rounds a product of two complex
+scalars differently from its vectorised loop.  io_relation and
+effective_internal_loss also take a tuple of N configs, one per frequency:
+each config's constants are computed as for one config and stacked into
+(N,) arrays.  Every exact spectrum, public or a budget curve or a validate
+check, is read from one loop solve, a _Solve, which raises the failure a
+loop over the points meets first: the lowest index, then pipeline order.
 """
 
 from __future__ import annotations
@@ -275,9 +275,7 @@ def io_relation(cfg, omega) -> IoRelation:
     """
     w = _frequencies(omega)
     *x, sqrt_r_src, sqrt_t_src, t_src, beta = _in_order(
-        lambda v: _per_config(_loop_stage, cfg, v), w,
-        lambda head: io_relation(
-            cfg if isinstance(cfg, IfoConfig) else cfg[:len(head)], head))
+        lambda: _per_config(_loop_stage, cfg, w), cfg, w, io_relation)
     t11, t12, t21, t22 = (i - sqrt_r_src * e for i, e in zip(_EYE, x))
     det = t11 * t22 - t12 * t21
     det_abs = np.abs(det)
@@ -293,6 +291,7 @@ def io_relation(cfg, omega) -> IoRelation:
         # m_c @ (0, beta)
         v1, v2 = (sqrt_t_src * (e * beta) for e in m_c[1::2])
         power = _abs2(v1) + _abs2(v2)
+    couplings, coupling_check = _couplings(cfg, w)
     _raise_first(
         (det_abs < LASING_DET_TOL, LasingThresholdError, lambda i: (
             f"recycling loop at lasing threshold (|det| = {det_abs.flat[i]:.2e}) "
@@ -303,10 +302,11 @@ def io_relation(cfg, omega) -> IoRelation:
         (~(np.isfinite(v1) & np.isfinite(v2)), DegeneracyError, lambda i: (
             f"signal response is not finite at Omega = {w.flat[i]:.6g} rad/s")),
         (power == 0.0, DegeneracyError, lambda i: (
-            f"signal response vanishes at Omega = {w.flat[i]:.6g} rad/s")))
+            f"signal response vanishes at Omega = {w.flat[i]:.6g} rad/s")),
+        coupling_check)
     m_io = tuple(-sqrt_r_src * i + t_src * e
                  for i, e in zip(_EYE, _mul(m_c, x)))
-    return IoRelation(m_io, m_c, (v1, v2), *_couplings(cfg, w))
+    return IoRelation(m_io, m_c, (v1, v2), *couplings)
 
 
 def _loop_stage(cfg: IfoConfig, w):
@@ -319,20 +319,20 @@ def _loop_stage(cfg: IfoConfig, w):
 
 
 def _couplings(cfg, w):
-    """(internal, external) loss couplings of io_relation(cfg, w).
+    """((internal, external) loss couplings of io_relation(cfg, w), check).
 
-    An internal coupling that is not finite, where (Omega / gamma)^2
-    overflows, raises DegeneracyError at the first such Omega.
+    The check, for _raise_first, fails where the internal coupling is not
+    finite, where (Omega / gamma)^2 overflows.
     """
     t_src, external = _per_config(
         lambda one, _: (one.T_src, math.sqrt(one.eps_ext)), cfg, w)
     with np.errstate(over="ignore", invalid="ignore"):
         loss = effective_internal_loss(cfg, w)
         coupling = np.sqrt(t_src * loss)
-    _raise_first((~np.isfinite(coupling), DegeneracyError, lambda i: (
-        f"internal loss {loss.flat[i]:.3g} is not finite at "
-        f"Omega = {w.flat[i]:.6g} rad/s")))
-    return _scalar_or_array(coupling), external
+    return (_scalar_or_array(coupling), external), (
+        ~np.isfinite(coupling), DegeneracyError, lambda i: (
+            f"internal loss {loss.flat[i]:.3g} is not finite at "
+            f"Omega = {w.flat[i]:.6g} rad/s"))
 
 
 def _lossless(cfg: IfoConfig) -> IfoConfig:
@@ -366,22 +366,22 @@ def total_covariance(cfg: IfoConfig, omega) -> np.ndarray:
     internal loss channel through M_c, and the external loss channel.  A
     1-D array of omega gives a stack of shape (N, 2, 2).
     """
-    w = _frequencies(omega)
-    return mat2(*_covariance_from(cfg, w, io_relation(cfg, w))[1])
+    return _Solve(cfg, omega).read(lambda solve: mat2(*solve.covariance[1]))
 
 
-def _in_order(step, w: np.ndarray, evaluate):
-    """step(w), one stage of a caller that has checks of its own.
+def _in_order(step, cfg, w: np.ndarray, evaluate):
+    """step(), one stage over the points w of cfg with checks of its own.
 
-    When the stage fails at point k of the batch, evaluate(w[:k]) first runs
-    the caller on the points before it, so a failure that a loop over the
-    points meets earlier is the one raised.
+    When it fails at point k, evaluate(cfg, w[:k]) first runs the caller on
+    the points before it (and their configs, for a tuple of configs), so a
+    failure that a loop over the points meets earlier is the one raised.
     """
     try:
-        return step(w)
+        return step()
     except DegeneracyError as exc:
-        if exc.index:
-            evaluate(w[:exc.index])
+        k = exc.index
+        if k:
+            evaluate(cfg if isinstance(cfg, IfoConfig) else cfg[:k], w[:k])
         raise
 
 
@@ -391,15 +391,19 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
     Either omega or zeta may be a 1-D array, not both: a scalar omega with
     an array of angles scans the readout angle at one frequency, an array
     of omega with one angle gives the spectrum over the frequencies.  An
-    angle orthogonal to the signal response raises BlindQuadratureError.
+    angle that is not finite raises ValueError; one orthogonal to the
+    signal response raises BlindQuadratureError.
     """
-    w = _frequencies(omega)
+    solve = _Solve(cfg, omega)
     zeta_arr = np.asarray(zeta, dtype=float)
-    if w.ndim and zeta_arr.ndim:
+    if zeta_arr.ndim > 1:
+        raise ValueError("readout angle must be a scalar or a 1-D array")
+    if solve.w.ndim and zeta_arr.ndim:
         raise ValueError("omega and zeta cannot both be arrays")
-    io = _in_order(lambda v: io_relation(cfg, v), w,
-                   lambda head: homodyne_spectrum(cfg, head, zeta))
-    return _homodyne_from(w, zeta_arr, io, _covariance_from(cfg, w, io)[1])
+    bad = zeta_arr[~np.isfinite(zeta_arr)].tolist()
+    if bad:
+        raise ValueError(f"readout angle must be finite, got {bad[0]!r} rad")
+    return solve.read(lambda one: one.homodyne(zeta_arr))
 
 
 def _homodyne_from(w, zeta_arr, io: IoRelation, sigma):
@@ -420,7 +424,7 @@ def _homodyne_from(w, zeta_arr, io: IoRelation, sigma):
     c, s = np.cos(zeta_arr), np.sin(zeta_arr)
     qv = c * v1 + s * v2
     blind = np.abs(qv) < BLIND_TOL * np.sqrt(_abs2(v1) + _abs2(v2))
-    by_point = np.reshape(blind, (w.size, -1))
+    by_point = np.reshape(blind, (w.size, zeta_arr.size))
     angles = np.broadcast_to(zeta_arr, blind.shape).reshape(by_point.shape)
     _raise_first((by_point.any(axis=1), BlindQuadratureError, lambda i: (
         f"readout angle {angles[i, np.argmax(by_point[i])]:.6g} "
@@ -441,11 +445,8 @@ def optimal_spectrum(cfg: IfoConfig, omega):
     covariance, which stays accurate under the extreme squeezing ratios a
     near-nulled configuration produces.
     """
-    w = _frequencies(omega)
-    io = _in_order(lambda v: io_relation(cfg, v), w,
-                   lambda head: optimal_spectrum(cfg, head))
-    covariance = _covariance_from(cfg, w, io)
-    return _optimal_from(w, io, covariance), _optimal_angle(io, covariance)
+    return _Solve(cfg, omega).read(lambda solve: (
+        solve.optimal(), _optimal_angle(solve.io, solve.covariance)))
 
 
 def _optimal_from(w, io: IoRelation, covariance):
@@ -527,24 +528,32 @@ def qcrb_lossless(cfg: IfoConfig, omega):
 
 
 class _Solve:
-    """One loop solve over a batch of omega, read by every exact spectrum.
+    """One loop solve over a batch of omega; every exact spectrum, public or
+    internal, is read from one by read().
 
-    io_relation(cfg, omega) runs once; cfg may be a tuple of configs, one
-    per frequency.  The optimal and every fixed-angle readout share its
-    covariance.  Readouts with the losses of another config read the same
-    M_io, M_c and v with that config's couplings, since the loop does not
-    depend on loss; the lossless bound is one of them.  Each spectrum is
-    bitwise that of its public function; an error of the solve itself
-    leaves the batch to the caller to order.
+    io_relation(cfg, omega) runs once, when a spectrum first needs it; cfg
+    may be a tuple of configs, one per frequency.  The optimal and every
+    fixed-angle readout share its covariance.  Readouts with the losses of
+    another config read the same M_io, M_c and v with that config's
+    couplings, since the loop does not depend on loss; the lossless bound is
+    one of them.  A failure is the one a loop over the points meets first.
     """
 
     def __init__(self, cfg, omega):
         self.cfg, self.w = cfg, _frequencies(omega)
-        self.io = io_relation(cfg, self.w)
+
+    @functools.cached_property
+    def io(self):
+        return io_relation(self.cfg, self.w)
 
     @functools.cached_property
     def covariance(self):
         return _covariance_from(self.cfg, self.w, self.io)
+
+    def read(self, spectra):
+        """spectra(self), its failure ordered by _in_order."""
+        return _in_order(lambda: spectra(self), self.cfg, self.w,
+                         lambda cfg, w: _Solve(cfg, w).read(spectra))
 
     def optimal(self):
         return _optimal_from(self.w, self.io, self.covariance)
@@ -555,9 +564,12 @@ class _Solve:
                               self.covariance[1])
 
     def optimal_with(self, cfg):
-        """optimal() for cfg, the solved config with other losses."""
-        io = IoRelation(self.io.M_io, self.io.M_c, self.io.v,
-                        *_couplings(cfg, self.w))
+        """optimal() for cfg, the solved config with other losses; the
+        loop's checks run before those of cfg's couplings."""
+        m_io, m_c, v = self.io.M_io, self.io.M_c, self.io.v
+        couplings, check = _couplings(cfg, self.w)
+        _raise_first(check)
+        io = IoRelation(m_io, m_c, v, *couplings)
         return _optimal_from(self.w, io, _covariance_from(cfg, self.w, io))
 
     def qcrb(self):

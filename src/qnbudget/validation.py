@@ -123,22 +123,15 @@ def _check_decomposition() -> CheckResult:
 _CHECK_HZ = np.array([12.0, 110.0, 980.0])
 
 
-def _solve(cfg, omega, first):
-    """ifo._Solve(cfg, omega) for a check whose first spectrum is
-    first(cfg, omega): a failure of the solve is the one that call raises."""
-    return ifo._in_order(lambda w: ifo._Solve(cfg, w), omega,
-                         lambda head: first(cfg, head))
-
-
 # readout angles [rad] of the optimal_vs_grid scan
 _GRID_ZETAS = (np.arange(4000) + 0.5) * math.pi / 4000
 
 
 def _check_optimal_vs_grid(cfg) -> CheckResult:
-    solve = _solve(cfg, TWO_PI * _CHECK_HZ, ifo.optimal_spectrum)
-    s_opt = solve.optimal()
+    solve = ifo._Solve(cfg, TWO_PI * _CHECK_HZ)
+    s_opt = solve.read(ifo._Solve.optimal)
     # one row of the scan per frequency, one column per angle
-    grid_min = np.min(solve.homodyne(_GRID_ZETAS), axis=1)
+    grid_min = solve.read(lambda one: one.homodyne(_GRID_ZETAS)).min(axis=1)
     return CheckResult("optimal_vs_grid", _worst(grid_min, s_opt), 1e-3)
 
 
@@ -169,16 +162,9 @@ def _monotonicity_spectra(cfgs, omegas, bumped):
     each draw's config before its bumped copy, with the index 0 of a
     scalar call.
     """
-    def spectra(head):
-        n = len(head)
-        solve = ifo._Solve(cfgs[:n], head)
-        return solve.optimal(), solve.optimal_with(bumped[:n])
-
-    def in_draw_order(head):
-        return ifo._in_order(spectra, head, in_draw_order)
-
     try:
-        return in_draw_order(omegas)
+        return ifo._Solve(cfgs, omegas).read(lambda solve: (
+            solve.optimal(), solve.optimal_with(bumped[:len(solve.w)])))
     except DegeneracyError as exc:
         exc.index = 0
         raise
@@ -222,9 +208,9 @@ def _check_taylor_regime(cfg) -> tuple[CheckResult, CheckResult]:
     """
     small = _taylor_regime(cfg)
     omega = TWO_PI * _CHECK_HZ
-    solve = _solve(small, omega, ifo.qcrb_lossless)
-    exact_qcrb = solve.qcrb()
-    s_full = solve.optimal()
+    solve = ifo._Solve(small, omega)
+    exact_qcrb = solve.read(ifo._Solve.qcrb)
+    s_full = solve.read(ifo._Solve.optimal)
     floor = limits.loss_limit(small, omega, limits.ALPHA_NO_INTERNAL)
     shot = limits.taylor_qcrb_no_internal(small, omega)
     deviations = [_worst(exact_qcrb, shot)]

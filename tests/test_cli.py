@@ -116,8 +116,8 @@ class TestRunBudget:
                                              monkeypatch, bad):
         from qnbudget import curves
 
-        def broken(c, w, _):
-            psd = qnbudget.limits.sql(c, w)
+        def broken(chunk, _):
+            psd = qnbudget.limits.sql(chunk.cfg, chunk.w)
             psd[2:] = bad
             return psd
 
@@ -611,6 +611,25 @@ class TestCliExitCodes:
                      curve, "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().err == (
             f"numerical degeneracy: curve '{curve}' failed at 5 Hz: {message}\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_qcrb_names_the_internal_loss_of_the_solved_config(
+            self, tmp_path, capsys):
+        # the lossless bound reads the loop solved with the config's own
+        # losses, so it fails where that loop's internal loss does, with
+        # full_optimal's message and validate's
+        path = write_config(tmp_path, {**config_template(), "T_itm": 1e-300})
+        message = "internal loss inf is not finite at Omega ="
+        for curve in ("qcrb", "full_optimal"):
+            assert main(["budget", "--config", path, "--points", "4",
+                         "--curves", curve,
+                         "--out", str(tmp_path / "x.csv")]) == 3
+            assert capsys.readouterr().err == (
+                f"numerical degeneracy: curve '{curve}' failed at 5 Hz: "
+                f"{message} 31.4159 rad/s\n")
+        assert main(["validate", "--config", path]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical degeneracy: {message} 75.3982 rad/s\n")
 
     def test_degeneracy_chains_original_error(self, cfg):
         with pytest.raises(BlindQuadratureError) as info:

@@ -17,6 +17,7 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       loop_matrix, loss_limit, mat2, optimal_spectrum,
                       ponderomotive_gain, qcrb_lossless, random_config,
                       resolve_band, total_covariance, value_at)
+from qnbudget import curves
 from qnbudget.constants import C_LIGHT, HBAR
 
 TWO_PI = 2 * math.pi
@@ -280,16 +281,45 @@ class TestBatchErrors:
 
     def test_earlier_lasing_wins_over_later_overflow(self,
                                                      overflow_below_100hz):
-        # a rotation that lifts the 200 Hz round-trip trace a little above 2,
-        # and the T_src that puts the loop there on its lasing threshold
-        omega = TWO_PI * 200.0
-        c = replace(overflow_below_100hz,
-                    Theta=1e-3 / ponderomotive_gain(overflow_below_100hz, omega))
-        trace = np.trace(loop_matrix(c, omega)).real
-        sqrt_r = 0.5 * (trace - math.sqrt(trace**2 - 4.0))
-        c = replace(c, T_src=1.0 - sqrt_r**2)
+        c = lasing_at(overflow_below_100hz, 200.0)
         with pytest.raises(LasingThresholdError) as info:
             io_relation(c, TWO_PI * np.array([200.0, 50.0]))
+        assert info.value.index == 0
+
+    @pytest.mark.parametrize("spectrum", [
+        io_relation, total_covariance, optimal_spectrum,
+        pytest.param(lambda c, w: homodyne_spectrum(c, w, 0.3),
+                     id="homodyne_spectrum")])
+    def test_bad_frequency_is_raised_before_a_degeneracy(self, cfg, spectrum):
+        # beyond the lasing threshold at every frequency
+        r = -math.log(1.0 - cfg.T_src)
+        c = replace(cfg, internal_sqz=InternalSqueeze("fixed", r=r))
+        with pytest.raises(LasingThresholdError):
+            spectrum(c, OMEGA)
+        for omega in (-OMEGA, np.array([OMEGA, -OMEGA])):
+            with pytest.raises(ValueError, match=(
+                    f"^sideband frequency must be finite and >= 0, got "
+                    f"{-OMEGA!r} rad/s$")):
+                spectrum(c, omega)
+
+    @pytest.mark.parametrize("spectrum", [io_relation, total_covariance,
+                                          optimal_spectrum, qcrb_lossless])
+    def test_earlier_coupling_failure_wins_over_later_lasing(
+            self, overflow_below_100hz, spectrum):
+        # (Omega / gamma)^2 overflows at f_big, where the loop is unsqueezed
+        c = lasing_at(overflow_below_100hz, 200.0)
+        f_big = 2e154 * arm_bandwidth(c) / TWO_PI
+        omega = TWO_PI * np.array([f_big, 200.0])
+        want = first_scalar_failure(spectrum, c, omega)
+        # the lossless bound's internal loss is 0 * inf
+        assert (want[0], want[2]) == (DegeneracyError, 0)
+        assert want[1].endswith(
+            f" is not finite at Omega = {omega[0]:.6g} rad/s")
+        assert batch_failure(spectrum, c, omega) == want
+        with pytest.raises(DegeneracyError) as info:
+            evaluate_curve("full_optimal", c, omega / TWO_PI)
+        assert str(info.value).startswith(f"curve 'full_optimal' failed at "
+                                          f"{f_big:.6g} Hz: internal loss inf")
         assert info.value.index == 0
 
     def test_earlier_blind_angle_wins_over_later_overflow(
@@ -300,6 +330,136 @@ class TestBatchErrors:
         with pytest.raises(BlindQuadratureError) as info:
             homodyne_spectrum(c, TWO_PI * np.array([300.0, 50.0]), zeta)
         assert info.value.index == 0
+
+
+def lasing_at(cfg, f_hz):
+    """cfg with a rotation that lifts the round-trip trace at f_hz a little
+    above 2, and the T_src that puts the loop there on its lasing
+    threshold."""
+    omega = TWO_PI * f_hz
+    c = replace(cfg, Theta=1e-3 / ponderomotive_gain(cfg, omega))
+    trace = np.trace(loop_matrix(c, omega)).real
+    sqrt_r = 0.5 * (trace - math.sqrt(trace**2 - 4.0))
+    return replace(c, T_src=1.0 - sqrt_r**2)
+
+
+def failure(exc, index):
+    return type(exc), str(exc), index
+
+
+def first_scalar_failure(spectrum, cfg, omega, *args):
+    """(type, message, index) of the first of the scalar calls
+    spectrum(cfg, omega_i, *args) that fails, or None."""
+    for i, point in enumerate(omega):
+        try:
+            spectrum(cfg, point, *args)
+        except ArithmeticError as exc:
+            return failure(exc, i)
+    return None
+
+
+def batch_failure(spectrum, cfg, omega, *args):
+    """(type, message, index) of the failure of spectrum(cfg, omega, *args),
+    or None; an error of the config's constants has no index and fails at
+    every point alike, so its index is 0."""
+    try:
+        spectrum(cfg, omega, *args)
+    except ArithmeticError as exc:
+        return failure(exc, getattr(exc, "index", 0))
+    return None
+
+
+def plant_failures(rng, cfg):
+    """(cfg with one or two failures planted, frequencies [Hz] where the
+    planted failures show)."""
+    r_crit = -0.5 * math.log(1 - cfg.T_src)
+    f_k = 10 ** rng.uniform(1.3, 3.3)
+    knot = InternalSqueeze("fixed", r=FreqTable(
+        f_hz=(1.0, f_k, 1e4), values=(0.0, r_crit, 0.0)))
+    beyond = InternalSqueeze("fixed", r=FreqTable(
+        f_hz=(1.0, f_k, 2.0 * f_k, 1e4),
+        values=(0.0, r_crit, 2.0 * r_crit, 0.0)))
+    pressure = InternalSqueeze("ponderomotive")
+    # (change, frequencies where it fails); a frequency where a change
+    # fails may also fail for a later stage or a second change
+    loops = [
+        (lambda c: replace(c, Theta=0.0, internal_sqz=knot), [f_k]),
+        (lambda c: replace(c, Theta=0.0, internal_sqz=beyond),
+         [1.3 * f_k, 1.7 * f_k]),
+        # the overflow guard, below about 100 Hz
+        (lambda c: replace(c, M=1e-9, internal_sqz=pressure), [5.0, 12.0]),
+    ]
+    others = [
+        (lambda c: replace(c, T_itm=1e-300), []),
+        # (Omega / gamma)^2 overflows above 2 f_k
+        (lambda c: replace(c, T_itm=2.0 * c.L * TWO_PI * f_k
+                           / (1.34e154 * C_LIGHT)), [3.0 * f_k, 1e4]),
+        # lossless, with e^(-2 r_input) below lstsq's rank tolerance
+        (lambda c: replace(c, eps_arm=0.0, eps_src_channels=(0.0,),
+                           eps_ext=0.0, r_input=17.5), []),
+        # L**2 overflows in Python's scalar arithmetic
+        (lambda c: replace(c, L=1e300), []),
+    ]
+    plants = [loops[rng.integers(len(loops))]] if rng.uniform() < 0.75 else []
+    if not plants or rng.uniform() < 0.5:
+        # mostly the change that fails at some frequencies only
+        plants.append(others[rng.choice(4, p=(0.15, 0.55, 0.15, 0.15))])
+    bad = []
+    for change, f_hz in plants:
+        cfg = change(cfg)
+        bad += f_hz
+    return cfg, bad
+
+
+class TestPlantedFailures:
+    """Failures planted at random grid indices are raised as the first
+    failing scalar call raises them: its type, message and index."""
+
+    CURVES = ("full_optimal", "qcrb", "sql")
+    GOOD_HZ = np.geomspace(5.0, 5000.0, 24)
+
+    def test_batches_raise_the_first_scalar_failure(self):
+        rng = np.random.default_rng(1600)
+        failed = 0
+        for draw in range(300):
+            c, bad = plant_failures(rng, random_config(rng))
+            picks = list(rng.choice(self.GOOD_HZ, size=4))
+            if bad:
+                picks += [bad[j] for j in rng.integers(len(bad), size=3)]
+            f_hz = np.array(picks)
+            rng.shuffle(f_hz)
+            if rng.integers(2):
+                f_hz.sort()
+            omega = TWO_PI * f_hz
+            zeta = rng.uniform(0.0, math.pi)
+            for spectrum, args in ((io_relation, ()), (total_covariance, ()),
+                                   (optimal_spectrum, ()),
+                                   (homodyne_spectrum, (zeta,)),
+                                   (qcrb_lossless, ())):
+                want = first_scalar_failure(spectrum, c, omega, *args)
+                failed += want is not None
+                assert batch_failure(spectrum, c, omega, *args) == want, (
+                    draw, spectrum.__name__)
+            names = self.CURVES + (f"full_fixed_zeta({zeta!r})",)
+            names = tuple(names[j] for j in rng.permutation(len(names)))
+            got = batch_failure(lambda c, f: curves._evaluate(names, c, f),
+                                c, f_hz)
+            assert got == curve_by_curve_scalar(names, c, f_hz), draw
+        # the sweep plants a failure in most draws
+        assert failed > 1000
+
+
+def curve_by_curve_scalar(names, cfg, f_hz):
+    """(type, message, index) of the first failure of evaluate_curve on one
+    name at one frequency, taking the names in turn and each one's
+    frequencies in turn, or None."""
+    for name in names:
+        for i in range(len(f_hz)):
+            try:
+                evaluate_curve(name, cfg, f_hz[i:i + 1])
+            except DegeneracyError as exc:
+                return failure(exc, i)
+    return None
 
 
 class TestIoRelation:
@@ -422,6 +582,26 @@ class TestHomodyne:
         # tuned configuration has a pure phase-quadrature signal
         with pytest.raises(BlindQuadratureError):
             homodyne_spectrum(cfg, OMEGA, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega,zeta,bad", [
+        (OMEGA, math.nan, "nan"),
+        (np.array([OMEGA, 2 * OMEGA]), math.inf, "inf"),
+        (OMEGA, [0.3, -math.inf, math.nan], "-inf"),
+    ], ids=["nan", "inf-over-frequencies", "first-of-angles"])
+    def test_angle_not_finite_is_value_error(self, cfg, omega, zeta, bad):
+        with pytest.raises(ValueError, match=(
+                f"^readout angle must be finite, got {bad} rad$")):
+            homodyne_spectrum(cfg, omega, zeta)
+
+    def test_angles_of_two_dimensions_rejected(self, cfg):
+        with pytest.raises(ValueError, match="readout angle must be a scalar "
+                                             "or a 1-D array"):
+            homodyne_spectrum(cfg, OMEGA, np.full((2, 2), 0.3))
+
+    def test_no_frequencies_give_an_empty_spectrum(self, cfg):
+        got = homodyne_spectrum(cfg, np.array([]), 0.3)
+        assert got.shape == optimal_spectrum(cfg, np.array([]))[0].shape == (0,)
 
 
 class TestOptimal:
