@@ -12,6 +12,7 @@ import json
 import math
 import operator
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,4 +218,7 @@ def main(argv=None) -> int:
 
 
 def cli_entry() -> None:
+    """The console script: main(), each warning one line of stderr."""
+    warnings.formatwarning = lambda message, category, *_: (
+        f"warning: {category.__name__}: {message}\n")
     sys.exit(main())

@@ -90,8 +90,8 @@ def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:
 
     The grid runs in chunks of CHUNK_POINTS frequencies.  A degeneracy, or a
     PSD value negative or not finite, is reported at its first grid frequency.
-    So is an OverflowError or ZeroDivisionError, at the chunk's first
-    frequency (see errors._as_degeneracy).
+    So is a closed form's OverflowError or ZeroDivisionError, at the chunk's
+    first frequency (see errors._as_degeneracy).
     """
     return _evaluate((name,), cfg, f_hz)[name]
 

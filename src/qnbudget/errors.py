@@ -50,14 +50,13 @@ def _raise_first(*checks) -> None:
     raise error(message(i), index=i)
 
 
-def _as_degeneracy(exc: ArithmeticError, index: int = 0) -> DegeneracyError:
+def _as_degeneracy(exc: ArithmeticError) -> DegeneracyError:
     """exc as a DegeneracyError.
 
     Python raises OverflowError or ZeroDivisionError only for arithmetic
     on a config's scalar constants (numpy arrays give inf or nan instead),
-    which fails at every frequency of that config alike, so it is reported
-    at index 0, or at the given index of a batch of configs.  The message
-    quotes the failing line, which names the config fields.
+    which fails at every frequency alike, so it is reported at index 0.
+    The message quotes the failing line, which names the config fields.
     """
     if isinstance(exc, DegeneracyError):
         return exc
@@ -65,7 +64,7 @@ def _as_degeneracy(exc: ArithmeticError, index: int = 0) -> DegeneracyError:
     line = traceback.extract_tb(exc.__traceback__)[-1].line
     return DegeneracyError(f"arithmetic on the config's constants failed in "
                            f"`{line}` ({type(exc).__name__}: {exc})",
-                           index=index)
+                           index=0)
 
 
 def _check_sideband(omega) -> None:

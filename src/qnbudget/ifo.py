@@ -16,8 +16,9 @@ scalars differently from its vectorised loop.  io_relation and
 effective_internal_loss also take a tuple of N configs, one per frequency:
 each config's constants are computed as for one config and stacked into
 (N,) arrays.  Every exact spectrum, public or a budget curve or a validate
-check, is read from one loop solve, a _Solve, which raises the failure a
-loop over the points meets first: the lowest index, then pipeline order.
+check, is read from one loop solve, a _Solve.  Its stages compute failure
+masks, raised by _raise_first and ordered by _Solve.read as a loop over the
+points meets them: the lowest index, then pipeline order.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .config import (DEFAULT_BAND_HZ, FreqTable, IfoConfig, _number,
                      coverage_check, value_at)
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (BlindQuadratureError, ConfigError, DegeneracyError,
-                     LasingThresholdError, _as_degeneracy, _check_sideband,
-                     _raise_first)
+                     LasingThresholdError, _check_sideband, _raise_first)
 from .quadrature import (MAX_SQUEEZE_FACTOR, any_true, mat2,
                          ponderomotive_decompose, rotation_entries,
                          squeeze_entries)
@@ -173,24 +173,14 @@ def _per_config(f, cfg, w):
 
     For a tuple of N configs, one per point of the (N,) array w,
     f(cfg_i, w_i) runs for each in turn and each value is stacked into an
-    (N,) array.  A DegeneracyError, OverflowError or ZeroDivisionError of
-    config i is raised as a DegeneracyError at index i, the point a loop
-    over the configs fails at.
+    (N,) array.  f raises for no point: the caller's checks find the
+    values that fail, such as a squeeze beyond the guard or an overflow.
     """
     if isinstance(cfg, IfoConfig):
         return f(cfg, w)
     if np.shape(w) != (len(cfg),):
         raise ValueError("a tuple of configs needs a 1-D omega of its length")
-    rows = []
-    for i, (one, point) in enumerate(zip(cfg, w)):
-        try:
-            rows.append(f(one, point))
-        except DegeneracyError as exc:
-            exc.index = i
-            raise
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise _as_degeneracy(exc, i) from exc
-    return tuple(np.array(values) for values in zip(*rows))
+    return tuple(np.array(values) for values in zip(*map(f, cfg, w)))
 
 
 def _squeeze_state(cfg: IfoConfig, omega):
@@ -205,8 +195,7 @@ def _squeeze_state(cfg: IfoConfig, omega):
     if mode == "fixed":
         return (value_at(cfg.internal_sqz.r, f_hz),
                 value_at(cfg.internal_sqz.theta, f_hz), 0.0)
-    # a gain that overflows decomposes to |r| = inf, which _loop's overflow
-    # guard reports
+    # an overflowing gain decomposes to |r| = inf, which _squeeze_guard reports
     with np.errstate(over="ignore"):
         gain = ponderomotive_gain(cfg, omega)
     # a gain that underflows to zero leaves the loop unsqueezed: it is
@@ -237,18 +226,18 @@ def loop_matrix(cfg: IfoConfig, omega) -> np.ndarray:
     """
     w = _frequencies(omega)
     _check_sideband(w)
-    return mat2(*_loop(cfg, w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        *x, size = _loop(cfg, w)
+    _raise_first(_squeeze_guard(size, w))
+    return mat2(*x)
 
 
 def _loop(cfg: IfoConfig, w):
-    """The entries of loop_matrix, each of the shape of w."""
+    """The entries of loop_matrix, each of the shape of w, then the
+    internal squeeze |r|, for _squeeze_guard."""
     f_hz = w / TWO_PI
     theta_rot = value_at(cfg.Theta, f_hz)
     r, theta_sqz, extra = _squeeze_state(cfg, w)
-    size = np.abs(r)
-    _raise_first((size > MAX_SQUEEZE_FACTOR, DegeneracyError, lambda i: (
-        f"internal squeeze |r| = {size.flat[i]:.3g} exceeds the overflow "
-        f"guard ({MAX_SQUEEZE_FACTOR:g}) at Omega = {w.flat[i]:.6g} rad/s")))
     x = _mul(_mul(rotation_entries(theta_rot), squeeze_entries(r, theta_sqz)),
              rotation_entries(theta_rot + extra))
     phase = value_at(cfg.residual_phase, f_hz)
@@ -258,7 +247,16 @@ def _loop(cfg: IfoConfig, w):
     if np.ndim(x[0]) < w.ndim:
         # no factor depends on frequency: every frequency gets the same matrix
         x = tuple(e + np.zeros(w.shape) for e in x)
-    return x
+    return (*x, np.abs(r))
+
+
+def _squeeze_guard(size, w):
+    """The check, for _raise_first, that the internal squeeze |r| = size
+    stays within the overflow guard MAX_SQUEEZE_FACTOR over w."""
+    size = np.broadcast_to(size, np.shape(w))
+    return (size > MAX_SQUEEZE_FACTOR, DegeneracyError, lambda i: (
+        f"internal squeeze |r| = {size.flat[i]:.3g} exceeds the overflow "
+        f"guard ({MAX_SQUEEZE_FACTOR:g}) at Omega = {w.flat[i]:.6g} rad/s"))
 
 
 def io_relation(cfg, omega) -> IoRelation:
@@ -266,33 +264,32 @@ def io_relation(cfg, omega) -> IoRelation:
 
     Returns an IoRelation whose entries are scalars for a scalar omega and
     (N,) arrays for a 1-D array of N; cfg may be a tuple of N configs, one
-    per frequency.  Raises LasingThresholdError when the round-trip gain of
-    the loop hits unity, where the cavity inverse does not exist, or
-    exceeds it, where the loop has no steady state.  Raises
-    DegeneracyError where the signal response overflows or vanishes (its
-    squared norm underflows to 0), and then where the internal loss is not
-    finite.
+    per frequency.  The lowest failing index raises, for the first check
+    it fails: the internal squeeze's overflow guard; the round-trip gain of
+    the loop at unity (no cavity inverse) or above it (no steady state),
+    a LasingThresholdError; the signal response not finite or vanishing
+    (its squared norm underflows to 0); the internal loss not finite.
     """
     w = _frequencies(omega)
-    *x, sqrt_r_src, sqrt_t_src, t_src, beta = _in_order(
-        lambda: _per_config(_loop_stage, cfg, w), cfg, w, io_relation)
-    t11, t12, t21, t22 = (i - sqrt_r_src * e for i, e in zip(_EYE, x))
-    det = t11 * t22 - t12 * t21
-    det_abs = np.abs(det)
-    # the round-trip eigenvalues, those of sqrt(R_src) x, are 1 - g -+ root
-    # for the eigenvalues g +- root of trip, g half its trace
-    g = 0.5 * (t11 + t22)
-    root = np.sqrt(g * g - det + 0j)
-    round_trip = np.maximum(np.abs(1.0 - g - root), np.abs(1.0 - g + root))
-    # a point where these divide by a vanishing det, or the signal overflows
-    # or underflows, is reported by the checks below
+    # overflow, a vanishing det and a lost signal are left to the check below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        *x, size, sqrt_r_src, sqrt_t_src, t_src, beta = _per_config(
+            _loop_stage, cfg, w)
+        t11, t12, t21, t22 = (i - sqrt_r_src * e for i, e in zip(_EYE, x))
+        det = t11 * t22 - t12 * t21
+        det_abs = np.abs(det)
+        # the round-trip eigenvalues, those of sqrt(R_src) x, are
+        # 1 - g -+ root for the eigenvalues g +- root of trip, g half its trace
+        g = 0.5 * (t11 + t22)
+        root = np.sqrt(g * g - det + 0j)
+        round_trip = np.maximum(np.abs(1.0 - g - root), np.abs(1.0 - g + root))
         m_c = (t22 / det, -t12 / det, -t21 / det, t11 / det)
         # m_c @ (0, beta)
         v1, v2 = (sqrt_t_src * (e * beta) for e in m_c[1::2])
         power = _abs2(v1) + _abs2(v2)
-    couplings, coupling_check = _couplings(cfg, w)
+        couplings, coupling_check = _couplings(cfg, w)
     _raise_first(
+        _squeeze_guard(size, w),
         (det_abs < LASING_DET_TOL, LasingThresholdError, lambda i: (
             f"recycling loop at lasing threshold (|det| = {det_abs.flat[i]:.2e}) "
             f"at Omega = {w.flat[i]:.6g} rad/s")),
@@ -310,34 +307,28 @@ def io_relation(cfg, omega) -> IoRelation:
 
 
 def _loop_stage(cfg: IfoConfig, w):
-    """The loop entries at w, then sqrt(R_src), sqrt(T_src), T_src and the
-    signal coupling beta of cfg."""
-    x = _loop(cfg, w)
-    beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
-    return (*x, math.sqrt(1.0 - cfg.T_src), math.sqrt(cfg.T_src), cfg.T_src,
-            beta)
+    """_loop(cfg, w), then sqrt(R_src), sqrt(T_src), T_src and the signal
+    coupling beta of cfg, inf where it overflows (caller's errstate)."""
+    beta = 2.0 * math.sqrt(cfg.omega0 * np.float64(cfg.L)**2 * cfg.P
+                           / (HBAR * C_LIGHT**2))
+    return (*_loop(cfg, w), math.sqrt(1.0 - cfg.T_src), math.sqrt(cfg.T_src),
+            cfg.T_src, beta)
 
 
 def _couplings(cfg, w):
     """((internal, external) loss couplings of io_relation(cfg, w), check).
 
     The check, for _raise_first, fails where the internal coupling is not
-    finite, where (Omega / gamma)^2 overflows.
+    finite, where (Omega / gamma)^2 overflows under the caller's errstate.
     """
     t_src, external = _per_config(
         lambda one, _: (one.T_src, math.sqrt(one.eps_ext)), cfg, w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss = effective_internal_loss(cfg, w)
-        coupling = np.sqrt(t_src * loss)
+    loss = effective_internal_loss(cfg, w)
+    coupling = np.sqrt(t_src * loss)
     return (_scalar_or_array(coupling), external), (
         ~np.isfinite(coupling), DegeneracyError, lambda i: (
             f"internal loss {loss.flat[i]:.3g} is not finite at "
             f"Omega = {w.flat[i]:.6g} rad/s"))
-
-
-def _lossless(cfg: IfoConfig) -> IfoConfig:
-    """cfg with every loss channel switched off."""
-    return replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,), eps_ext=0.0)
 
 
 def _covariance_from(cfg, w, io: IoRelation):
@@ -367,22 +358,6 @@ def total_covariance(cfg: IfoConfig, omega) -> np.ndarray:
     1-D array of omega gives a stack of shape (N, 2, 2).
     """
     return _Solve(cfg, omega).read(lambda solve: mat2(*solve.covariance[1]))
-
-
-def _in_order(step, cfg, w: np.ndarray, evaluate):
-    """step(), one stage over the points w of cfg with checks of its own.
-
-    When it fails at point k, evaluate(cfg, w[:k]) first runs the caller on
-    the points before it (and their configs, for a tuple of configs), so a
-    failure that a loop over the points meets earlier is the one raised.
-    """
-    try:
-        return step()
-    except DegeneracyError as exc:
-        k = exc.index
-        if k:
-            evaluate(cfg if isinstance(cfg, IfoConfig) else cfg[:k], w[:k])
-        raise
 
 
 def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
@@ -449,9 +424,9 @@ def optimal_spectrum(cfg: IfoConfig, omega):
         solve.optimal(), _optimal_angle(solve.io, solve.covariance)))
 
 
-def _optimal_from(w, io: IoRelation, covariance):
+def _optimal_from(w, io: IoRelation, covariance, *checks):
     """The spectrum of optimal_spectrum over w from its IoRelation and
-    _covariance_from."""
+    _covariance_from; checks, for _raise_first, run ahead of its own."""
     rows, (g11, _, g21, g22), ext_sq = covariance
     v1, v2 = io.v
     # Gram-Schmidt on the rows of F gives Sigma = L L^dag with L lower
@@ -476,6 +451,7 @@ def _optimal_from(w, io: IoRelation, covariance):
             frob * frob - 4.0 * det_l * det_l, 0.0)))
         full_rank = det_l > _RANK_TOL * sigma_max_sq
     _raise_first(
+        *checks,
         (~(full_rank & np.isfinite(y1) & np.isfinite(y2)), DegeneracyError,
          lambda i: f"total covariance is singular at Omega = {w.flat[i]:.6g} rad/s"),
         (~(np.isfinite(quad) & (quad > 0.0)), DegeneracyError,
@@ -522,9 +498,10 @@ def qcrb_lossless(cfg: IfoConfig, omega):
     In the lossless system the optimal frequency-dependent homodyne readout
     saturates the power-fluctuation (Cramer-Rao) bound, so this doubles as
     the exact bound for the configured squeezing settings.  A 1-D array of
-    omega gives an array.
+    omega gives an array.  It is read from the loop solve of cfg, whose
+    checks include those of cfg's own losses.
     """
-    return optimal_spectrum(_lossless(cfg), omega)[0]
+    return _Solve(cfg, omega).read(_Solve.qcrb)
 
 
 class _Solve:
@@ -551,9 +528,17 @@ class _Solve:
         return _covariance_from(self.cfg, self.w, self.io)
 
     def read(self, spectra):
-        """spectra(self), its failure ordered by _in_order."""
-        return _in_order(lambda: spectra(self), self.cfg, self.w,
-                         lambda cfg, w: _Solve(cfg, w).read(spectra))
+        """spectra(self).  When it fails at point k, the points before k are
+        read first, since one of them may fail a later stage; so the failure
+        raised is the one a loop over the points meets first."""
+        try:
+            return spectra(self)
+        except DegeneracyError as exc:
+            k, cfg = exc.index, self.cfg
+            if k:
+                _Solve(cfg if isinstance(cfg, IfoConfig) else cfg[:k],
+                       self.w[:k]).read(spectra)
+            raise
 
     def optimal(self):
         return _optimal_from(self.w, self.io, self.covariance)
@@ -566,11 +551,14 @@ class _Solve:
     def optimal_with(self, cfg):
         """optimal() for cfg, the solved config with other losses; the
         loop's checks run before those of cfg's couplings."""
-        m_io, m_c, v = self.io.M_io, self.io.M_c, self.io.v
-        couplings, check = _couplings(cfg, self.w)
-        _raise_first(check)
-        io = IoRelation(m_io, m_c, v, *couplings)
-        return _optimal_from(self.w, io, _covariance_from(cfg, self.w, io))
+        io = self.io
+        with np.errstate(over="ignore", invalid="ignore"):
+            couplings, check = _couplings(cfg, self.w)
+            io = IoRelation(io.M_io, io.M_c, io.v, *couplings)
+            covariance = _covariance_from(cfg, self.w, io)
+        return _optimal_from(self.w, io, covariance, check)
 
     def qcrb(self):
-        return self.optimal_with(_lossless(self.cfg))
+        """optimal() with every loss channel switched off."""
+        return self.optimal_with(replace(
+            self.cfg, eps_arm=0.0, eps_src_channels=(0.0,), eps_ext=0.0))

@@ -664,12 +664,23 @@ class TestOptimal:
                          replace(c, eps_ext=min(c.eps_ext + 0.05, 0.999))):
                 assert optimal_spectrum(bump, omega)[0] >= s0 * (1 - 1e-12)
 
-    # a signal response near 1e77 and beyond, where b11 * b22 overflows
+    # a signal response near 1e77 and beyond, where b11 * b22 overflows;
+    # at L = 1e300 the signal coupling itself overflows, which io_relation
+    # reports at the first frequency, also for a tuple of configs
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("change", [{"L": 1e57}, {"lambda0": 9.57e-195}])
+    @pytest.mark.parametrize("change", [{"L": 1e57}, {"lambda0": 9.57e-195},
+                                        {"L": 1e300}])
     def test_angle_of_a_strong_signal(self, change):
         c = config_from_dict({**config_template(), **change})
         omega = TWO_PI * np.geomspace(5.0, 5000.0, 50)
+        if c.L == 1e300:
+            for cfgs, w in ((c, omega), ((c,), omega[:1])):
+                with pytest.raises(DegeneracyError, match=(
+                        "^signal response is not finite at "
+                        f"Omega = {omega[0]:.6g} rad/s$")) as info:
+                    io_relation(cfgs, w)
+                assert info.value.index == 0
+            return
         assert np.abs(np.array(io_relation(c, omega).v)).max() > 1e77
         s, zeta = optimal_spectrum(c, omega)
         assert np.all((0 <= zeta) & (zeta < math.pi))
