@@ -332,7 +332,7 @@ def load_config(path) -> IfoConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
     return config_from_dict(doc)
 

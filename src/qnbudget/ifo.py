@@ -12,13 +12,11 @@ a scalar omega runs the same code on numpy scalars and gives bitwise the
 matching element of an array call (each per-point square is written as a
 product, which numpy computes alike for scalars and arrays), except where a
 residual phase makes the loop complex: numpy rounds a product of two complex
-scalars differently from its vectorised loop.  io_relation and
-effective_internal_loss also take a tuple of N configs, one per frequency:
-each config's constants are computed as for one config and stacked into
-(N,) arrays.  Every exact spectrum, public or a budget curve or a validate
-check, is read from one loop solve, a _Solve.  Its stages compute failure
-masks, raised by _raise_first and ordered by _Solve.read as a loop over the
-points meets them: the lowest index, then pipeline order.
+scalars differently from its vectorised loop.  Every exact spectrum, public
+or a budget curve or a validate check, is read from one loop solve, a
+_Solve.  Its stages compute failure masks, raised by _raise_first and
+ordered by _Solve.read as a loop over the points meets them: the lowest
+index, then pipeline order.
 """
 
 from __future__ import annotations
@@ -62,8 +60,7 @@ class IoRelation:
     loss channels.  The matrices are entry tuples (m11, m12, m21, m22) and
     v is (v1, v2); mat2(*io.M_io) gives the matrix.  Each entry, and the
     internal coupling, is a scalar for one frequency and an (N,) array for
-    a batch of N.  The external coupling is a float, or an (N,) array for a
-    tuple of N configs.
+    a batch of N.  The external coupling is a float.
     """
 
     M_io: tuple
@@ -131,22 +128,19 @@ def resolve_band(cfg: IfoConfig, band_hz) -> IfoConfig:
     return replace(cfg, eps_src_channels=(eps_src,))
 
 
-def effective_internal_loss(cfg, omega):
+def effective_internal_loss(cfg: IfoConfig, omega):
     """Lower bound on the internal loss seen from the recycling cavity.
 
     eps_arm enters directly; the recycling-cavity loss is suppressed by
     T_itm/4 at low frequency but grows as (1 + Omega^2/gamma^2) once the
     sideband leaves the arm bandwidth gamma.  Tabulated recycling-loss
     channels not yet fixed by resolve_band are minimised over
-    DEFAULT_BAND_HZ.  An array of omega gives an array; cfg may be a tuple
-    of configs, one per frequency of the array.
+    DEFAULT_BAND_HZ.  An array of omega gives an array.
     """
     _check_sideband(omega)
-    eps_arm, t_itm, gamma, eps_src = _per_config(lambda one, _: (
-        one.eps_arm, one.T_itm, arm_bandwidth(one),
-        effective_src_loss(one.eps_src_channels)), cfg, omega)
-    q = omega / gamma
-    return eps_arm + 0.25 * t_itm * (1.0 + q * q) * eps_src
+    eps_src = effective_src_loss(cfg.eps_src_channels)
+    q = omega / arm_bandwidth(cfg)
+    return cfg.eps_arm + 0.25 * cfg.T_itm * (1.0 + q * q) * eps_src
 
 
 def _frequencies(omega) -> np.ndarray:
@@ -166,21 +160,6 @@ def _abs2(z):
     """|z|^2 as a product, which numpy scalars and arrays compute alike."""
     a = np.abs(z)
     return a * a
-
-
-def _per_config(f, cfg, w):
-    """f(cfg, w), a tuple of values, for one config.
-
-    For a tuple of N configs, one per point of the (N,) array w,
-    f(cfg_i, w_i) runs for each in turn and each value is stacked into an
-    (N,) array.  f raises for no point: the caller's checks find the
-    values that fail, such as a squeeze beyond the guard or an overflow.
-    """
-    if isinstance(cfg, IfoConfig):
-        return f(cfg, w)
-    if np.shape(w) != (len(cfg),):
-        raise ValueError("a tuple of configs needs a 1-D omega of its length")
-    return tuple(np.array(values) for values in zip(*map(f, cfg, w)))
 
 
 def _squeeze_state(cfg: IfoConfig, omega):
@@ -259,22 +238,25 @@ def _squeeze_guard(size, w):
         f"guard ({MAX_SQUEEZE_FACTOR:g}) at Omega = {w.flat[i]:.6g} rad/s"))
 
 
-def io_relation(cfg, omega) -> IoRelation:
+def io_relation(cfg: IfoConfig, omega) -> IoRelation:
     """Input-output relation of the effective cavity.
 
     Returns an IoRelation whose entries are scalars for a scalar omega and
-    (N,) arrays for a 1-D array of N; cfg may be a tuple of N configs, one
-    per frequency.  The lowest failing index raises, for the first check
-    it fails: the internal squeeze's overflow guard; the round-trip gain of
-    the loop at unity (no cavity inverse) or above it (no steady state),
-    a LasingThresholdError; the signal response not finite or vanishing
-    (its squared norm underflows to 0); the internal loss not finite.
+    (N,) arrays for a 1-D array of N.  The lowest failing index raises,
+    for the first check it fails: the internal squeeze's overflow guard;
+    the round-trip gain of the loop at unity (no cavity inverse) or above
+    it (no steady state), a LasingThresholdError; the signal response not
+    finite or vanishing (its squared norm underflows to 0); the internal
+    loss not finite.
     """
     w = _frequencies(omega)
+    sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
     # overflow, a vanishing det and a lost signal are left to the check below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        *x, size, sqrt_r_src, sqrt_t_src, t_src, beta = _per_config(
-            _loop_stage, cfg, w)
+        *x, size = _loop(cfg, w)
+        # the signal coupling, inf where it overflows
+        beta = 2.0 * math.sqrt(cfg.omega0 * np.float64(cfg.L)**2 * cfg.P
+                               / (HBAR * C_LIGHT**2))
         t11, t12, t21, t22 = (i - sqrt_r_src * e for i, e in zip(_EYE, x))
         det = t11 * t22 - t12 * t21
         det_abs = np.abs(det)
@@ -285,7 +267,7 @@ def io_relation(cfg, omega) -> IoRelation:
         round_trip = np.maximum(np.abs(1.0 - g - root), np.abs(1.0 - g + root))
         m_c = (t22 / det, -t12 / det, -t21 / det, t11 / det)
         # m_c @ (0, beta)
-        v1, v2 = (sqrt_t_src * (e * beta) for e in m_c[1::2])
+        v1, v2 = (math.sqrt(cfg.T_src) * (e * beta) for e in m_c[1::2])
         power = _abs2(v1) + _abs2(v2)
         couplings, coupling_check = _couplings(cfg, w)
     _raise_first(
@@ -301,48 +283,37 @@ def io_relation(cfg, omega) -> IoRelation:
         (power == 0.0, DegeneracyError, lambda i: (
             f"signal response vanishes at Omega = {w.flat[i]:.6g} rad/s")),
         coupling_check)
-    m_io = tuple(-sqrt_r_src * i + t_src * e
+    m_io = tuple(-sqrt_r_src * i + cfg.T_src * e
                  for i, e in zip(_EYE, _mul(m_c, x)))
     return IoRelation(m_io, m_c, (v1, v2), *couplings)
 
 
-def _loop_stage(cfg: IfoConfig, w):
-    """_loop(cfg, w), then sqrt(R_src), sqrt(T_src), T_src and the signal
-    coupling beta of cfg, inf where it overflows (caller's errstate)."""
-    beta = 2.0 * math.sqrt(cfg.omega0 * np.float64(cfg.L)**2 * cfg.P
-                           / (HBAR * C_LIGHT**2))
-    return (*_loop(cfg, w), math.sqrt(1.0 - cfg.T_src), math.sqrt(cfg.T_src),
-            cfg.T_src, beta)
-
-
-def _couplings(cfg, w):
+def _couplings(cfg: IfoConfig, w):
     """((internal, external) loss couplings of io_relation(cfg, w), check).
 
     The check, for _raise_first, fails where the internal coupling is not
     finite, where (Omega / gamma)^2 overflows under the caller's errstate.
     """
-    t_src, external = _per_config(
-        lambda one, _: (one.T_src, math.sqrt(one.eps_ext)), cfg, w)
     loss = effective_internal_loss(cfg, w)
-    coupling = np.sqrt(t_src * loss)
-    return (_scalar_or_array(coupling), external), (
+    coupling = np.sqrt(cfg.T_src * loss)
+    return (_scalar_or_array(coupling), math.sqrt(cfg.eps_ext)), (
         ~np.isfinite(coupling), DegeneracyError, lambda i: (
             f"internal loss {loss.flat[i]:.3g} is not finite at "
             f"Omega = {w.flat[i]:.6g} rad/s"))
 
 
-def _covariance_from(cfg, w, io: IoRelation):
+def _covariance_from(cfg: IfoConfig, io: IoRelation):
     """(F4 rows, Sigma entries, c_ext^2) of the output covariance
-    Sigma = F F^dag over w.
+    Sigma = F F^dag over io's frequencies.
 
     F4 = [M_io S_in, c_int M_c] is the first four columns of the
     square-root factor F = [F4, c_ext I]; each of its two rows is a tuple
     of four entries.  Sigma's diagonal is real and Sigma_21 is
     conj(Sigma_12).
     """
-    r, theta, ext_sq = _per_config(lambda one, _: (
-        one.r_input, one.theta_input, math.sqrt(one.eps_ext)**2), cfg, w)
-    p11, p12, p21, p22 = _mul(io.M_io, squeeze_entries(r, theta))
+    ext_sq = io.external_coupling**2
+    p11, p12, p21, p22 = _mul(io.M_io,
+                              squeeze_entries(cfg.r_input, cfg.theta_input))
     c11, c12, c21, c22 = (io.internal_coupling * e for e in io.M_c)
     rows = (p11, p12, c11, c12), (p21, p22, c21, c22)
     s11, s22 = (sum(_abs2(e) for e in row) + ext_sq for row in rows)
@@ -508,12 +479,12 @@ class _Solve:
     """One loop solve over a batch of omega; every exact spectrum, public or
     internal, is read from one by read().
 
-    io_relation(cfg, omega) runs once, when a spectrum first needs it; cfg
-    may be a tuple of configs, one per frequency.  The optimal and every
-    fixed-angle readout share its covariance.  Readouts with the losses of
-    another config read the same M_io, M_c and v with that config's
-    couplings, since the loop does not depend on loss; the lossless bound is
-    one of them.  A failure is the one a loop over the points meets first.
+    io_relation(cfg, omega) runs once, when a spectrum first needs it.  The
+    optimal and every fixed-angle readout share its covariance.  Readouts
+    with the losses of another config read the same M_io, M_c and v with
+    that config's couplings, since the loop does not depend on loss; the
+    lossless bound is one of them.  A failure is the one a loop over the
+    points meets first.
     """
 
     def __init__(self, cfg, omega):
@@ -525,7 +496,7 @@ class _Solve:
 
     @functools.cached_property
     def covariance(self):
-        return _covariance_from(self.cfg, self.w, self.io)
+        return _covariance_from(self.cfg, self.io)
 
     def read(self, spectra):
         """spectra(self).  When it fails at point k, the points before k are
@@ -534,10 +505,8 @@ class _Solve:
         try:
             return spectra(self)
         except DegeneracyError as exc:
-            k, cfg = exc.index, self.cfg
-            if k:
-                _Solve(cfg if isinstance(cfg, IfoConfig) else cfg[:k],
-                       self.w[:k]).read(spectra)
+            if exc.index:
+                _Solve(self.cfg, self.w[:exc.index]).read(spectra)
             raise
 
     def optimal(self):
@@ -555,7 +524,7 @@ class _Solve:
         with np.errstate(over="ignore", invalid="ignore"):
             couplings, check = _couplings(cfg, self.w)
             io = IoRelation(io.M_io, io.M_c, io.v, *couplings)
-            covariance = _covariance_from(cfg, self.w, io)
+            covariance = _covariance_from(cfg, io)
         return _optimal_from(self.w, io, covariance, check)
 
     def qcrb(self):

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from qnbudget import (ALPHA_NO_INTERNAL, InternalSqueeze, RegimeWarning,
                       SYMPLECTIC_FORM, chi_phase_amp, chi_phase_phase,
@@ -75,6 +74,23 @@ def test_c01_loss_limit_equivalence():
 LOSSES = (1e-5, 0.0, 1e-3)
 
 
+def _golden_section_min(f, lo, hi, xatol):
+    """Minimum of a unimodal f on [lo, hi], bracketed to within xatol."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = f(d)
+    return min(fc, fd)
+
+
 def _exact_loss_with_nulling_squeeze(t_src, theta_rot, r_in):
     """Loss part of the exact optimum, minimised over the squeeze angle."""
     delta, _ = limit_params(t_src, theta_rot)
@@ -87,12 +103,10 @@ def _exact_loss_with_nulling_squeeze(t_src, theta_rot, r_in):
     grid = np.linspace(0.0, math.pi, 61)
     coarse = [lossy(t) for t in grid]
     i0 = int(np.argmin(coarse))
-    res = minimize_scalar(lossy, method="bounded",
-                          bounds=(grid[max(i0 - 2, 0)], grid[min(i0 + 2, 60)]),
-                          options={"xatol": 1e-9})
     # the lossless remainder at the nulling squeeze is ~T^3/16 times the
     # unsqueezed bound, orders below both the loss part and the tolerance
-    return res.fun
+    return _golden_section_min(lossy, grid[max(i0 - 2, 0)],
+                               grid[min(i0 + 2, 60)], 1e-9)
 
 
 def _taylor_grid_deviation(t_src):

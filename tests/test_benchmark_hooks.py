@@ -77,9 +77,9 @@ def test_exact_pipeline_calls_its_public_layers(monkeypatch):
                      "ifo.optimal_spectrum"]
 
 
-def test_validate_solves_the_loop_three_times(monkeypatch):
-    # optimal_vs_grid, the 20 loss_monotonicity draws and the Taylor-regime
-    # pair each read one io_relation; no check calls a public spectrum
+def test_validate_solves_the_loop_twice(monkeypatch):
+    # optimal_vs_grid with loss_monotonicity, and the Taylor-regime pair,
+    # each read one io_relation; no check calls a public spectrum
     monkeypatch.syspath_prepend(str(QNBENCH))
     spans = importlib.import_module("spans")
     tracer = spans.Tracer(10_000)
@@ -90,6 +90,6 @@ def test_validate_solves_the_loop_three_times(monkeypatch):
         tracer.uninstall()
     calls = Counter(spans.SPAN_NAMES[i] for i in tracer.name_id)
     assert calls["validation.run_validation"] == 1
-    assert calls["ifo.io_relation"] == 3
+    assert calls["ifo.io_relation"] == 2
     for name in ("optimal_spectrum", "homodyne_spectrum", "qcrb_lossless"):
         assert calls[f"ifo.{name}"] == 0, name

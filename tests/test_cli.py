@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -20,12 +19,11 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       default_config,
                       evaluate_curve, homodyne_spectrum, ifo,
                       io_relation, load_config, loss_limit,
-                      optimal_spectrum, resolve_band, run_budget,
+                      resolve_band, run_budget,
                       run_validation, validation)
 from qnbudget.cli import build_parser, main
 from qnbudget.constants import TWO_PI
 from qnbudget.curves import parse_curve_name
-from qnbudget.errors import _as_degeneracy
 
 
 @pytest.fixture
@@ -400,6 +398,16 @@ class TestCliExitCodes:
                    str(tmp_path / "x.csv")])
         assert rc == 2
         assert "T_src" in capsys.readouterr().err
+        # a file that is not UTF-8 and an array nested beyond the parser's
+        # recursion limit are not valid JSON either
+        for name, content in (("latin.json", b"\xff\xfe{"),
+                              ("nested.json", b"[" * 100000)):
+            path = tmp_path / name
+            path.write_bytes(content)
+            for verb in ("budget", "validate"):
+                assert main([verb, "--config", str(path)]) == 2
+                assert capsys.readouterr().err.startswith(
+                    "config error: config file is not valid JSON: ")
 
     @pytest.mark.parametrize("field,value", [
         ("L", "abc"), ("lambda0", "x"), ("r_input", "q"), ("T_src", True),
@@ -738,6 +746,42 @@ class TestValidation:
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 2
 
+    def test_monotonicity_raises_each_loss_of_the_validated_config(
+            self, cfg, monkeypatch):
+        # the tabulated channel is resolved over the checks' band first
+        cfg = replace(cfg, eps_src_channels=(
+            1e-3, FreqTable((1.0, 1e4), (2e-4, 1e-3))))
+        resolved = resolve_band(cfg, (12.0, 980.0))
+        calls = []
+        optimal_with = ifo._Solve.optimal_with
+
+        def spy(solve, more):
+            calls.append((solve.cfg, more))
+            return optimal_with(solve, more)
+
+        monkeypatch.setattr(ifo._Solve, "optimal_with", spy)
+        assert run_validation(cfg, 4).passed
+        raised = [more for solved, more in calls if solved == resolved]
+        assert len(raised) == 3
+        for more, name in zip(raised, ("eps_arm", "eps_ext")):
+            assert more == replace(resolved, **{name: getattr(more, name)})
+            headroom = 1.0 - getattr(resolved, name)
+            assert 0.0 < getattr(more, name) - getattr(resolved, name) \
+                < 0.1 * headroom
+        *kept, added = raised[2].eps_src_channels
+        assert raised[2] == replace(resolved, eps_src_channels=(*kept, added))
+        assert tuple(kept) == resolved.eps_src_channels
+        assert 0.0 < added < 0.1 * (1.0 - sum(kept))
+
+    def test_losses_near_one_stay_valid_when_raised(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            **config_template(), "eps_arm": 0.999,
+            "eps_src_channels": [0.5, 0.499], "eps_ext": 0.999})
+        for seed in range(5):
+            assert main(["validate", "--config", path,
+                         "--seed", str(seed)]) != 2
+            assert "config error" not in capsys.readouterr().err
+
     # signal responses beyond 1e77, where the optimal angle's products
     # overflowed; the tiny wavelength also overflows the fdt oracle's
     # resonance squared
@@ -764,126 +808,6 @@ class TestValidation:
             run_validation(default_config(), seed=-3)
         with pytest.raises(ConfigError, match="^seed: .*, got True$"):
             run_validation(default_config(), seed=True)
-
-
-def per_draw_spectra(cfgs, omegas, bumped):
-    """(config, bumped) optimal spectra of the draws, by scalar calls."""
-    s0, s1 = [], []
-    for cfg, omega, more in zip(cfgs, omegas, bumped):
-        s0.append(optimal_spectrum(cfg, omega)[0])
-        s1.append(optimal_spectrum(more, omega)[0])
-    return s0, s1
-
-
-def first_failing_draw(cfgs, omegas, bumped):
-    """(draw, which config, DegeneracyError) of the first scalar call over
-    the draws that fails, each config before its bumped copy."""
-    for k, (cfg, omega, more) in enumerate(zip(cfgs, omegas, bumped)):
-        for which, one in (("config", cfg), ("bumped", more)):
-            try:
-                optimal_spectrum(one, omega)
-            except ArithmeticError as exc:
-                return k, which, _as_degeneracy(exc)
-    return None
-
-
-def lasing(cfg):
-    # e^r sqrt(R_src) > 1 on the tuned loop: beyond threshold everywhere
-    r = -math.log(1.0 - cfg.T_src)
-    return replace(cfg, Theta=0.0,
-                   internal_sqz=InternalSqueeze("fixed", r=r, theta=0.0))
-
-
-def singular(cfg):
-    # lossless with e^(-2 r_input) below lstsq's rank tolerance
-    return replace(cfg, eps_arm=0.0, eps_src_channels=(0.0,), eps_ext=0.0,
-                   r_input=17.5)
-
-
-def bumped_singular(cfg):
-    # no recycling loss and a tiny signal: an added recycling loss, grown by
-    # (Omega / gamma)^2 ~ 1e300, drives the quadratic form below 1e-324
-    return replace(cfg, P=1e-240, T_itm=1e-153, eps_src_channels=(0.0,))
-
-
-def overflow(cfg):
-    # L**2 overflows in Python's scalar arithmetic
-    return replace(cfg, L=1e300)
-
-
-def guard(cfg):
-    # radiation pressure on a 1e-20 kg mirror squeezes beyond the loop's
-    # overflow guard across the band
-    return replace(cfg, M=1e-20, internal_sqz=InternalSqueeze("ponderomotive"))
-
-
-class TestMonotonicityBatch:
-    """loss_monotonicity evaluates its 20 draws in one batch; its spectra
-    and errors are those of a loop of scalar calls over the draws."""
-
-    def test_batch_equals_per_draw_calls(self):
-        for seed in range(300):
-            draws = validation._monotonicity_draws(np.random.default_rng(seed))
-            s0, s1 = validation._monotonicity_spectra(*draws)
-            want0, want1 = per_draw_spectra(*draws)
-            assert s0.tobytes() == np.array(want0).tobytes(), seed
-            assert s1.tobytes() == np.array(want1).tobytes(), seed
-            worst = 0.0
-            for a, b in zip(want0, want1):
-                worst = max(worst, max(0.0, (a - b) / a))
-            check = validation._check_monotonicity(np.random.default_rng(seed))
-            assert check.deviation == worst, seed
-
-    # plan(j) -> {draw: planted config}; draw j of seed 11 bumps the
-    # recycling loss, which bumped_singular needs
-    @pytest.mark.parametrize("plan,first", [
-        pytest.param(lambda j: {3: lasing}, "config", id="lasing"),
-        pytest.param(lambda j: {0: singular, 1: lasing}, "config",
-                     id="singular,lasing"),
-        pytest.param(lambda j: {7: singular, 12: lasing}, "config",
-                     id="singular,later-lasing"),
-        pytest.param(lambda j: {12: lasing, 7: singular, 19: overflow},
-                     "config", id="singular,lasing,overflow"),
-        pytest.param(lambda j: {4: overflow, 9: lasing}, "config",
-                     id="overflow,lasing"),
-        pytest.param(lambda j: {9: overflow, 4: lasing}, "config",
-                     id="lasing,overflow"),
-        pytest.param(lambda j: {6: singular, 9: guard}, "config",
-                     id="singular,guard"),
-        pytest.param(lambda j: {j: bumped_singular, j + 1: lasing}, "bumped",
-                     id="bumped,lasing"),
-        pytest.param(lambda j: {j: bumped_singular, j + 1: singular},
-                     "bumped", id="bumped,singular"),
-        pytest.param(lambda j: {j: bumped_singular, j + 1: overflow},
-                     "bumped", id="bumped,overflow"),
-        pytest.param(lambda j: {j: bumped_singular, j + 1: guard}, "bumped",
-                     id="bumped,guard"),
-        pytest.param(lambda j: {j + 1: bumped_singular, j: bumped_singular,
-                                j + 2: lasing}, "bumped",
-                     id="bumped,bumped,lasing"),
-    ])
-    def test_failure_is_the_first_a_loop_over_draws_meets(self, monkeypatch,
-                                                          plan, first):
-        seed, j = 11, 5
-        draws = validation._monotonicity_draws(np.random.default_rng(seed))
-        assert draws[2][j].eps_src_channels != draws[0][j].eps_src_channels
-        plan = plan(j)
-        real = validation.random_config
-        count = itertools.count()
-
-        def draw(rng):
-            cfg, k = real(rng), next(count)
-            return plan[k](cfg) if k in plan else cfg
-
-        monkeypatch.setattr(validation, "random_config", draw)
-        draws = validation._monotonicity_draws(np.random.default_rng(seed))
-        count = itertools.count()   # the check below draws from draw 0 again
-        k, which, want = first_failing_draw(*draws)
-        assert (k, which) == (min(plan), first)
-        with pytest.raises(DegeneracyError) as info:
-            validation._check_monotonicity(np.random.default_rng(seed))
-        got = info.value
-        assert (type(got), str(got), got.index) == (type(want), str(want), 0)
 
 
 def scan_by_frequency(cfg, omega, zetas):
@@ -951,10 +875,9 @@ def draw_stream_digest(draws):
 
 
 class TestDrawStream:
-    """random_config and the loss_monotonicity draws take the generator
-    calls they always took: `validate --seed` and the benchmark's config
-    pool replay them.  Each digest covers the drawn configs and the
-    generator's next uniform draw after them."""
+    """random_config takes the generator calls it always took: the
+    benchmark's config pool replays them.  The digest covers the drawn
+    configs and the generator's next uniform draw after them."""
 
     def test_random_config(self):
         draws = []
@@ -964,13 +887,3 @@ class TestDrawStream:
                           rng.uniform()])
         assert draw_stream_digest(draws) == (
             "6b408da01f8c7bf5444cce1054d87102376d6717d9bec9c8d767a248cfd60859")
-
-    def test_monotonicity_draws(self):
-        draws = []
-        for i in range(500):
-            rng = np.random.default_rng(i)
-            cfgs, omegas, bumped = validation._monotonicity_draws(rng)
-            draws.append([[config_to_dict(c) for c in cfgs], omegas.tolist(),
-                          [config_to_dict(c) for c in bumped], rng.uniform()])
-        assert draw_stream_digest(draws) == (
-            "adbd47761c120b00a18f2a4c59ccea08d04a65192e6ddcf062e8883db43d95e1")

@@ -230,6 +230,13 @@ class TestSerialization:
         bad.write_text("{not valid json")
         with pytest.raises(ConfigError):
             load_config(bad)
+        # not UTF-8, and nested beyond the parser's recursion limit
+        for name, content in (("latin.json", b"\xff\xfe{"),
+                              ("nested.json", b"[" * 100000)):
+            (tmp_path / name).write_bytes(content)
+            with pytest.raises(ConfigError, match="^config file is not "
+                               "valid JSON: "):
+                load_config(tmp_path / name)
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")
 
