@@ -5,18 +5,18 @@ float(f"{x:.11e}"): the shortest text that reads back as that double.
 
 Each cell's 12-digit decimal is worked out in float and integer arrays, and
 its characters are gathered from small tables of 4-byte words into a byte
-buffer.  A CSV cell of a positive value is 18 bytes; a JSON cell holds
-every piece its text may need and a keep-mask picks them.  Cells whose
-vectorised text could be wrong are formatted by Python and put in their
-place: zeros, NaN, infinities, three-digit exponents (subnormals among
-them), values near a 12-digit rounding tie, and JSON cells whose rounding
-is an integer (repr writes those with ".0" or an exponent).
+buffer.  A CSV cell of a positive value is 18 bytes.  A JSON cell is a
+28-byte row with NUL in every byte its text does not use, and one
+bytes.translate per block deletes them.  Cells whose vectorised text could
+be wrong are formatted by Python and put in their place: zeros, NaN,
+infinities, three-digit exponents (subnormals among them), values near a
+12-digit rounding tie, and JSON cells whose rounding is an integer (repr
+writes those with ".0" or an exponent) or at least 1e7 in magnitude.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
 
 import numpy as np
 
@@ -132,94 +132,94 @@ def csv_rows(columns: list) -> str:
     return _splice(out.reshape(-1), 18 * edits, 17 * whole, cells)
 
 
-# JSON cell, 48 bytes: ["   -"] ["0.00"] ["0", 2 pads, digit 0]
-# [digits 1-4] [digits 5-8] [digits 9-11, pad], then the CSV cell with
-# separator ",", then [newline, 3 pads].  Scientific notation is the CSV
-# text without its trailing zeros; fixed notation takes its integer digits
-# from the first copy of the mantissa and the rest from the CSV cell, and
-# below one it is "0.", zeros and the first copy.
-_JSON_WIDTH = 48
-_A, _POINT = 11, 27  # digit 0 of the first copy, the point of the CSV cell
-_JSON_HEAD = _table("%s", ["   -", "0.00"])
-_JSON_FIRST = _table("0\0\0%d", range(10))
-_JSON_LAST = _table("%03d\0", range(1000))
-_JSON_NEWLINE = _table("%s", ["\n\0\0\0"])
+# JSON row, 28 bytes, NUL where the text leaves a byte unused:
+#   a: the sign, then "d0." (scientific; "d0" if no digit follows), "0.",
+#     zeros and d0 (fixed notation below one), or digits 0 .. e (fixed, e >= 0)
+#   z: digits 1-8 less those in a; at fixed e >= 1 the point replaces digit e
+#   last: digits 9-11, then "e" or ","; exp: the exponent and "," (scientific)
+#   next: newline and the next cell's indent
+# Digits after the last significant one come from stripped copies of the
+# digit words, so they are NUL too, and one bytes.translate deletes them.
+_ROW = np.dtype([("a", "<i8"), ("z", "<i8"), ("last", "<u4"),
+                 ("exp", "<u4"), ("next", "<u4")])
 
 
-def _json_keep() -> np.ndarray:
-    """JSON masks by (layout, significant digits - 1), where layouts 0..14
-    are fixed notation at exponents -4..10 and layout 15 is scientific
-    notation; the sign is kept apart."""
-    keep = np.zeros((16, 12, _JSON_WIDTH), bool)
-    for layout, nsig in product(range(16), range(1, 13)):
-        row, x = keep[layout, nsig - 1], layout - 4
-        row[:3] = True                          # indent
-        row[_POINT + 16:_POINT + 18] = True     # ",\n"
-        if layout == 15:
-            row[_POINT - 1] = True              # digit 0
-            if nsig > 1:                        # point, digits 1 ..
-                row[_POINT:_POINT + nsig] = True
-            row[_POINT + 12:_POINT + 16] = True  # exponent
-        elif x < 0:
-            row[4:5 - x] = True                 # "0.", zeros
-            row[_A:_A + nsig] = True            # the digits
-        else:
-            row[_A:_A + x + 1] = True           # integer digits
-            row[_POINT] = True                  # point, fraction digits
-            row[_POINT + x + 1:_POINT + nsig] = True
-    return keep.reshape(-1, _JSON_WIDTH)
+def _stripped(words: np.ndarray) -> np.ndarray:
+    """The words with the "0" bytes at their end turned to NUL."""
+    text = words.view(np.uint8).reshape(-1, 4)
+    zero = np.logical_and.accumulate(text[:, ::-1] == ord("0"), 1)[:, ::-1]
+    return np.where(zero, 0, text).view(np.uint32).ravel()
 
 
-def _sig4() -> np.ndarray:
-    """Significant digits of the 4-digit groups 0000 .. 9999: 4, less one
-    per trailing zero."""
-    sig = np.full(10**4, 4, np.uint8)
-    for step, nsig in ((10, 3), (100, 2), (1000, 1), (10**4, 0)):
-        sig[::step] = nsig
-    return sig
+def _layouts() -> np.ndarray:
+    """Rows keep, shift, head, dot, zmask, zdot, end, exp by decimal
+    exponent e + 99, where -4 <= e <= 6 is fixed notation.  A cell's a is
+    head | ((d0 | z << 8) & keep) << shift, with dot if a digit follows the
+    point; its z keeps zmask and gains zdot; end follows digit 11."""
+    point = ord(".")
+    fixed = {e: (0xFF, 16 - 8 * e, int.from_bytes(
+        b"\0" + b"0." + b"0" * (-1 - e), "little"), 0, -1, 0)
+        for e in range(-4, 0)}
+    fixed.update({e: (2**(8 * e + 8) - 1, 8, 0, point << 16 if e == 0 else 0,
+                      ~(2**(8 * e) - 1), point << 8 * e >> 8)
+                  for e in range(7)})
+    return np.array([(*fixed[e], ord(",") << 24, 0) if e in fixed
+                     else (0xFF, 8, 0, point << 16, -1, 0, ord("e") << 24, w)
+                     for e, w in zip(range(-99, 100), _CSV_TAIL[","].tolist())],
+                    np.int64).T.copy()
 
 
-_JSON_KEEP = _json_keep()
-_SIG4 = _sig4()
+# 4-digit words, then the same stripped; 3-digit words stripped
+_QUADS = np.concatenate([_QUAD, _stripped(_QUAD)]).astype(np.int64)
+_TRIPLES = _QUADS[10**4:10**4 + 1000] >> 8
+_LAYOUT = _layouts()
 
 
-def _json_cells(values: np.ndarray):
-    """(words, code, slow): the JSON cell words of the values, the row of
-    _JSON_KEEP that picks each one's text, and whether Python formats it."""
+def _json_digits(values: np.ndarray):
+    """(d0, z, last, e, fast): the character of the values' first digit,
+    their digits 1-8 and 9-11 as z and last, and _decimal's e and fast.
+    The groups are freed on return, before the rows are built."""
     m, e, fast = _decimal(values)
-    first, upper, middle, lower = groups = _groups(m)
-    words = np.empty((len(values), _JSON_WIDTH // 4), np.uint32)
-    _csv_cells(words[:, 6:11], groups, e, ",")
-    words[:, :2] = _JSON_HEAD
-    words[:, 2] = _JSON_FIRST[first]
-    words[:, 3:5] = words[:, 7:9]
-    words[:, 5] = _JSON_LAST[lower]
-    words[:, 11:] = _JSON_NEWLINE
-    nsig = np.where(lower != 0, 9 + _SIG4[10 * lower],
-                    np.where(middle != 0, 5 + _SIG4[middle],
-                             1 + _SIG4[upper]))
-    layout = np.where(e >= -4, e + 4, 15)
-    # a rounding with no digits after the point is an integer
-    slow = ~fast | (nsig <= e + 1)
-    code = np.where(slow, 0, layout * 12 + nsig - 1)
-    return words, code, slow
+    first, upper, middle, lower = _groups(m)
+    # a group loses its trailing zeros where no digit but zero follows it
+    tail = lower == 0
+    z = _QUADS[middle + 10**4 * tail] << 32
+    z |= _QUADS[upper + 10**4 * (tail & (middle == 0))]
+    return first + ord("0"), z, _TRIPLES[lower], e, fast
+
+
+def _json_rows(values: np.ndarray) -> bytearray:
+    """The first cell's indent, then the JSON rows of the values."""
+    d0, z, last, e, fast = _json_digits(values)
+    at = e + 99
+    keep, shift, head, dot, zmask, zdot, end, exp = _LAYOUT
+    text = bytearray(4 + _ROW.itemsize * len(values))
+    text[:3] = b"   "
+    rows = np.frombuffer(text, _ROW, offset=4)
+    frac = z & zmask[at]
+    point = (frac | last) != 0      # a digit follows the point
+    rows["z"], rows["last"] = frac | zdot[at], last | end[at]
+    rows["exp"], rows["next"] = exp[at], int.from_bytes(b"\n   ", "little")
+    z = (z << 8 | d0) & keep[at]
+    z = z << shift[at] | head[at] | dot[at] * point
+    z[np.signbit(values)] |= ord("-")
+    rows["a"] = z
+    # Python formats what _decimal leaves to it, roundings of 1e7 or more,
+    # whose fixed notation a cannot hold, and integers (no digit after ".")
+    slow = ~fast | (e > 6) | (e >= 0) & ~point
+    if slow.any():
+        # a Python-formatted line takes the place of its cell's row
+        lines = (f"{json.dumps(float('%.11e' % x))},\n   "
+                 for x in values[slow].tolist())
+        rows[slow] = np.frombuffer(b"".join(
+            line.encode().ljust(_ROW.itemsize, b"\0") for line in lines), _ROW)
+    return text
 
 
 def json_elements(values: np.ndarray) -> str:
     """JSON array elements, one per line and joined by ",\\n", as
     json.dumps(indent=1) writes float(f"{x:.11e}") three levels deep."""
-    words, code, slow = _json_cells(values)
-    keep = _JSON_KEEP[code]
-    keep[:, 3] = np.signbit(values)
-    if slow.any():
-        # a Python-formatted line takes the place of its cell's bytes
-        lines = [f"   {json.dumps(float('%.11e' % x))},\n"
-                 for x in values[slow].tolist()]
-        width = max(map(len, lines))
-        words.view(np.uint8)[slow, :width] = np.frombuffer(
-            "".join(line.ljust(width) for line in lines).encode(),
-            np.uint8).reshape(-1, width)
-        keep[slow] = np.arange(_JSON_WIDTH) < np.array(
-            [len(line) for line in lines])[:, None]
-    # every cell ends in ",\n", which the last one drops
-    return str(words.view(np.uint8)[keep][:-2], "ascii")
+    # every row ends in ",\n" and the next cell's indent, which the last
+    # one drops
+    text = _json_rows(values).translate(None, b"\0")
+    return str(memoryview(text)[:-5], "ascii")

@@ -132,7 +132,8 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     exact curves share one loop solve per chunk of the grid.  A degeneracy,
     a PSD value that is negative or not finite included, raises the
     DegeneracyError that evaluate_curve raises for the first failing curve
-    in request order, and then no file is written.
+    in request order, and then no file is written.  A file that cannot be
+    opened or written raises ConfigError.
     """
     lo, hi = req.band_hz
     f_hz = np.geomspace(lo, hi, req.points)
@@ -142,8 +143,12 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     cfg = resolve_band(req.config, req.band_hz)
     spectra = _evaluate(req.curves, cfg, f_hz)
     if req.out_path is not None:
-        with open(req.out_path, "w", newline="") as fh:
-            write_budget(fh, req, f_hz, spectra)
+        try:
+            with open(req.out_path, "w", newline="") as fh:
+                write_budget(fh, req, f_hz, spectra)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot write '{req.out_path}': "
+                              f"{exc.strerror or exc}") from exc
     return f_hz, spectra
 
 

@@ -135,10 +135,12 @@ def _check_exact(cfg, rng) -> tuple[CheckResult, CheckResult]:
     optimal_vs_grid compares the optimal spectrum with the minimum of a
     scan over readout angles.  loss_monotonicity compares it with those of
     three copies of cfg, each with one loss raised by a drawn fraction of
-    its headroom to 1: eps_arm, eps_ext, and the recycling loss, by an
-    added constant channel.  More loss must never lower the spectrum.
+    its headroom to 1: eps_arm, eps_ext, and the recycling loss eps_src, by
+    an added constant channel.  More loss must never lower the spectrum.  A
+    copy whose spectrum fails raises its error again, of the same type and
+    index, with a prefix that names the loss and the fraction.
     """
-    f_arm, f_ext, f_src = rng.uniform(0.0, 0.1, size=3)
+    fractions = f_arm, f_ext, f_src = rng.uniform(0.0, 0.1, size=3)
     more = (replace(cfg, eps_arm=cfg.eps_arm + f_arm * (1.0 - cfg.eps_arm)),
             replace(cfg, eps_ext=cfg.eps_ext + f_ext * (1.0 - cfg.eps_ext)),
             replace(cfg, eps_src_channels=(
@@ -148,7 +150,16 @@ def _check_exact(cfg, rng) -> tuple[CheckResult, CheckResult]:
     s_opt = solve.read(ifo._Solve.optimal)
     # one row of the scan per frequency, one column per angle
     grid_min = solve.read(lambda one: one.homodyne(_GRID_ZETAS)).min(axis=1)
-    s_more = np.array([solve.optimal_with(c) for c in more])
+    s_more = []
+    for c, name, f in zip(more, ("eps_arm", "eps_ext", "eps_src"), fractions):
+        try:
+            s_more.append(solve.optimal_with(c))
+        except ArithmeticError as exc:
+            error = _as_degeneracy(exc)
+            raise type(error)(f"loss_monotonicity: with {name} raised by "
+                              f"{f:.3g} of its headroom: {error}",
+                              index=error.index) from exc
+    s_more = np.array(s_more)
     return (CheckResult("optimal_vs_grid", _worst(grid_min, s_opt), 1e-3),
             CheckResult("loss_monotonicity", max(
                 0.0, float(np.max((s_opt - s_more) / s_opt))), 1e-12))

@@ -1,0 +1,90 @@
+"""Byte-identity sweep of celltext.json_elements against the per-cell oracle.
+
+    PYTHONPATH=src python tests/json_cell_sweep.py [CELLS [SEED]]
+
+Formats CELLS (default 10**7) seeded random floats in blocks of 1 to 8,192
+cells, and compares each block's text with json.dumps(float("%.11e" % x))
+per cell.  The blocks draw from both notations and both signs: the whole
+double range, the fixed-notation range and past its ends, decimals of 1 to
+12 significant digits (trailing zeros end at every digit), values within a
+few ulps of a 12-digit rounding tie, integers and near-integers, zeros,
+NaN, infinities and subnormals, frequency grids and PSD-scale values; half
+of the blocks interleave two kinds.  Prints the cell count and every
+mismatch; exits 1 if there was one.
+"""
+
+import json
+import math
+import sys
+
+import numpy as np
+
+from qnbudget.celltext import json_elements
+
+SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310,
+            2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1, 1e-4,
+            1e-5, 9.9999999999995e-5, 1e6, 1e7, 9999999.9999995, 1e11,
+            99999999999.95, 1e16]
+
+
+def oracle(values: np.ndarray) -> str:
+    return ",\n".join("   " + json.dumps(float("%.11e" % x))
+                      for x in values.tolist())
+
+
+def draw(rng, kind: int, n: int) -> np.ndarray:
+    if kind == 0:
+        return 10.0 ** rng.uniform(-323.3, 308.2, n)
+    if kind == 1:
+        return 10.0 ** rng.uniform(-6.0, 12.0, n)
+    if kind == 2:   # 1-12 significant digits at exponents -6..12
+        nsig = rng.integers(1, 13, n)
+        digits = rng.integers(10**11, 10**12, n) // 10 ** (12 - nsig)
+        exps = rng.integers(-6, 13, n) + 1 - nsig
+        return np.array([float(f"{d}e{k}")
+                         for d, k in zip(digits.tolist(), exps.tolist())])
+    if kind == 3:   # (m + 1/2) 10**k nudged by -3..3 ulps
+        return np.array([_nudged(float(f"{m}5e{k}"), s) for m, k, s in zip(
+            rng.integers(10**11, 10**12, n).tolist(),
+            rng.integers(-60, 60, n).tolist(),
+            rng.integers(-3, 4, n).tolist())])
+    if kind == 4:
+        ints = np.floor(10.0 ** rng.uniform(0.0, 12.0, n))
+        return ints * (1.0 + rng.choice([0.0, 1e-12, -1e-12, 3e-13], n))
+    if kind == 5:
+        return rng.choice(SPECIALS, n)
+    if kind == 6:
+        return np.geomspace(rng.uniform(0.1, 10.0), rng.uniform(100.0, 1e7), n)
+    return 10.0 ** rng.uniform(-50.0, -40.0, n)
+
+
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def main(argv) -> int:
+    total = int(float(argv[1])) if len(argv) > 1 else 10**7
+    rng = np.random.default_rng(int(argv[2]) if len(argv) > 2 else 0)
+    done = bad = 0
+    with np.errstate(over="ignore"):
+        while done < total:
+            n = int(rng.integers(1, 8193))
+            values = draw(rng, int(rng.integers(8)), n)
+            if rng.random() < 0.5:   # interleave a second kind
+                other = draw(rng, int(rng.integers(8)), n)
+                values = np.where(np.arange(n) % 2 == 1, other, values)
+            values *= rng.choice([1.0, -1.0], n)
+            got, want = json_elements(values), oracle(values)
+            if got != want:
+                bad += 1
+                print([(g, w) for g, w in zip(got.split("\n"),
+                                              want.split("\n")) if g != w][:5])
+            done += n
+    print(f"{done} cells, {bad} mismatching blocks")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

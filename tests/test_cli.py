@@ -491,6 +491,27 @@ class TestCliExitCodes:
                    str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/x.csv", "No such file or directory"),
+        (".", "Is a directory")])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where, reason):
+        out = tmp_path / where
+        rc = main(["budget", "--points", "4", "--curves", "sql",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: out: cannot write '{out}': {reason}\n")
+
+    def test_degeneracy_exits_3_before_out_is_opened(self, tmp_path, capsys):
+        # evaluation comes first: a degeneracy wins over an unwritable path,
+        # and a writable one is left without a file
+        argv = ["budget", "--points", "8", "--curves", "full_fixed_zeta(0.0)",
+                "--out"]
+        for out in (tmp_path / "missing" / "x.csv", tmp_path / "x.csv"):
+            assert main(argv + [str(out)]) == 3
+            assert "numerical degeneracy" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_degeneracy_exits_3(self, cfg, tmp_path, capsys):
         doc = config_to_dict(cfg)
         doc["internal_sqz"] = {"mode": "fixed",
@@ -772,6 +793,29 @@ class TestValidation:
         assert raised[2] == replace(resolved, eps_src_channels=(*kept, added))
         assert tuple(kept) == resolved.eps_src_channels
         assert 0.0 < added < 0.1 * (1.0 - sum(kept))
+
+    def test_failing_raised_copy_is_named(self, cfg, monkeypatch, capsys):
+        # a planted failure of the copy with the added recycling channel
+        planted = LasingThresholdError("planted at 75.3982 rad/s", index=1)
+        optimal_with = ifo._Solve.optimal_with
+        added = []
+
+        def spy(solve, more):
+            if len(more.eps_src_channels) > len(solve.cfg.eps_src_channels):
+                added.append(more.eps_src_channels[-1]
+                             / (1.0 - sum(solve.cfg.eps_src_channels)))
+                raise planted
+            return optimal_with(solve, more)
+
+        monkeypatch.setattr(ifo._Solve, "optimal_with", spy)
+        with pytest.raises(LasingThresholdError) as info:
+            run_validation(cfg, 4)
+        assert str(info.value) == (
+            f"loss_monotonicity: with eps_src raised by {added[0]:.3g} of its "
+            "headroom: planted at 75.3982 rad/s")
+        assert info.value.index == 1 and info.value.__cause__ is planted
+        assert main(["validate", "--seed", "4"]) == 3
+        assert capsys.readouterr().err == f"numerical degeneracy: {info.value}\n"
 
     def test_losses_near_one_stay_valid_when_raised(self, tmp_path, capsys):
         path = write_config(tmp_path, {

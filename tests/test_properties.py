@@ -481,11 +481,19 @@ NEAR_POWERS = st.builds(lambda k, ulps: nudged(float(f"1e{k}"), ulps),
                         st.integers(-323, 308), st.integers(-1, 1))
 THREE_DIGIT_EXPONENTS = st.one_of(st.floats(1e100, 1e308),
                                   st.floats(1e-308, 1e-100))
+# decimals of 1 to 12 significant digits at exponents -5 to 11, the range
+# of fixed notation and one beyond either end, so that the digits end in
+# every place of every group
+SHORT_DECIMALS = st.builds(
+    lambda m, nsig, k: float(f"{m // 10**(12 - nsig)}e{k + 1 - nsig}"),
+    st.integers(10**11, 10**12 - 1), st.integers(1, 12), st.integers(-5, 11))
 
 # floats whose text is easy to get wrong: signed zeros, non-finite values,
 # subnormals, the range where "%g" and repr choose different notations,
-# values that round up to a power of ten, integers and near-integers, the
-# values above, and their negatives
+# values that round up to a power of ten, integers and near-integers (and
+# those of 1..1e11 once more, the range of fixed notation), values in
+# [1e7, 1e11), whose JSON text Python writes, the values above, and their
+# negatives
 CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
@@ -502,9 +510,13 @@ CELLS = st.one_of(
     st.tuples(st.integers(-10**12, 10**12), st.floats(-6e-12, 6e-12)).map(
         lambda t: t[0] * (1.0 + t[1])),
     st.floats(-1e12, 1e12).map(lambda x: float(f"{x:.11e}")),
+    st.tuples(st.integers(1, 10**11), st.floats(-4e-13, 4e-13)).map(
+        lambda t: t[0] * (1.0 + t[1])),
+    st.floats(1e7, 1e11),
     *(st.tuples(values, st.sampled_from([1.0, -1.0])).map(
         lambda t: t[0] * t[1])
-      for values in (NEAR_TIES, NEAR_POWERS, THREE_DIGIT_EXPONENTS)),
+      for values in (NEAR_TIES, NEAR_POWERS, THREE_DIGIT_EXPONENTS,
+                     SHORT_DECIMALS)),
 )
 COLUMN_NAMES = ("sql", "qcrb", "loss_limit_a4", "full_fixed_zeta(0.5)")
 
@@ -520,6 +532,27 @@ def test_output_text_equals_per_cell_formatting(cells, chunk):
     req = BudgetRequest(config=default_config(), points=len(cells[0]),
                         curves=tuple(columns)[1:])
     # small blocks put every cell near a block boundary
+    with mock.patch("qnbudget.cli.CHUNK_POINTS", chunk):
+        assert written(req, columns, "csv") == csv_oracle(columns)
+        assert written(req, columns, "json") == json_oracle(req, columns)
+
+
+@settings(PROFILE, max_examples=100)
+@given(st.floats(0.1, 1e3), st.floats(1e3, 1e7),
+       st.lists(st.tuples(st.booleans(), st.floats(1e-50, 1e-30),
+                          st.sampled_from([1.0, -1.0])),
+                min_size=2, max_size=40),
+       st.integers(1, 7))
+def test_mixed_notation_block_equals_per_cell_formatting(fmin, fmax, draws,
+                                                         chunk):
+    # grid frequencies (fixed notation) and PSD-scale values (scientific)
+    # interleaved in one column, so that a block holds both
+    f_hz = np.geomspace(fmin, fmax, len(draws))
+    mixed = np.array([f if grid else sign * psd
+                      for f, (grid, psd, sign) in zip(f_hz, draws)])
+    columns = {"f_hz": f_hz, "sql": mixed, "qcrb": mixed[::-1].copy()}
+    req = BudgetRequest(config=default_config(), points=len(f_hz),
+                        curves=("sql", "qcrb"))
     with mock.patch("qnbudget.cli.CHUNK_POINTS", chunk):
         assert written(req, columns, "csv") == csv_oracle(columns)
         assert written(req, columns, "json") == json_oracle(req, columns)
