@@ -16,6 +16,7 @@ writes those with ".0" or an exponent) or at least 1e7 in magnitude.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -99,16 +100,6 @@ _CSV_TRIPLE = _table("%03de", range(1000))
 _CSV_TAIL = {sep: _table("%+03d" + sep, range(-99, 100)) for sep in ",\n"}
 
 
-def _csv_cells(out: np.ndarray, groups: tuple, e: np.ndarray, sep: str):
-    """Write the CSV cell words of (groups, e) into the last axis of out."""
-    first, upper, middle, lower = groups
-    out[..., 0] = _CSV_LEAD[first]
-    out[..., 1] = _QUAD[upper]
-    out[..., 2] = _QUAD[middle]
-    out[..., 3] = _CSV_TRIPLE[lower]
-    out[..., 4] = _CSV_TAIL[sep][e + 99]
-
-
 def csv_rows(columns: list) -> str:
     """Rows of f"{x:.11e}" cells, comma-separated, newline-terminated."""
     n, ncols = len(columns[0]), len(columns)
@@ -119,7 +110,12 @@ def csv_rows(columns: list) -> str:
     neg = np.empty((n, ncols), bool)
     for j, col in enumerate(columns):
         m, e, fast = _decimal(col)
-        _csv_cells(words, _groups(m), e, "\n" if j == ncols - 1 else ",")
+        first, upper, middle, lower = _groups(m)
+        words[:, 0] = _CSV_LEAD[first]
+        words[:, 1] = _QUAD[upper]
+        words[:, 2] = _QUAD[middle]
+        words[:, 3] = _CSV_TRIPLE[lower]
+        words[:, 4] = _CSV_TAIL["\n" if j == ncols - 1 else ","][e + 99]
         out[:, j] = words.view(np.uint8)[:, 2:]
         slow[:, j], neg[:, j] = ~fast, np.signbit(col)
     edits = np.flatnonzero(slow | neg)
@@ -151,11 +147,14 @@ def _stripped(words: np.ndarray) -> np.ndarray:
     return np.where(zero, 0, text).view(np.uint32).ravel()
 
 
-def _layouts() -> np.ndarray:
-    """Rows keep, shift, head, dot, zmask, zdot, end, exp by decimal
-    exponent e + 99, where -4 <= e <= 6 is fixed notation.  A cell's a is
-    head | ((d0 | z << 8) & keep) << shift, with dot if a digit follows the
-    point; its z keeps zmask and gains zdot; end follows digit 11."""
+@functools.cache
+def _json_tables():
+    """(quads, triples, layout), built on the first JSON write: the 4-digit
+    words, then the same stripped; the 3-digit words stripped; rows keep,
+    shift, head, dot, zmask, zdot, end, exp by decimal exponent e + 99 (fixed
+    notation at -4 <= e <= 6).  A cell's a is head | ((d0 | z << 8) & keep)
+    << shift, with dot if a digit follows the point; its z keeps zmask and
+    gains zdot; end follows digit 11."""
     point = ord(".")
     fixed = {e: (0xFF, 16 - 8 * e, int.from_bytes(
         b"\0" + b"0." + b"0" * (-1 - e), "little"), 0, -1, 0)
@@ -163,36 +162,34 @@ def _layouts() -> np.ndarray:
     fixed.update({e: (2**(8 * e + 8) - 1, 8, 0, point << 16 if e == 0 else 0,
                       ~(2**(8 * e) - 1), point << 8 * e >> 8)
                   for e in range(7)})
-    return np.array([(*fixed[e], ord(",") << 24, 0) if e in fixed
-                     else (0xFF, 8, 0, point << 16, -1, 0, ord("e") << 24, w)
-                     for e, w in zip(range(-99, 100), _CSV_TAIL[","].tolist())],
-                    np.int64).T.copy()
-
-
-# 4-digit words, then the same stripped; 3-digit words stripped
-_QUADS = np.concatenate([_QUAD, _stripped(_QUAD)]).astype(np.int64)
-_TRIPLES = _QUADS[10**4:10**4 + 1000] >> 8
-_LAYOUT = _layouts()
+    layout = np.array([(*fixed[e], ord(",") << 24, 0) if e in fixed
+                       else (0xFF, 8, 0, point << 16, -1, 0, ord("e") << 24, w)
+                       for e, w in zip(range(-99, 100),
+                                       _CSV_TAIL[","].tolist())],
+                      np.int64).T.copy()
+    quads = np.concatenate([_QUAD, _stripped(_QUAD)]).astype(np.int64)
+    return quads, quads[10**4:10**4 + 1000] >> 8, layout
 
 
 def _json_digits(values: np.ndarray):
     """(d0, z, last, e, fast): the character of the values' first digit,
     their digits 1-8 and 9-11 as z and last, and _decimal's e and fast.
     The groups are freed on return, before the rows are built."""
+    quads, triples, _ = _json_tables()
     m, e, fast = _decimal(values)
     first, upper, middle, lower = _groups(m)
     # a group loses its trailing zeros where no digit but zero follows it
     tail = lower == 0
-    z = _QUADS[middle + 10**4 * tail] << 32
-    z |= _QUADS[upper + 10**4 * (tail & (middle == 0))]
-    return first + ord("0"), z, _TRIPLES[lower], e, fast
+    z = quads[middle + 10**4 * tail] << 32
+    z |= quads[upper + 10**4 * (tail & (middle == 0))]
+    return first + ord("0"), z, triples[lower], e, fast
 
 
 def _json_rows(values: np.ndarray) -> bytearray:
     """The first cell's indent, then the JSON rows of the values."""
     d0, z, last, e, fast = _json_digits(values)
     at = e + 99
-    keep, shift, head, dot, zmask, zdot, end, exp = _LAYOUT
+    keep, shift, head, dot, zmask, zdot, end, exp = _json_tables()[2]
     text = bytearray(4 + _ROW.itemsize * len(values))
     text[:3] = b"   "
     rows = np.frombuffer(text, _ROW, offset=4)

@@ -7,10 +7,13 @@ Exit codes: 0 success, 1 validation check failed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import operator
+import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass
@@ -118,9 +121,7 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray,
     for k, name in enumerate(sorted(columns)):
         fh.write((",\n" if k else "") + f"  {json.dumps(name)}: [\n")
         for j, rows in enumerate(_blocks(len(f_hz))):
-            if j:
-                fh.write(",\n")
-            fh.write(json_elements(columns[name][rows]))
+            fh.write((",\n" if j else "") + json_elements(columns[name][rows]))
         fh.write("\n  ]")
     fh.write("\n },\n" + metadata.removeprefix("{\n") + "\n")
 
@@ -132,8 +133,9 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     exact curves share one loop solve per chunk of the grid.  A degeneracy,
     a PSD value that is negative or not finite included, raises the
     DegeneracyError that evaluate_curve raises for the first failing curve
-    in request order, and then no file is written.  A file that cannot be
-    opened or written raises ConfigError.
+    in request order, and then no file is written.  The file is rewritten in
+    place; a failed write leaves it empty and raises ConfigError, as does a
+    failed open.
     """
     lo, hi = req.band_hz
     f_hz = np.geomspace(lo, hi, req.points)
@@ -144,8 +146,19 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     spectra = _evaluate(req.curves, cfg, f_hz)
     if req.out_path is not None:
         try:
-            with open(req.out_path, "w", newline="") as fh:
-                write_budget(fh, req, f_hz, spectra)
+            # in place: truncating to 0 first makes ext4 write back at close
+            fd = os.open(req.out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                with open(fd, "w", newline="", closefd=False) as fh:
+                    write_budget(fh, req, f_hz, spectra)
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        fh.truncate()   # to the written length
+            except OSError:   # leave no rows of an earlier run behind
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, 0)
+                raise
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise ConfigError(f"out: cannot write '{req.out_path}': "
                               f"{exc.strerror or exc}") from exc

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -719,6 +720,71 @@ class TestCliExitCodes:
                               "--fmin", "0.01"], capture_output=True,
                              text=True, env=env)
         assert bad.returncode == 2 and "config error" in bad.stderr
+
+
+class TestOutRewrite:
+    """--out rewrites an existing file in place and cuts it to the new
+    output's length, so a shorter run leaves none of a longer one's rows."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_short_over_long_equals_fresh_write(self, tmp_path, capsys, fmt):
+        argv = ["budget", "--curves", "sql,qcrb", "--format", fmt]
+        out, fresh = tmp_path / f"out.{fmt}", tmp_path / f"fresh.{fmt}"
+        assert main(argv + ["--points", "2000", "--out", str(out)]) == 0
+        long_size, inode = out.stat().st_size, out.stat().st_ino
+        assert main(argv + ["--points", "50", "--out", str(out)]) == 0
+        assert main(argv + ["--points", "50", "--out", str(fresh)]) == 0
+        assert out.stat().st_size < long_size
+        assert out.stat().st_ino == inode   # the same file, not a new one
+        assert out.read_bytes() == fresh.read_bytes()
+        assert main(argv + ["--points", "50"]) == 0
+        assert capsys.readouterr().out.encode() == fresh.read_bytes()
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert main(["budget", "--points", "4", "--curves", "sql",
+                         "--out", str(tmp_path / "x.csv")]) == 0
+            with open(tmp_path / "ref.csv", "w"):
+                pass
+        finally:
+            os.umask(old)
+        modes = [(tmp_path / name).stat().st_mode & 0o777
+                 for name in ("x.csv", "ref.csv")]
+        assert modes == [0o666 & ~0o027] * 2
+
+    def test_dev_null(self, capsys):
+        assert main(["budget", "--points", "4", "--curves", "sql",
+                     "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_symlink_rewrites_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("x" * 100_000)
+        link.symlink_to(target)
+        assert main(["budget", "--points", "4", "--curves", "sql",
+                     "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("f_hz,sql\n")
+        assert len(target.read_text().splitlines()) == 5
+
+    def test_failed_write_leaves_file_empty(self, tmp_path, capsys,
+                                            monkeypatch):
+        from qnbudget import cli
+
+        def fail_midway(fh, req, f_hz, spectra):
+            fh.write("f_hz,sql\n1.00000000000e+00,")   # still buffered
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        out = tmp_path / "x.csv"
+        out.write_text("an earlier, longer run\n" * 1000)
+        monkeypatch.setattr(cli, "write_budget", fail_midway)
+        assert main(["budget", "--points", "4", "--curves", "sql",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: out: cannot write '{out}': "
+            "No space left on device\n")
+        assert out.read_bytes() == b""
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -88,6 +89,28 @@ def test_output_matches_golden_file(name, tmp_path):
     with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
         want = fh.read()
     assert run_request(name, str(tmp_path)) == want
+
+
+def test_csv_run_builds_no_json_tables():
+    # in a new process: a CSV budget leaves celltext's JSON tables unbuilt,
+    # and the first JSON budget builds them and writes the golden text
+    script = """if True:
+        import sys, tempfile
+        from test_golden import run_request
+        from qnbudget import celltext
+        with tempfile.TemporaryDirectory() as tmp:
+            run_request("default.csv", tmp)
+            assert celltext._json_tables.cache_info().currsize == 0
+            sys.stdout.buffer.write(run_request("default.json", tmp))
+        assert celltext._json_tables.cache_info().currsize == 1
+    """
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": f"{src}:{tests}"})
+    assert done.returncode == 0, done.stderr.decode()
+    with open(os.path.join(GOLDEN_DIR, "default.json"), "rb") as fh:
+        assert done.stdout == fh.read()
 
 
 if __name__ == "__main__":
