@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import accumulate
 
 import numpy as np
 
@@ -186,12 +187,12 @@ def _json_digits(values: np.ndarray):
 
 
 def _json_rows(values: np.ndarray) -> bytearray:
-    """The first cell's indent, then the JSON rows of the values."""
+    """A NUL, the first cell's indent, then the JSON rows of the values."""
     d0, z, last, e, fast = _json_digits(values)
     at = e + 99
     keep, shift, head, dot, zmask, zdot, end, exp = _json_tables()[2]
     text = bytearray(4 + _ROW.itemsize * len(values))
-    text[:3] = b"   "
+    text[1:4] = b"   "
     rows = np.frombuffer(text, _ROW, offset=4)
     frac = z & zmask[at]
     point = (frac | last) != 0      # a digit follows the point
@@ -205,18 +206,22 @@ def _json_rows(values: np.ndarray) -> bytearray:
     # whose fixed notation a cannot hold, and integers (no digit after ".")
     slow = ~fast | (e > 6) | (e >= 0) & ~point
     if slow.any():
-        # a Python-formatted line takes the place of its cell's row
+        # a Python-formatted line takes the place of its cell's row, at its end
         lines = (f"{json.dumps(float('%.11e' % x))},\n   "
                  for x in values[slow].tolist())
         rows[slow] = np.frombuffer(b"".join(
-            line.encode().ljust(_ROW.itemsize, b"\0") for line in lines), _ROW)
+            line.encode().rjust(_ROW.itemsize, b"\0") for line in lines), _ROW)
     return text
 
 
-def json_elements(values: np.ndarray) -> str:
-    """JSON array elements, one per line and joined by ",\\n", as
-    json.dumps(indent=1) writes float(f"{x:.11e}") three levels deep."""
-    # every row ends in ",\n" and the next cell's indent, which the last
-    # one drops
-    text = _json_rows(values).translate(None, b"\0")
-    return str(memoryview(text)[:-5], "ascii")
+def json_blocks(blocks: list) -> list:
+    """The JSON array elements of each array in blocks, one per line and
+    joined by ",\\n", as json.dumps(indent=1) writes float(f"{x:.11e}")
+    three levels deep; one digit pass formats all the blocks."""
+    text = _json_rows(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+    ends = [0, *accumulate(_ROW.itemsize * len(values) for values in blocks)]
+    # a block's text runs from the indent that ends the row before its first
+    # through its last row, less that row's ",\n" and next indent
+    return [str(memoryview((text[lo + 1:hi + 4] if len(blocks) > 1 else text)
+                           .translate(None, b"\0"))[:-5], "ascii")
+            for lo, hi in zip(ends, ends[1:])]

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import (DEFAULT_BAND_HZ, MIN_FREQUENCY_HZ, IfoConfig, _number,
-                     config_hash, config_template, default_config,
-                     load_config)
+from .config import (DEFAULT_BAND_HZ, MAX_FREQUENCY_HZ, MIN_FREQUENCY_HZ,
+                     IfoConfig, _number, config_hash, config_template,
+                     default_config, load_config)
 from .constants import C_LIGHT, HBAR
 from .curves import CHUNK_POINTS, _evaluate, parse_curve_name
 from .errors import ConfigError, DegeneracyError
@@ -37,7 +37,7 @@ MAX_POINTS = 10**6
 class BudgetRequest:
     """Validated description of one budget sweep.
 
-    band_hz is a pair of numbers (fmin, fmax) with 0.1 <= fmin < fmax.
+    band_hz is a pair of numbers, 0.1 <= fmin < fmax <= MAX_FREQUENCY_HZ.
     points must be an integer.  curves is a sequence of curve names; a
     single string is one name.
     """
@@ -56,7 +56,7 @@ class BudgetRequest:
             raise ConfigError("band_hz: expected a pair (fmin, fmax), "
                               f"got {self.band_hz!r}") from None
         lo = _number("fmin", lo, MIN_FREQUENCY_HZ, math.inf, "[)")
-        hi = _number("fmax", hi, lo)
+        hi = _number("fmax", hi, lo, MAX_FREQUENCY_HZ, "(]")
         object.__setattr__(self, "band_hz", (lo, hi))
         try:
             points = operator.index(self.points)
@@ -93,12 +93,12 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray,
     """Write the curves {name: PSD array} to the text stream `fh` in the
     request's format, CSV or JSON.
 
-    The text is built CHUNK_POINTS rows at a time, so its memory stays
-    bounded at any point count.
+    The text is built in digit passes of at most CHUNK_POINTS cells, so its
+    memory stays bounded at any point count.
     """
     # imported here, so that commands which write no table, and starting
     # the program, do not build its lookup tables
-    from .celltext import csv_rows, json_elements
+    from .celltext import csv_rows, json_blocks
 
     columns = {"f_hz": f_hz, **spectra}
     if req.fmt == "csv":
@@ -117,11 +117,19 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray,
         "points": req.points,
         "curves": list(req.curves),
     }}, sort_keys=True, indent=1)
+    names = sorted(columns)
+    # columns of fewer than CHUNK_POINTS rows share passes; any other has a
+    # pass per block, as no tail fits beside the next column's full block
+    per = max(1, CHUNK_POINTS // len(f_hz))
+    texts = (text for k in range(0, len(names), per)
+             for rows in _blocks(len(f_hz))
+             for text in json_blocks([columns[name][rows]
+                                      for name in names[k:k + per]]))
     fh.write('{\n "columns": {\n')
-    for k, name in enumerate(sorted(columns)):
+    for k, name in enumerate(names):
         fh.write((",\n" if k else "") + f"  {json.dumps(name)}: [\n")
-        for j, rows in enumerate(_blocks(len(f_hz))):
-            fh.write((",\n" if j else "") + json_elements(columns[name][rows]))
+        for j, _ in enumerate(_blocks(len(f_hz))):
+            fh.write((",\n" if j else "") + next(texts))
         fh.write("\n  ]")
     fh.write("\n },\n" + metadata.removeprefix("{\n") + "\n")
 

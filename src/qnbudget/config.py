@@ -22,6 +22,7 @@ from .quadrature import MAX_SQUEEZE_FACTOR
 
 DEFAULT_BAND_HZ = (5.0, 5000.0)
 MIN_FREQUENCY_HZ = 0.1
+MAX_FREQUENCY_HZ = 1.7976931348623157e308 / TWO_PI   # 2 pi f: the largest double
 TWO_PI_C = TWO_PI * C_LIGHT
 
 INTERNAL_SQZ_MODES = ("none", "fixed", "ponderomotive")

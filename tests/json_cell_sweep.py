@@ -1,16 +1,18 @@
-"""Byte-identity sweep of celltext.json_elements against the per-cell oracle.
+"""Byte-identity sweep of celltext.json_blocks against the per-cell oracle.
 
     PYTHONPATH=src python tests/json_cell_sweep.py [CELLS [SEED]]
 
-Formats CELLS (default 10**7) seeded random floats in blocks of 1 to 8,192
-cells, and compares each block's text with json.dumps(float("%.11e" % x))
-per cell.  The blocks draw from both notations and both signs: the whole
-double range, the fixed-notation range and past its ends, decimals of 1 to
-12 significant digits (trailing zeros end at every digit), values within a
-few ulps of a 12-digit rounding tie, integers and near-integers, zeros,
-NaN, infinities and subnormals, frequency grids and PSD-scale values; half
-of the blocks interleave two kinds.  Prints the cell count and every
-mismatch; exits 1 if there was one.
+Formats CELLS (default 10**7) seeded random floats in runs of 1 to 8,192
+cells, each cut into 1 to 8 blocks that share one digit pass, as the
+budget writer's short columns do, and compares each block's text with
+json.dumps(float("%.11e" % x)) per cell.  The runs draw from both
+notations and both signs: the whole double range, the fixed-notation range
+and past its ends, decimals of 1 to 12 significant digits (trailing zeros
+end at every digit), values within a few ulps of a 12-digit rounding tie,
+integers and near-integers, zeros, NaN, infinities and subnormals,
+frequency grids and PSD-scale values; half of the runs interleave two
+kinds.  Prints the cell count and every mismatching block; exits 1 if
+there was one.
 """
 
 import json
@@ -19,7 +21,7 @@ import sys
 
 import numpy as np
 
-from qnbudget.celltext import json_elements
+from qnbudget.celltext import json_blocks
 
 SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310,
             2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1, 1e-4,
@@ -76,11 +78,16 @@ def main(argv) -> int:
                 other = draw(rng, int(rng.integers(8)), n)
                 values = np.where(np.arange(n) % 2 == 1, other, values)
             values *= rng.choice([1.0, -1.0], n)
-            got, want = json_elements(values), oracle(values)
-            if got != want:
-                bad += 1
-                print([(g, w) for g, w in zip(got.split("\n"),
-                                              want.split("\n")) if g != w][:5])
+            cuts = rng.choice(np.arange(1, n), min(n - 1, rng.integers(8)),
+                              replace=False)
+            blocks = np.split(values, np.sort(cuts))
+            for block, got in zip(blocks, json_blocks(blocks), strict=True):
+                want = oracle(block)
+                if got != want:
+                    bad += 1
+                    print([(g, w) for g, w in zip(got.split("\n"),
+                                                  want.split("\n"))
+                           if g != w][:5])
             done += n
     print(f"{done} cells, {bad} mismatching blocks")
     return 1 if bad else 0

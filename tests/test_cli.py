@@ -23,6 +23,7 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       resolve_band, run_budget,
                       run_validation, validation)
 from qnbudget.cli import build_parser, main
+from qnbudget.config import MAX_FREQUENCY_HZ
 from qnbudget.constants import TWO_PI
 from qnbudget.curves import parse_curve_name
 
@@ -68,7 +69,8 @@ class TestBudgetRequest:
         ({"band_hz": (5.0,)}, "band_hz: expected a pair (fmin, fmax), got (5.0,)"),
         ({"band_hz": ("5", "5000")}, "fmin: expected a number, got '5'"),
         ({"band_hz": (0.05, 100.0)}, "fmin: must be in [0.1, inf), got 0.05"),
-        ({"band_hz": (100.0, 10.0)}, "fmax: must be in (100, inf), got 10.0"),
+        ({"band_hz": (100.0, 10.0)},
+         "fmax: must be in (100, 2.86112e+307], got 10.0"),
         ({"curves": ("sql", 3)}, "curves: expected a curve name, got 3"),
         ({"curves": 5},
          "curves: expected a curve name or a sequence of them, got 5"),
@@ -77,6 +79,19 @@ class TestBudgetRequest:
         with pytest.raises(ConfigError) as info:
             BudgetRequest(config=cfg, **kw)
         assert str(info.value) == message
+
+    def test_fmax_ends_where_the_sideband_frequency_overflows(self, cfg):
+        # 2 pi fmax is the largest finite double at the upper end, and one
+        # step beyond it is refused before any curve overflows to inf
+        top = BudgetRequest(config=cfg, band_hz=(5.0, MAX_FREQUENCY_HZ))
+        assert math.isfinite(TWO_PI * top.band_hz[1])
+        beyond = math.nextafter(MAX_FREQUENCY_HZ, math.inf)
+        assert TWO_PI * beyond == math.inf
+        for fmax in (beyond, 1e308, sys.float_info.max):
+            with pytest.raises(ConfigError) as info:
+                BudgetRequest(config=cfg, band_hz=(5.0, fmax))
+            assert str(info.value) == (
+                f"fmax: must be in (5, 2.86112e+307], got {fmax!r}")
 
     def test_bare_string_is_one_curve(self, cfg):
         assert BudgetRequest(config=cfg, curves="sql").curves == ("sql",)
@@ -491,6 +506,16 @@ class TestCliExitCodes:
         rc = main(["budget", "--fmin", "0.01", "--out",
                    str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_fmax_beyond_finite_sideband_exits_2(self, capsys):
+        # 2 pi 1e308 overflows: a config error, not a traceback from the
+        # sideband check with exit 1
+        rc = main(["budget", "--fmin", "5000", "--fmax", "1e308",
+                   "--points", "2", "--curves", "sql"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: fmax: must be in (5000, 2.86112e+307], "
+            "got 1e+308\n")
 
     @pytest.mark.parametrize("where, reason", [
         ("missing/x.csv", "No such file or directory"),

@@ -558,6 +558,50 @@ def test_mixed_notation_block_equals_per_cell_formatting(fmin, fmax, draws,
         assert written(req, columns, "json") == json_oracle(req, columns)
 
 
+# JSON budgets whose column blocks pack into digit passes of at most
+# CHUNK_POINTS cells (columns with f_hz, rows): one pass for all five
+# columns; exactly CHUNK_POINTS cells; one cell more; a pass that ends on a
+# column boundary and one for the last column; columns whose 17-row tails
+# fill no pass with the next column's head, so each block has a pass of
+# its own
+PACKED = {(5, 500): [2500], (4, 2048): [CHUNK_POINTS],
+          (3, CHUNK_POINTS // 3 + 1): [2 * (CHUNK_POINTS // 3 + 1),
+                                       CHUNK_POINTS // 3 + 1],
+          (5, 2048): [CHUNK_POINTS, 2048],
+          (3, 2 * CHUNK_POINTS + 17): [CHUNK_POINTS, CHUNK_POINTS, 17] * 3}
+
+
+def packed_columns(ncols, rows):
+    """f_hz and ncols - 1 seeded columns of PSD-scale values, values in
+    and beyond fixed notation, integers and special cells, of both signs."""
+    rng = np.random.default_rng([ncols, rows])
+    columns = {"f_hz": np.geomspace(5.0, 5000.0, rows)}
+    for name in COLUMN_NAMES[:ncols - 1]:
+        kind = rng.integers(4, size=rows)
+        values = np.select(
+            [kind == 0, kind == 1, kind == 2],
+            [10.0 ** rng.uniform(-50.0, -40.0, rows),
+             10.0 ** rng.uniform(-6.0, 12.0, rows),
+             np.floor(10.0 ** rng.uniform(0.0, 12.0, rows))],
+            rng.choice([0.0, math.nan, math.inf, 5e-324, 1e100,
+                        99999999999.95], rows))
+        columns[name] = values * rng.choice([1.0, -1.0], rows)
+    return columns
+
+
+@pytest.mark.parametrize("ncols, rows", PACKED)
+def test_packed_json_passes_equal_per_cell_formatting(ncols, rows):
+    from qnbudget import celltext
+    columns = packed_columns(ncols, rows)
+    req = BudgetRequest(config=default_config(), points=rows,
+                        curves=tuple(columns)[1:])
+    passes, json_rows = [], celltext._json_rows
+    with mock.patch.object(celltext, "_json_rows",
+                           lambda v: passes.append(len(v)) or json_rows(v)):
+        assert written(req, columns, "json") == json_oracle(req, columns)
+    assert passes == PACKED[ncols, rows]
+
+
 @PROFILE
 @given(configs, st.integers(2, 60))
 def test_csv_and_json_carry_identical_numbers(cfg, points):
