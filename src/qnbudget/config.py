@@ -189,6 +189,8 @@ _WALKS = {cls: tuple((f.name, prefix + f.name, _KINDS[f.type],
 
 def _quantity(key: str, q, tables: bool, lo: float, hi: float, ends: str):
     """q as a float, or a FreqTable where tables are allowed, in the interval."""
+    if tables and isinstance(q, dict):
+        q = _table(key, q)
     if not (tables and isinstance(q, FreqTable)):
         return _number(key, q, lo, hi, ends)
     for x in q.values:
@@ -197,13 +199,13 @@ def _quantity(key: str, q, tables: bool, lo: float, hi: float, ends: str):
 
 
 def _check_fields(obj) -> None:
-    """Check each field of a config object against its interval, storing
-    numbers as floats; the first bad field in field order is reported."""
+    """Read each field of a config object from its JSON form, if any, and
+    check it against its interval; the first bad field in order is reported."""
     for name, key, kind, lo, hi, ends in _WALKS[type(obj)]:
         value = checked = getattr(obj, name)
         if kind == "channels":
             # one constant or table is one channel, as a bare JSON value is
-            if isinstance(value, str) or not isinstance(value, Iterable):
+            if isinstance(value, (str, dict)) or not isinstance(value, Iterable):
                 value = (value,)
             checked = tuple(_quantity(f"{key}[{i}]", ch, True, lo, hi, ends)
                             for i, ch in enumerate(value))
@@ -211,8 +213,9 @@ def _check_fields(obj) -> None:
                 raise ConfigError(f"{key}: must not be empty")
         elif kind is not InternalSqueeze:
             checked = _quantity(key, value, kind == "table", lo, hi, ends)
-        elif not isinstance(value, kind):
-            raise ConfigError(f"{key}: expected an InternalSqueeze")
+        elif not isinstance(value, kind):   # a mode string or an object
+            doc = {"mode": value} if isinstance(value, str) else value
+            checked = _from_dict(kind, doc, f"{key}.")
         if checked is not value:
             object.__setattr__(obj, name, checked)
 
@@ -232,11 +235,8 @@ def default_config() -> IfoConfig:
     )
 
 
-def _table(name: str, obj):
-    """A table object {"f_hz": [...], "values": [...]} as a FreqTable; any
-    other value comes back as it is, for the dataclass to check."""
-    if not isinstance(obj, dict):
-        return obj
+def _table(name: str, obj: dict) -> FreqTable:
+    """A table object {"f_hz": [...], "values": [...]} as a FreqTable."""
     extra = set(obj) - {"f_hz", "values"}
     if extra:
         raise ConfigError(f"{name}: unknown table keys {sorted(extra)}")
@@ -253,38 +253,28 @@ def _table(name: str, obj):
 
 
 def _from_dict(cls, doc, prefix: str = ""):
-    """cls(**doc) for a config dataclass, each value read by the kind of its
-    field.  A field without a default is a required key; errors name
-    prefix + key."""
+    """cls(**doc) for a config dataclass, once doc is an object with no
+    unknown key and every required key (a field without a default); the
+    dataclass reads and checks the values.  Errors name prefix + key."""
     where = prefix.rstrip(".") or "config"
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    schema = {f.name: f for f in fields(cls)}
-    unknown = set(doc) - set(schema)
+    schema = fields(cls)
+    unknown = set(doc) - {f.name for f in schema}
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    for f in schema.values():
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    for f in schema:
         required = f.default is MISSING and f.default_factory is MISSING
         if required and f.name not in doc:
             raise ConfigError(f"missing required key '{prefix}{f.name}'")
-
-    def read(key, value):
-        kind = _KINDS.get(schema[key].type)
-        if kind is InternalSqueeze:
-            sqz = {"mode": value} if isinstance(value, str) else value
-            return _from_dict(InternalSqueeze, sqz, f"{key}.")
-        if kind == "channels":
-            items = value if isinstance(value, list) else [value]
-            return tuple(_table(f"{key}[{i}]", x) for i, x in enumerate(items))
-        return _table(prefix + key, value) if kind == "table" else value
-
-    return cls(**{key: read(key, value) for key, value in doc.items()})
+    return cls(**doc)
 
 
 def config_from_dict(doc: dict) -> IfoConfig:
     """Build and validate an IfoConfig from a parsed JSON document.
 
     The carrier is given as omega0 [rad/s] or as lambda0 [m], not both.
+    lambda0 is read first, so its error comes before any other key's.
     """
     if isinstance(doc, dict) and "lambda0" in doc:
         if "omega0" in doc:

@@ -125,27 +125,29 @@ def _walk(names, cfg: IfoConfig, f_hz: np.ndarray) -> dict:
     over the chunks.
 
     A curve that fails stops the walk for itself and every name after it,
-    which a loop over the names would not reach.
+    which a loop over the names would not reach.  numpy's warnings are off:
+    the PSD check reports a value beyond the double range at its frequency.
     """
     live = [(name, *parse_curve_name(name)) for name in names]
     out = {name: np.empty(len(f_hz)) for name in names}
-    for start in range(0, len(f_hz), CHUNK_POINTS):
-        chunk = f_hz[start:start + CHUNK_POINTS]
-        solve = ifo._Solve(cfg, TWO_PI * chunk)
-        for k, (name, kind, param) in enumerate(live):
-            values = out[name][start:start + len(chunk)]
-            try:
-                values[:] = _CURVES[kind](solve, param)
-                _raise_first((~(np.isfinite(values) & (values >= 0.0)),
-                              DegeneracyError,
-                              lambda i: f"PSD value {values[i]:.6g} is not "
-                                        "finite and non-negative"))
-            except ArithmeticError as exc:
-                error = _as_degeneracy(exc)
-                out[name] = type(error)(
-                    f"curve {name!r} failed at {chunk[error.index]:.6g} Hz: {error}",
-                    index=start + error.index)
-                out[name].__cause__ = exc
-                del live[k:]
-                break
+    with np.errstate(all="ignore"):   # once per walk: each costs about 2 us
+        for start in range(0, len(f_hz), CHUNK_POINTS):
+            chunk = f_hz[start:start + CHUNK_POINTS]
+            solve = ifo._Solve(cfg, TWO_PI * chunk)
+            for k, (name, kind, param) in enumerate(live):
+                values = out[name][start:start + len(chunk)]
+                try:
+                    values[:] = _CURVES[kind](solve, param)
+                    _raise_first((~(np.isfinite(values) & (values >= 0.0)),
+                                  DegeneracyError,
+                                  lambda i: f"PSD value {values[i]:.6g} is "
+                                            "not finite and non-negative"))
+                except ArithmeticError as exc:
+                    error = _as_degeneracy(exc)
+                    out[name] = type(error)(f"curve {name!r} failed at "
+                                            f"{chunk[error.index]:.6g} Hz: {error}",
+                                            index=start + error.index)
+                    out[name].__cause__ = exc
+                    del live[k:]
+                    break
     return out

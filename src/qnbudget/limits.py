@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .config import FreqTable, IfoConfig, value_at
+from .config import IfoConfig, value_at
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (DegeneracyError, RegimeWarning, _check_sideband,
                      _raise_first)
@@ -67,12 +67,6 @@ def _warn_regime(**named) -> None:
                 f"{name} = {value_i:.3g} is outside the expansion regime "
                 f"(|{name}| < {bound_i:g}); the exact pipeline is authoritative",
                 RegimeWarning, stacklevel=3)
-
-
-def _max_theta(cfg: IfoConfig) -> float:
-    if isinstance(cfg.Theta, FreqTable):
-        return max(abs(x) for x in cfg.Theta.values)
-    return abs(cfg.Theta)
 
 
 def sql(cfg: IfoConfig, omega):
@@ -159,8 +153,9 @@ def taylor_loss_internal(cfg: IfoConfig, omega):
     prefactor * (eps_int + T_src eps_ext); the theta-minimised alpha = 1
     branch of the loss limit.
     """
+    _check_sideband(omega)
     _warn_regime(T_src=(cfg.T_src, REGIME_T_SRC),
-                 Theta=(_max_theta(cfg), REGIME_THETA))
+                 Theta=(value_at(cfg.Theta, omega / TWO_PI), REGIME_THETA))
     return loss_limit(cfg, omega, ALPHA_INTERNAL)
 
 
@@ -170,8 +165,9 @@ def taylor_loss_no_internal(cfg: IfoConfig, omega):
     prefactor * (eps_int + T_src eps_ext / 4); the alpha = 1/4 branch,
     attained at zero rotation angle.
     """
+    _check_sideband(omega)
     _warn_regime(T_src=(cfg.T_src, REGIME_T_SRC),
-                 Theta=(_max_theta(cfg), REGIME_THETA))
+                 Theta=(value_at(cfg.Theta, omega / TWO_PI), REGIME_THETA))
     return loss_limit(cfg, omega, ALPHA_NO_INTERNAL)
 
 

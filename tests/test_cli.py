@@ -74,6 +74,8 @@ class TestBudgetRequest:
         ({"curves": ("sql", 3)}, "curves: expected a curve name, got 3"),
         ({"curves": 5},
          "curves: expected a curve name or a sequence of them, got 5"),
+        ({"curves": "full_fixed_zeta(1e999)"},
+         "curve 'full_fixed_zeta(1e999)': readout angle must be finite"),
     ])
     def test_invalid_request_names_key(self, cfg, kw, message):
         with pytest.raises(ConfigError) as info:
@@ -517,6 +519,22 @@ class TestCliExitCodes:
             "config error: fmax: must be in (5000, 2.86112e+307], "
             "got 1e+308\n")
 
+    # Omega^2 overflows above about 1e150 Hz: the PSD check names the
+    # frequency, an sql that underflows to 0 is valid, and numpy stays quiet
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("curve,code,err", [
+        ("sql", 0, ""),
+        ("loss_limit_a4", 3, "PSD value inf is not finite"),
+        ("fdt_floor", 3, "PSD value nan is not finite"),
+    ])
+    def test_closed_forms_beyond_1e150_hz_exit_without_warning(
+            self, capsys, curve, code, err):
+        assert main(["budget", "--fmin", "5000", "--fmax", "1e160",
+                     "--points", "2", "--curves", curve]) == code
+        got = capsys.readouterr().err
+        assert got == (f"numerical degeneracy: curve '{curve}' failed at "
+                       f"1e+160 Hz: {err} and non-negative\n" if code else "")
+
     @pytest.mark.parametrize("where, reason", [
         ("missing/x.csv", "No such file or directory"),
         (".", "Is a directory")])
@@ -622,6 +640,7 @@ class TestCliExitCodes:
         ({"L": 2.7e-269}, "full_optimal", "signal response vanishes at"),
         ({"L": 2.7e-269}, "full_fixed_zeta(0.5)", "signal response vanishes at"),
         ({"T_itm": 1e-300}, "full_optimal", "internal loss inf is not finite at"),
+        ({"L": 1e308}, "fdt_floor", "loss damping rate c * eps_arm / (4 L) is 0"),
     ])
     def test_finite_extreme_exits_3(self, tmp_path, capsys, change, curve,
                                     fragment):
@@ -631,7 +650,9 @@ class TestCliExitCodes:
                      curve, "--out", str(tmp_path / "x.csv")]) == 3
         err = capsys.readouterr().err
         assert f"curve '{curve}' failed at 5 Hz: " in err and fragment in err
-        if curve != "sql" and not curve.startswith("taylor"):
+        # validate's exact checks fail first on an arm too long to damp
+        if (curve != "sql" and not curve.startswith("taylor")
+                and "damping" not in fragment):
             assert main(["validate", "--config", path]) == 3
             assert fragment in capsys.readouterr().err
 
@@ -858,6 +879,20 @@ class TestValidation:
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fdt_check_compares_where_the_floor_is_positive(self, cfg):
+        # an arm-loss floor that underflows to 0 compares nothing
+        for eps_arm in (5e-324, 1e-310, 1e-300, 1e-280, 1e-278, 0.0):
+            report = run_validation(replace(cfg, eps_arm=eps_arm))
+            fdt_check = report.checks[4]
+            assert fdt_check.name == "fdt_vs_loss_limit"
+            assert fdt_check.deviation == 0.0 and report.passed
+        # a NaN deviation still fails: the mode leaves its regime and warns
+        with pytest.warns(qnbudget.RegimeWarning, match="single-mode"):
+            report = run_validation(replace(cfg, L=1e-150))
+        assert math.isnan(report.checks[4].deviation)
+        assert not report.checks[4].passed
+
     def test_monotonicity_raises_each_loss_of_the_validated_config(
             self, cfg, monkeypatch):
         # the tabulated channel is resolved over the checks' band first
@@ -927,6 +962,9 @@ class TestValidation:
          "numerical degeneracy: arithmetic on the config's constants failed "
          "in `return mode.omega_cav**2 + (mode.gamma_eps - 1j * omega) ** 2` "
          "(OverflowError: "),
+        # the arm-loss floor underflows to 0 and fdt_vs_loss_limit compares
+        # nothing, as for eps_arm 0
+        ({"eps_arm": 5e-324}, 0, ""),
     ])
     def test_strong_signal_validates_without_warning(self, tmp_path, capsys,
                                                      change, code, err):

@@ -53,6 +53,15 @@ class TestIfoConfigValidation:
         ("L", -4000.0, "L"),
         ("M", -1.0, "M"),
         ("r_input", 25.0, "r_input"),
+        # a JSON integer beyond the double range, and malformed table objects
+        pytest.param("L", 10**400, r"^L: must be in \(0, inf\), got inf$",
+                     id="L-int400-L"),
+        ("Theta", {"f_hz": [1.0, 1e4], "values": [0.0, 0.0], "x": 0},
+         r"^Theta: unknown table keys \['x'\]$"),
+        ("Theta", {"f_hz": [1.0, 1e4]},
+         "^Theta: table needs 'f_hz' and 'values'$"),
+        ("residual_phase", {"f_hz": [1.0, 1e4], "values": [0.0]},
+         "^residual_phase: table: f_hz and values must have equal length$"),
     ])
     def test_rejects_out_of_range(self, field, value, fragment):
         doc = config_to_dict(default_config())
@@ -148,6 +157,10 @@ class TestIfoConfigValidation:
         doc = config_to_dict(default_config())
         doc["chirp_mass"] = 30.0
         with pytest.raises(ConfigError, match="chirp_mass"):
+            config_from_dict(doc)
+        doc[1] = 0.0   # a key no JSON document holds, from a library call
+        with pytest.raises(ConfigError,
+                           match=r"^config: unknown keys \[1, 'chirp_mass'\]$"):
             config_from_dict(doc)
         doc = config_to_dict(default_config())
         doc["internal_sqz"]["phase"] = 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qnbudget import (ALPHA_INTERNAL, ALPHA_NO_INTERNAL, DegeneracyError,
-                      InternalSqueeze, RegimeWarning, arm_bandwidth,
+                      FreqTable, InternalSqueeze, RegimeWarning, arm_bandwidth,
                       default_config, effective_internal_loss,
                       homodyne_spectrum, io_relation, limit_params,
                       loop_matrix, loss_floor_fdt, loss_limit,
@@ -248,6 +248,19 @@ class TestTaylorQcrb:
 
 
 class TestTaylorLoss:
+    @pytest.mark.parametrize("route", [
+        taylor_qcrb_no_internal, taylor_loss_internal, taylor_loss_no_internal])
+    def test_regime_read_at_the_evaluated_frequencies(self, cfg, route):
+        # a rotation beyond the regime only outside the band does not warn
+        c = replace(cfg, T_src=0.01, Theta=FreqTable(
+            f_hz=(1.0, 10.0, 1e4), values=(0.0, 0.0, 0.3)))
+        omega = TWO_PI * np.geomspace(5.0, 20.0, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            route(c, omega)
+        with pytest.warns(RegimeWarning, match="Theta = 0.3"):
+            route(c, TWO_PI * 1e4)
+
     def test_internal_equals_alpha1_loss_limit(self, cfg):
         for t_src in (1e-3, 0.14):
             c = replace(cfg, T_src=t_src)
