@@ -63,20 +63,6 @@ def _groups(m: np.ndarray):
     return first, head - 10**4 * first, middle, rest - 10**3 * middle
 
 
-def _splice(buf: np.ndarray, at: np.ndarray, cut: np.ndarray,
-            cells: list) -> str:
-    """The ASCII bytes of buf as text, with cells[i] in place of
-    buf[at[i]:at[i] + cut[i]]; at is ascending."""
-    if not cells:
-        return str(buf, "ascii")
-    view, pieces, prev = memoryview(buf), [], 0
-    for k, n, cell in zip(at.tolist(), cut.tolist(), cells):
-        pieces += (view[prev:k], cell.encode())
-        prev = k + n
-    pieces.append(view[prev:])
-    return str(b"".join(pieces), "ascii")
-
-
 def _table(fmt: str, values) -> np.ndarray:
     """uint32 words whose four bytes, in memory order, are fmt % v."""
     values = tuple(values)
@@ -101,14 +87,18 @@ _CSV_TRIPLE = _table("%03de", range(1000))
 _CSV_TAIL = {sep: _table("%+03d" + sep, range(-99, 100)) for sep in ",\n"}
 
 
-def csv_rows(columns: list) -> str:
-    """Rows of f"{x:.11e}" cells, comma-separated, newline-terminated."""
+def csv_workspace(rows: int, ncols: int) -> tuple:
+    """Buffers for csv_rows of up to `rows` rows of ncols columns."""
+    return (np.empty((rows, ncols, 18), np.uint8),
+            np.empty((rows, 5), np.uint32), *np.empty((2, rows, ncols), bool))
+
+
+def csv_rows(columns: list, work: tuple) -> list:
+    """Rows of f"{x:.11e}" cells, comma-separated, newline-terminated: ASCII
+    pieces built in the csv_workspace work, valid until its next use."""
     n, ncols = len(columns[0]), len(columns)
-    # the text of |x|, from the first digit to the separator
-    out = np.empty((n, ncols, 18), np.uint8)
-    words = np.empty((n, 5), np.uint32)
-    slow = np.empty((n, ncols), bool)
-    neg = np.empty((n, ncols), bool)
+    # out: the text of |x|, from the first digit to the separator
+    out, words, slow, neg = (a[:n] for a in work)
     for j, col in enumerate(columns):
         m, e, fast = _decimal(col)
         first, upper, middle, lower = _groups(m)
@@ -120,13 +110,15 @@ def csv_rows(columns: list) -> str:
         out[:, j] = words.view(np.uint8)[:, 2:]
         slow[:, j], neg[:, j] = ~fast, np.signbit(col)
     edits = np.flatnonzero(slow | neg)
-    whole = slow.ravel()[edits]
-    rows, cols = np.divmod(edits, ncols)
-    cells = ["%.11e" % columns[j][i] if s else "-"
-             for i, j, s in zip(rows.tolist(), cols.tolist(), whole.tolist())]
     # a Python-formatted text replaces the 17 bytes before its separator,
     # and a minus sign goes in front of a negative value
-    return _splice(out.reshape(-1), 18 * edits, 17 * whole, cells)
+    view, pieces, prev = memoryview(out.reshape(-1)), [], 0
+    for k, whole in zip(edits.tolist(), slow.ravel()[edits].tolist()):
+        cell = "%.11e" % columns[k % ncols][k // ncols] if whole else "-"
+        pieces += (view[prev:18 * k], cell.encode())
+        prev = 18 * k + 17 * whole
+    pieces.append(view[prev:])
+    return pieces
 
 
 # JSON row, 28 bytes, NUL where the text leaves a byte unused:
@@ -215,13 +207,13 @@ def _json_rows(values: np.ndarray) -> bytearray:
 
 
 def json_blocks(blocks: list) -> list:
-    """The JSON array elements of each array in blocks, one per line and
+    """Each block's JSON array elements as ASCII bytes, one per line and
     joined by ",\\n", as json.dumps(indent=1) writes float(f"{x:.11e}")
     three levels deep; one digit pass formats all the blocks."""
     text = _json_rows(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
     ends = [0, *accumulate(_ROW.itemsize * len(values) for values in blocks)]
     # a block's text runs from the indent that ends the row before its first
     # through its last row, less that row's ",\n" and next indent
-    return [str(memoryview((text[lo + 1:hi + 4] if len(blocks) > 1 else text)
-                           .translate(None, b"\0"))[:-5], "ascii")
+    return [memoryview((text[lo + 1:hi + 4] if len(blocks) > 1 else text)
+                       .translate(None, b"\0"))[:-5]
             for lo, hi in zip(ends, ends[1:])]

@@ -1,7 +1,7 @@
 """Command-line front end: budget sweeps, validation, config template.
 
 Exit codes: 0 success, 1 validation check failed, 2 configuration error,
-3 numerical degeneracy during evaluation.
+3 numerical degeneracy, 141 (console script) the reader of stdout is gone.
 """
 
 from __future__ import annotations
@@ -88,23 +88,26 @@ def _blocks(n: int):
     return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, n, CHUNK_POINTS))
 
 
-def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray,
+def write_budget(write, req: BudgetRequest, f_hz: np.ndarray,
                  spectra: dict) -> None:
-    """Write the curves {name: PSD array} to the text stream `fh` in the
-    request's format, CSV or JSON.
+    """Write the curves {name: PSD array} in the request's format, CSV or
+    JSON, as ASCII bytes passed to `write`, which must copy what it keeps.
 
-    The text is built in digit passes of at most CHUNK_POINTS cells, so its
-    memory stays bounded at any point count.
+    The text is built in digit passes of at most CHUNK_POINTS cells, in
+    buffers allocated once per call, so its memory stays bounded at any
+    point count.
     """
     # imported here, so that commands which write no table, and starting
     # the program, do not build its lookup tables
-    from .celltext import csv_rows, json_blocks
+    from .celltext import csv_rows, csv_workspace, json_blocks
 
     columns = {"f_hz": f_hz, **spectra}
     if req.fmt == "csv":
-        fh.write(",".join(columns) + "\n")
+        write(",".join(columns).encode() + b"\n")
+        work = csv_workspace(min(len(f_hz), CHUNK_POINTS), len(columns))
         for rows in _blocks(len(f_hz)):
-            fh.write(csv_rows([col[rows] for col in columns.values()]))
+            for piece in csv_rows([c[rows] for c in columns.values()], work):
+                write(piece)
         return
     # the document json.dumps(sort_keys=True, indent=1) writes: "columns"
     # sorts before "metadata", so the arrays go first, then its metadata text
@@ -125,13 +128,14 @@ def write_budget(fh, req: BudgetRequest, f_hz: np.ndarray,
              for rows in _blocks(len(f_hz))
              for text in json_blocks([columns[name][rows]
                                       for name in names[k:k + per]]))
-    fh.write('{\n "columns": {\n')
+    write(b'{\n "columns": {\n')
     for k, name in enumerate(names):
-        fh.write((",\n" if k else "") + f"  {json.dumps(name)}: [\n")
+        write(((",\n" if k else "") + f"  {json.dumps(name)}: [\n").encode())
         for j, _ in enumerate(_blocks(len(f_hz))):
-            fh.write((",\n" if j else "") + next(texts))
-        fh.write("\n  ]")
-    fh.write("\n },\n" + metadata.removeprefix("{\n") + "\n")
+            write(b",\n" if j else b"")
+            write(next(texts))
+        write(b"\n  ]")
+    write(("\n },\n" + metadata.removeprefix("{\n") + "\n").encode())
 
 
 def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
@@ -157,8 +161,8 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
             # in place: truncating to 0 first makes ext4 write back at close
             fd = os.open(req.out_path, os.O_WRONLY | os.O_CREAT, 0o666)
             try:
-                with open(fd, "w", newline="", closefd=False) as fh:
-                    write_budget(fh, req, f_hz, spectra)
+                with open(fd, "wb", closefd=False) as fh:
+                    write_budget(fh.write, req, f_hz, spectra)
                     if stat.S_ISREG(os.fstat(fd).st_mode):
                         fh.truncate()   # to the written length
             except OSError:   # leave no rows of an earlier run behind
@@ -233,7 +237,9 @@ def main(argv=None) -> int:
         )
         f_hz, spectra = run_budget(req)
         if req.out_path is None:
-            write_budget(sys.stdout, req, f_hz, spectra)
+            # a text stream, so that a caller may redirect stdout to StringIO
+            write_budget(lambda text: sys.stdout.write(str(text, "ascii")),
+                         req, f_hz, spectra)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -244,7 +250,15 @@ def main(argv=None) -> int:
 
 
 def cli_entry() -> None:
-    """The console script: main(), each warning one line of stderr."""
+    """The console script: main(), each warning one line of stderr; a
+    reader that closes stdout early ends it with exit 141, as SIGPIPE does."""
     warnings.formatwarning = lambda message, category, *_: (
         f"warning: {category.__name__}: {message}\n")
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -92,7 +92,7 @@ def loss_floor_fdt(cfg: IfoConfig, omega):
     hbar c^2 eps_arm / (4 L^2 omega0 P) deep inside the validity regime.
     The ratio of the two susceptibilities is formed from a shared
     denominator, so near-resonance cancellation does not degrade it.  An
-    array of omega gives an array.
+    array of omega gives an array.  A floor that underflows is +0.0.
     """
     _check_sideband(omega)
     if cfg.eps_arm == 0.0:
@@ -102,7 +102,8 @@ def loss_floor_fdt(cfg: IfoConfig, omega):
     cpp = chi_phase_phase(mode, w_abs)
     cpa = chi_phase_amp(mode, w_abs)
     g = gw_coupling(cfg.P, cfg.omega0, cfg.L)
-    return 2.0 * cpp.imag / (HBAR * g**2 * cfg.L**2 * abs(cpa) ** 2)
+    # + 0.0: an underflowing Im chi_22 may leave the division as -0.0
+    return 2.0 * cpp.imag / (HBAR * g**2 * cfg.L**2 * abs(cpa) ** 2) + 0.0
 
 
 def coupled_susceptibilities(chi_pp: complex, chi_pa: complex,

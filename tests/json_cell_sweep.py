@@ -81,8 +81,8 @@ def main(argv) -> int:
             cuts = rng.choice(np.arange(1, n), min(n - 1, rng.integers(8)),
                               replace=False)
             blocks = np.split(values, np.sort(cuts))
-            for block, got in zip(blocks, json_blocks(blocks), strict=True):
-                want = oracle(block)
+            for block, text in zip(blocks, json_blocks(blocks), strict=True):
+                got, want = str(text, "ascii"), oracle(block)
                 if got != want:
                     bad += 1
                     print([(g, w) for g, w in zip(got.split("\n"),

@@ -25,7 +25,7 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
 from qnbudget.cli import build_parser, main
 from qnbudget.config import MAX_FREQUENCY_HZ
 from qnbudget.constants import TWO_PI
-from qnbudget.curves import parse_curve_name
+from qnbudget.curves import CHUNK_POINTS, parse_curve_name
 
 
 @pytest.fixture
@@ -767,6 +767,43 @@ class TestCliExitCodes:
                              text=True, env=env)
         assert bad.returncode == 2 and "config error" in bad.stderr
 
+    def test_closed_stdout_ends_quietly(self):
+        # a reader that closes its end after one line, as `| head -1` does:
+        # the console script ends as cat does, exit 141 and an empty stderr
+        src = os.path.dirname(os.path.dirname(qnbudget.__file__))
+        with subprocess.Popen(
+                [sys.executable, "-m", "qnbudget", "budget", "--points",
+                 "100000", "--curves", "sql"], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert proc.stdout.readline() == b"f_hz,sql\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait() == 141
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_underflowing_fdt_floor_is_positive_zero(self, tmp_path, capsys,
+                                                     fmt):
+        path = write_config(tmp_path, {**config_template(), "eps_arm": 5e-324})
+        assert main(["budget", "--config", path, "--points", "4", "--curves",
+                     "fdt_floor", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "-0." not in out
+        values = ([float(line.split(",")[1]) for line in out.splitlines()[1:]]
+                  if fmt == "csv" else json.loads(out)["columns"]["fdt_floor"])
+        assert [math.copysign(1.0, x) for x in values] == [1.0] * 4
+        assert values == [0.0] * 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_bytes_equal_out_bytes(self, tmp_path, capsys, fmt):
+        # two full blocks and a tail, in both formats
+        argv = ["budget", "--points", str(2 * CHUNK_POINTS + 5), "--curves",
+                "sql,loss_limit_a4,fdt_floor", "--format", fmt]
+        out = tmp_path / f"out.{fmt}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
 
 class TestOutRewrite:
     """--out rewrites an existing file in place and cuts it to the new
@@ -818,8 +855,8 @@ class TestOutRewrite:
                                             monkeypatch):
         from qnbudget import cli
 
-        def fail_midway(fh, req, f_hz, spectra):
-            fh.write("f_hz,sql\n1.00000000000e+00,")   # still buffered
+        def fail_midway(write, req, f_hz, spectra):
+            write(b"f_hz,sql\n1.00000000000e+00,")   # still buffered
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         out = tmp_path / "x.csv"

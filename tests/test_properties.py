@@ -457,11 +457,11 @@ def json_oracle(req, columns):
 def written(req, columns, fmt):
     """The text write_budget writes for columns {"f_hz": ..., curve: ...} in
     the format fmt."""
-    fh = io.StringIO()
+    fh = io.BytesIO()
     f_hz, *_ = columns.values()
     spectra = dict(list(columns.items())[1:])
-    write_budget(fh, replace(req, fmt=fmt), f_hz, spectra)
-    return fh.getvalue()
+    write_budget(fh.write, replace(req, fmt=fmt), f_hz, spectra)
+    return fh.getvalue().decode("ascii")
 
 
 def nudged(x, ulps):
@@ -600,6 +600,39 @@ def test_packed_json_passes_equal_per_cell_formatting(ncols, rows):
                            lambda v: passes.append(len(v)) or json_rows(v)):
         assert written(req, columns, "json") == json_oracle(req, columns)
     assert passes == PACKED[ncols, rows]
+
+
+# cells whose text is shorter or longer than a PSD value's, or which Python
+# formats: negatives, NaN, infinities, subnormals, near-ties, zeros
+HARD_CELLS = [-1.5e-40, math.nan, math.inf, -math.inf, 5e-324, -1e-310,
+              2.2250738585072014e-308, 7.194944981495e16, -9.541135785505e-33,
+              0.0, -0.0, 1e100, -5.0, 0.1, 99999999999.95, -12345.678]
+
+
+# rows one short of, at and one past a block, and two blocks and a tail;
+# past a block, each column's last JSON pass is its tail, shorter than the
+# first
+@pytest.mark.parametrize("rows", [CHUNK_POINTS - 1, CHUNK_POINTS,
+                                  CHUNK_POINTS + 1, 2 * CHUNK_POINTS + 5])
+@pytest.mark.parametrize("ncols", [3, 5])
+def test_reused_buffers_equal_per_cell_formatting(ncols, rows):
+    # the last block holds the hard cells, so that bytes an earlier, longer
+    # block left in a reused buffer would show in its text
+    rng = np.random.default_rng([ncols, rows])
+    columns = {"f_hz": np.geomspace(5.0, 5000.0, rows)}
+    for name in COLUMN_NAMES[:ncols - 1]:
+        values = 10.0 ** rng.uniform(-50.0, -40.0, rows)
+        values[-len(HARD_CELLS):] = rng.permutation(HARD_CELLS)
+        columns[name] = values
+    req = BudgetRequest(config=default_config(), points=rows,
+                        curves=tuple(columns)[1:])
+    assert written(req, columns, "csv") == csv_oracle(columns)
+    from qnbudget import celltext
+    passes, json_rows = [], celltext._json_rows
+    with mock.patch.object(celltext, "_json_rows",
+                           lambda v: passes.append(len(v)) or json_rows(v)):
+        assert written(req, columns, "json") == json_oracle(req, columns)
+    assert passes[-1] == (rows - 1) % CHUNK_POINTS + 1
 
 
 @PROFILE
