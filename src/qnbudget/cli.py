@@ -146,8 +146,8 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     a PSD value that is negative or not finite included, raises the
     DegeneracyError that evaluate_curve raises for the first failing curve
     in request order, and then no file is written.  The file is rewritten in
-    place; a failed write leaves it empty and raises ConfigError, as does a
-    failed open.
+    place; a failed open or write raises ConfigError (a write leaves it
+    empty), except BrokenPipeError: the reader of a pipe is gone.
     """
     lo, hi = req.band_hz
     f_hz = np.geomspace(lo, hi, req.points)
@@ -171,6 +171,8 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
                 raise
             finally:
                 os.close(fd)
+        except BrokenPipeError:   # cli_entry ends quietly with exit 141
+            raise
         except OSError as exc:
             raise ConfigError(f"out: cannot write '{req.out_path}': "
                               f"{exc.strerror or exc}") from exc

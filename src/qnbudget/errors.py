@@ -40,13 +40,14 @@ def _raise_first(*checks) -> None:
 
     Each check is (mask over the batch, error type, message(index)), listed
     in the order one point runs them, so a batch reports the failure that a
-    loop over its points meets first, with its index (0 for a scalar).
+    loop over its points meets first, with its index (0 for a scalar).  A
+    scalar mask, a check that does not depend on frequency, fails at index 0.
     """
     if not any(any_true(mask) for mask, _, _ in checks):
         return
-    masks = np.array([np.reshape(mask, -1) for mask, _, _ in checks])
-    i = int(np.argmax(masks.any(axis=0)))
-    _, error, message = checks[int(np.argmax(masks[:, i]))]
+    masks = np.broadcast_arrays(*(np.reshape(m, -1) for m, _, _ in checks))
+    i = int(np.argmax(np.any(masks, axis=0)))
+    _, error, message = checks[int(np.argmax([m[i] for m in masks]))]
     raise error(message(i), index=i)
 
 

@@ -7,7 +7,8 @@ spectra for fixed or optimal homodyne readout.  All evaluations are pure
 functions of (config, sideband angular frequency).  Each takes a scalar
 omega or a 1-D array of them.  Every 2x2 quantity is held as its four
 entries (m11, m12, m21, m22), each an (N,) array over a batch of N
-frequencies, so a batch is evaluated in one pass of elementwise arithmetic;
+frequencies (a scalar, which broadcasts, where it does not depend on
+frequency), so a batch is evaluated in one pass of elementwise arithmetic;
 a scalar omega runs the same code on numpy scalars and gives bitwise the
 matching element of an array call (each per-point square is written as a
 product, which numpy computes alike for scalars and arrays), except where a
@@ -60,7 +61,8 @@ class IoRelation:
     loss channels.  The matrices are entry tuples (m11, m12, m21, m22) and
     v is (v1, v2); mat2(*io.M_io) gives the matrix.  Each entry, and the
     internal coupling, is a scalar for one frequency and an (N,) array for
-    a batch of N.  The external coupling is a float.
+    a batch of N, or a scalar, which broadcasts against omega, where it
+    does not depend on frequency.  The external coupling is a float.
     """
 
     M_io: tuple
@@ -208,12 +210,12 @@ def loop_matrix(cfg: IfoConfig, omega) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         *x, size = _loop(cfg, w)
     _raise_first(_squeeze_guard(size, w))
-    return mat2(*x)
+    return mat2(*np.broadcast_arrays(w, *x)[1:])
 
 
 def _loop(cfg: IfoConfig, w):
-    """The entries of loop_matrix, each of the shape of w, then the
-    internal squeeze |r|, for _squeeze_guard."""
+    """The entries of loop_matrix, each of the shape of w or a scalar, then
+    the internal squeeze |r|, for _squeeze_guard."""
     f_hz = w / TWO_PI
     theta_rot = value_at(cfg.Theta, f_hz)
     r, theta_sqz, extra = _squeeze_state(cfg, w)
@@ -223,16 +225,14 @@ def _loop(cfg: IfoConfig, w):
     if any_true(phase != 0.0):
         turn = np.exp(1j * phase)
         x = tuple(e * turn for e in x)
-    if np.ndim(x[0]) < w.ndim:
-        # no factor depends on frequency: every frequency gets the same matrix
-        x = tuple(e + np.zeros(w.shape) for e in x)
+    if not w.size:   # an empty batch: nothing to solve, nothing to fail
+        x = np.broadcast_arrays(w, *x)[1:]
     return (*x, np.abs(r))
 
 
 def _squeeze_guard(size, w):
     """The check, for _raise_first, that the internal squeeze |r| = size
     stays within the overflow guard MAX_SQUEEZE_FACTOR over w."""
-    size = np.broadcast_to(size, np.shape(w))
     return (size > MAX_SQUEEZE_FACTOR, DegeneracyError, lambda i: (
         f"internal squeeze |r| = {size.flat[i]:.3g} exceeds the overflow "
         f"guard ({MAX_SQUEEZE_FACTOR:g}) at Omega = {w.flat[i]:.6g} rad/s"))
@@ -242,12 +242,13 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
     """Input-output relation of the effective cavity.
 
     Returns an IoRelation whose entries are scalars for a scalar omega and
-    (N,) arrays for a 1-D array of N.  The lowest failing index raises,
-    for the first check it fails: the internal squeeze's overflow guard;
-    the round-trip gain of the loop at unity (no cavity inverse) or above
-    it (no steady state), a LasingThresholdError; the signal response not
-    finite or vanishing (its squared norm underflows to 0); the internal
-    loss not finite.
+    (N,) arrays for a 1-D array of N, or scalars that broadcast against
+    omega where the loop does not depend on frequency.  The lowest failing
+    index raises, for the first check it fails: the internal squeeze's
+    overflow guard; the round-trip gain of the loop at unity (no cavity
+    inverse) or above it (no steady state), a LasingThresholdError; the
+    signal response not finite or vanishing (its squared norm underflows
+    to 0); the internal loss not finite.
     """
     w = _frequencies(omega)
     sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
@@ -302,20 +303,20 @@ def _couplings(cfg: IfoConfig, w):
             f"Omega = {w.flat[i]:.6g} rad/s"))
 
 
-def _covariance_from(cfg: IfoConfig, io: IoRelation):
+def _covariance_from(inputs, io: IoRelation | None = None):
     """(F4 rows, Sigma entries, c_ext^2) of the output covariance
-    Sigma = F F^dag over io's frequencies.
+    Sigma = F F^dag, from the entries of M_io S_in and io's couplings.
 
     F4 = [M_io S_in, c_int M_c] is the first four columns of the
-    square-root factor F = [F4, c_ext I]; each of its two rows is a tuple
-    of four entries.  Sigma's diagonal is real and Sigma_21 is
-    conj(Sigma_12).
+    square-root factor F = [F4, c_ext I]; without io, F is M_io S_in alone,
+    the lossless covariance.  Each row of F4 is a tuple of entries.
+    Sigma's diagonal is real and Sigma_21 is conj(Sigma_12).
     """
-    ext_sq = io.external_coupling**2
-    p11, p12, p21, p22 = _mul(io.M_io,
-                              squeeze_entries(cfg.r_input, cfg.theta_input))
-    c11, c12, c21, c22 = (io.internal_coupling * e for e in io.M_c)
-    rows = (p11, p12, c11, c12), (p21, p22, c21, c22)
+    rows, ext_sq = (inputs[:2], inputs[2:]), 0.0
+    if io is not None:
+        ext_sq = io.external_coupling**2
+        c11, c12, c21, c22 = (io.internal_coupling * e for e in io.M_c)
+        rows = (*rows[0], c11, c12), (*rows[1], c21, c22)
     s11, s22 = (sum(_abs2(e) for e in row) + ext_sq for row in rows)
     s12 = sum(a * np.conj(b) for a, b in zip(*rows))
     return rows, (s11, s12, np.conj(s12), s22), ext_sq
@@ -370,10 +371,10 @@ def _homodyne_from(w, zeta_arr, io: IoRelation, sigma):
     c, s = np.cos(zeta_arr), np.sin(zeta_arr)
     qv = c * v1 + s * v2
     blind = np.abs(qv) < BLIND_TOL * np.sqrt(_abs2(v1) + _abs2(v2))
-    by_point = np.reshape(blind, (w.size, zeta_arr.size))
-    angles = np.broadcast_to(zeta_arr, blind.shape).reshape(by_point.shape)
-    _raise_first((by_point.any(axis=1), BlindQuadratureError, lambda i: (
-        f"readout angle {angles[i, np.argmax(by_point[i])]:.6g} "
+    # a row of angles per point, one row for all where v is a constant
+    rows = np.reshape(blind, (-1, max(zeta_arr.size, 1)))[:w.size]
+    _raise_first((rows.any(axis=1), BlindQuadratureError, lambda i: (
+        f"readout angle {zeta_arr.flat[np.argmax(rows[i])]:.6g} "
         "rad is orthogonal to the signal response")))
     noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
     return _scalar_or_array(noise / _abs2(qv))
@@ -472,7 +473,8 @@ def qcrb_lossless(cfg: IfoConfig, omega):
     omega gives an array.  It is read from the loop solve of cfg, whose
     checks include those of cfg's own losses.
     """
-    return _Solve(cfg, omega).read(_Solve.qcrb)
+    return _Solve(cfg, omega).read(lambda one: _scalar_or_array(
+        np.full(one.w.shape, one.qcrb())))
 
 
 class _Solve:
@@ -495,8 +497,13 @@ class _Solve:
         return io_relation(self.cfg, self.w)
 
     @functools.cached_property
+    def inputs(self):   # the entries of M_io S_in
+        sqz = squeeze_entries(self.cfg.r_input, self.cfg.theta_input)
+        return _mul(self.io.M_io, sqz)
+
+    @functools.cached_property
     def covariance(self):
-        return _covariance_from(self.cfg, self.io)
+        return _covariance_from(self.inputs, self.io)
 
     def read(self, spectra):
         """spectra(self).  When it fails at point k, the points before k are
@@ -524,10 +531,10 @@ class _Solve:
         with np.errstate(over="ignore", invalid="ignore"):
             couplings, check = _couplings(cfg, self.w)
             io = IoRelation(io.M_io, io.M_c, io.v, *couplings)
-            covariance = _covariance_from(cfg, io)
+            covariance = _covariance_from(self.inputs, io)
         return _optimal_from(self.w, io, covariance, check)
 
     def qcrb(self):
-        """optimal() with every loss channel switched off."""
-        return self.optimal_with(replace(
-            self.cfg, eps_arm=0.0, eps_src_channels=(0.0,), eps_ext=0.0))
+        """optimal() with every loss channel switched off, from M_io S_in
+        alone; io_relation's coupling check covers the lossless one."""
+        return _optimal_from(self.w, self.io, _covariance_from(self.inputs))

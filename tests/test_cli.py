@@ -767,13 +767,17 @@ class TestCliExitCodes:
                              text=True, env=env)
         assert bad.returncode == 2 and "config error" in bad.stderr
 
-    def test_closed_stdout_ends_quietly(self):
+    @pytest.mark.parametrize("out", [[], ["--out", "/dev/stdout"]],
+                             ids=["stdout", "out-dev-stdout"])
+    def test_closed_stdout_ends_quietly(self, out):
         # a reader that closes its end after one line, as `| head -1` does:
-        # the console script ends as cat does, exit 141 and an empty stderr
+        # the console script ends as cat does, exit 141 and an empty stderr;
+        # through --out too, where the write's BrokenPipeError is not a
+        # config error
         src = os.path.dirname(os.path.dirname(qnbudget.__file__))
         with subprocess.Popen(
                 [sys.executable, "-m", "qnbudget", "budget", "--points",
-                 "100000", "--curves", "sql"], stdout=subprocess.PIPE,
+                 "100000", "--curves", "sql", *out], stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 env={**os.environ, "PYTHONPATH": src}) as proc:
             assert proc.stdout.readline() == b"f_hz,sql\n"

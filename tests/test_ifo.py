@@ -17,7 +17,7 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       loop_matrix, loss_limit, mat2, optimal_spectrum,
                       ponderomotive_gain, qcrb_lossless, random_config,
                       resolve_band, total_covariance, value_at)
-from qnbudget import curves
+from qnbudget import curves, ifo
 from qnbudget.constants import C_LIGHT, HBAR
 
 TWO_PI = 2 * math.pi
@@ -460,6 +460,113 @@ def curve_by_curve_scalar(names, cfg, f_hz):
             except DegeneracyError as exc:
                 return failure(exc, i)
     return None
+
+
+def homodyne_at(zeta):
+    return lambda c, w: homodyne_spectrum(c, w, zeta)
+
+
+class TestConstantLoop:
+    """A loop with no Theta, residual-phase or internal-squeeze table that is
+    not ponderomotive, the default config's, is solved once per batch: a
+    check it fails, it fails at every point, so at index 0, and every
+    public spectrum still has a value per frequency."""
+
+    OMEGAS = TWO_PI * np.array([10.0, 100.0, 1000.0])
+    SPECTRA = [io_relation, total_covariance, optimal_spectrum, qcrb_lossless,
+               pytest.param(homodyne_at(0.3), id="homodyne_spectrum")]
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    @pytest.mark.parametrize("change, error, message", [
+        # the internal squeeze puts the loop on or beyond its threshold
+        ({"r": 0.5}, LasingThresholdError, "recycling loop at lasing threshold"),
+        ({"r": 1.0}, LasingThresholdError, "recycling loop beyond lasing"),
+        ({"L": 1e300}, DegeneracyError, "signal response is not finite"),
+        ({"L": 2.7e-269}, DegeneracyError, "signal response vanishes"),
+    ], ids=["at-threshold", "beyond-threshold", "signal-overflow",
+            "signal-underflow"])
+    def test_failure_is_the_scalar_call_at_index_0(self, cfg, spectrum, change,
+                                                   error, message):
+        if "r" in change:
+            r = -change["r"] * math.log(1.0 - cfg.T_src)
+            cfg = replace(cfg, internal_sqz=InternalSqueeze("fixed", r=r))
+        else:
+            cfg = replace(cfg, **change)
+        with pytest.raises(error, match=message) as one:
+            spectrum(cfg, self.OMEGAS[0])
+        want = failure(one.value, 0)
+        assert first_scalar_failure(spectrum, cfg, self.OMEGAS) == want
+        assert batch_failure(spectrum, cfg, self.OMEGAS) == want
+        # an empty batch has no point to fail
+        if spectrum is not io_relation:
+            got = spectrum(cfg, np.array([]))
+            assert np.shape(got[0] if spectrum is optimal_spectrum
+                            else got)[:1] == (0,)
+
+    @pytest.mark.parametrize("batch", ["frequencies", "angles", "both"])
+    def test_blind_angle_is_the_scalar_call_at_index_0(self, cfg, batch):
+        v = np.real(io_relation(cfg, self.OMEGAS).v)
+        assert v.shape == (2,)   # v does not depend on frequency
+        zeta = math.atan2(v[1], v[0]) + math.pi / 2
+        with pytest.raises(BlindQuadratureError) as one:
+            homodyne_spectrum(cfg, self.OMEGAS[0], zeta)
+        assert str(one.value) == (f"readout angle {zeta:.6g} rad is "
+                                  "orthogonal to the signal response")
+        want = failure(one.value, 0)
+        if batch == "frequencies":
+            got = batch_failure(homodyne_at(zeta), cfg, self.OMEGAS)
+        elif batch == "angles":
+            got = batch_failure(homodyne_at([0.3, zeta]), cfg, self.OMEGAS[0])
+        else:
+            # validate's scan: a row of angles at each frequency
+            got = batch_failure(lambda c, w: ifo._Solve(c, w).read(
+                lambda one: one.homodyne([0.3, zeta])), cfg, self.OMEGAS)
+        assert got == want
+
+    def test_qcrb_fails_as_0_times_inf_where_the_loss_overflows(self, cfg):
+        # no recycling loss: (Omega / gamma)^2 = inf makes the internal
+        # loss 0 * inf, for the lossless bound as for the config
+        c = replace(cfg, eps_src_channels=(0.0,))
+        f_big = 2e154 * arm_bandwidth(c) / TWO_PI
+        omega = TWO_PI * np.array([f_big, 100.0])
+        for spectrum in (qcrb_lossless, optimal_spectrum):
+            want = first_scalar_failure(spectrum, c, omega)
+            assert want == (DegeneracyError, "internal loss nan is not finite "
+                            f"at Omega = {omega[0]:.6g} rad/s", 0)
+            assert batch_failure(spectrum, c, omega) == want
+        with pytest.raises(DegeneracyError) as info:
+            evaluate_curve("qcrb", c, omega / TWO_PI)
+        assert str(info.value).startswith(
+            f"curve 'qcrb' failed at {f_big:.6g} Hz: internal loss nan")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_public_spectra_keep_a_value_per_frequency(self, cfg, n):
+        omegas = self.OMEGAS[:n]
+        io = io_relation(cfg, omegas)
+        assert all(np.ndim(e) == 0 for e in (*io.M_io, *io.M_c, *io.v))
+        assert np.shape(io.internal_coupling) == (n,)
+        s, zeta = optimal_spectrum(cfg, omegas)
+        qcrb = qcrb_lossless(cfg, omegas)
+        fixed = homodyne_spectrum(cfg, omegas, 0.3)
+        assert s.shape == zeta.shape == qcrb.shape == fixed.shape == (n,)
+        loop, sigma = loop_matrix(cfg, omegas), total_covariance(cfg, omegas)
+        assert loop.shape == sigma.shape == (n, 2, 2)
+        # each is bitwise the scalar call at its frequency; a scalar call
+        # gives floats and (2, 2) matrices
+        for k, w in enumerate(omegas):
+            assert isinstance(qcrb_lossless(cfg, w), float)
+            assert qcrb[k] == qcrb_lossless(cfg, w)
+            assert s[k] == optimal_spectrum(cfg, w)[0]
+            assert np.array_equal(loop[k], loop_matrix(cfg, w))
+            assert np.array_equal(sigma[k], total_covariance(cfg, w))
+        # the bound is a fresh array, not a view of one value
+        qcrb[0] = 0.0
+        assert qcrb_lossless(cfg, omegas)[0] > 0.0
+        angles = homodyne_spectrum(cfg, omegas[0], [0.3, 1.2])
+        assert angles.shape == (2,) and angles[0] == fixed[0]
+        # validate's scan: a row of angles per frequency
+        scan = ifo._Solve(cfg, omegas).read(lambda one: one.homodyne([0.3, 1.2]))
+        assert scan.shape == (n, 2) and np.array_equal(scan[:, 0], fixed)
 
 
 class TestIoRelation:
