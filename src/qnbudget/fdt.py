@@ -67,14 +67,20 @@ def _denominator(mode: CavityMode, omega: float) -> complex:
     return mode.omega_cav**2 + (mode.gamma_eps - 1j * omega) ** 2
 
 
+def _susceptibilities(mode: CavityMode, omega) -> tuple[complex, complex]:
+    """(chi_phase_phase, chi_phase_amp), over one shared hbar D."""
+    hbar_d = HBAR * _denominator(mode, omega)
+    return mode.omega_cav / hbar_d, (1j * omega - mode.gamma_eps) / hbar_d
+
+
 def chi_phase_phase(mode: CavityMode, omega: float) -> complex:
     """Phase-quadrature self-susceptibility omega_cav / (hbar D)."""
-    return mode.omega_cav / (HBAR * _denominator(mode, omega))
+    return _susceptibilities(mode, omega)[0]
 
 
 def chi_phase_amp(mode: CavityMode, omega: float) -> complex:
     """Phase response to an amplitude drive, (i omega - gamma) / (hbar D)."""
-    return (1j * omega - mode.gamma_eps) / (HBAR * _denominator(mode, omega))
+    return _susceptibilities(mode, omega)[1]
 
 
 def gw_coupling(power: float, omega0: float, arm_length: float) -> float:
@@ -98,9 +104,7 @@ def loss_floor_fdt(cfg: IfoConfig, omega):
     if cfg.eps_arm == 0.0:
         return 0.0 * omega
     mode = mode_for(cfg)
-    w_abs = cfg.omega0 + omega
-    cpp = chi_phase_phase(mode, w_abs)
-    cpa = chi_phase_amp(mode, w_abs)
+    cpp, cpa = _susceptibilities(mode, cfg.omega0 + omega)
     g = gw_coupling(cfg.P, cfg.omega0, cfg.L)
     # + 0.0: an underflowing Im chi_22 may leave the division as -0.0
     return 2.0 * cpp.imag / (HBAR * g**2 * cfg.L**2 * abs(cpa) ** 2) + 0.0

@@ -353,14 +353,14 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
     return solve.read(lambda one: one.homodyne(zeta_arr))
 
 
-def _homodyne_from(w, zeta_arr, io: IoRelation, sigma):
+def _homodyne_from(w, zeta_arr, io: IoRelation, sigma, trig=None):
     """homodyne_spectrum over w from its IoRelation and covariance entries.
 
     One angle gives a value per point of w, angles at a scalar w a value per
     angle, and a row of M angles against an (N,) w gives (N, M) values, one
     row per frequency.  A frequency with a blind angle fails, and the
     message names its first blind angle, as a loop over the frequencies and
-    then the angles meets it.
+    then the angles meets it.  trig, if given, is (cos, sin) of zeta_arr.
     """
     s11, s12, _, s22 = sigma
     v1, v2 = io.v
@@ -368,7 +368,7 @@ def _homodyne_from(w, zeta_arr, io: IoRelation, sigma):
         # one row of angles per frequency
         s11, s12, s22, v1, v2 = (np.reshape(e, (-1, 1))
                                  for e in (s11, s12, s22, v1, v2))
-    c, s = np.cos(zeta_arr), np.sin(zeta_arr)
+    c, s = (np.cos(zeta_arr), np.sin(zeta_arr)) if trig is None else trig
     qv = c * v1 + s * v2
     blind = np.abs(qv) < BLIND_TOL * np.sqrt(_abs2(v1) + _abs2(v2))
     # a row of angles per point, one row for all where v is a constant
@@ -519,10 +519,10 @@ class _Solve:
     def optimal(self):
         return _optimal_from(self.w, self.io, self.covariance)
 
-    def homodyne(self, zeta):
+    def homodyne(self, zeta, trig=None):
         """homodyne_spectrum at zeta; a row of M angles gives (N, M)."""
         return _homodyne_from(self.w, np.asarray(zeta, dtype=float), self.io,
-                              self.covariance[1])
+                              self.covariance[1], trig)
 
     def optimal_with(self, cfg):
         """optimal() for cfg, the solved config with other losses; the

@@ -20,6 +20,7 @@ import numpy as np
 
 # symplectic form J on (a1, a2); real symplectic matrices satisfy M J M^T = J
 SYMPLECTIC_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])
+SYMPLECTIC_FORM.flags.writeable = False   # read by every validate request
 
 # e^40 is still comfortably inside double range while far beyond any
 # physical squeeze level

@@ -4,11 +4,13 @@ Each check compares two independent routes to the same quantity, or, for
 loss_monotonicity, the configuration's optimal spectrum with those of copies
 with more loss, and reports the worst relative deviation against a fixed
 tolerance.  The randomized checks draw from a seeded generator, so a report
-is deterministic for a given configuration and seed.
+is deterministic for a given configuration and seed.  What depends on
+neither is computed once per process and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -57,6 +59,9 @@ _DRAW_LOW = np.array([1e3, 10.0, 4.0, 0.5e-6, 0.005, 0.0, 0.0, 0.0, 0.0,
                       0.0, -0.3])
 _DRAW_HIGH = np.array([1e4, 200.0, 6.3, 1.6e-6, 0.05, 3e-4, 3e-3, 0.3, 2.0,
                        TWO_PI, 0.3])
+_SYMPLECTIC_LOW = np.array([-10.0, -2.0, 0.0, -3.0])   # of _check_symplectic
+_SYMPLECTIC_HIGH = np.array([10.0, 2.0, TWO_PI, 2.0])
+_NO_INTERNAL_SQZ = InternalSqueeze()
 
 
 def random_config(rng: np.random.Generator) -> IfoConfig:
@@ -69,7 +74,7 @@ def random_config(rng: np.random.Generator) -> IfoConfig:
     # unity round-trip gain needs e^|r| to reach 1/sqrt(1 - T_src)
     r_cap = -0.5 * math.log1p(-t_src)
     mode = ("none", "fixed")[rng.integers(2)]
-    sqz = InternalSqueeze()
+    sqz = _NO_INTERNAL_SQZ
     if mode == "fixed":
         sqz = InternalSqueeze(mode="fixed",
                               r=rng.uniform(-0.8, 0.8) * r_cap,
@@ -101,18 +106,15 @@ def _worst(got, want) -> float:
 
 def _check_symplectic(rng) -> CheckResult:
     j = SYMPLECTIC_FORM
-    # 200 draws of (rotation angle, squeeze r, squeeze angle, log10 gain),
-    # taken from the generator in that order
-    low = np.array([-10.0, -2.0, 0.0, -3.0])
-    high = np.array([10.0, 2.0, TWO_PI, 2.0])
-    angle, r, theta, log_gain = rng.uniform(low, high, size=(200, 4)).T
-    worst = 0.0
-    for m in (rotation_matrix(angle), squeeze_matrix(r, theta),
-              ponderomotive_matrix(10.0 ** log_gain)):
-        worst = max(worst, float(np.abs(m @ j @ m.swapaxes(1, 2) - j).max()))
-    return CheckResult("symplectic", worst, 1e-12)
+    angle, r, theta, log_gain = rng.uniform(
+        _SYMPLECTIC_LOW, _SYMPLECTIC_HIGH, size=(200, 4)).T
+    worst = np.max([np.abs(m @ j @ m.swapaxes(1, 2) - j).max() for m in (
+        rotation_matrix(angle), squeeze_matrix(r, theta),
+        ponderomotive_matrix(10.0 ** log_gain))], initial=0.0)
+    return CheckResult("symplectic", float(worst), 1e-12)
 
 
+@functools.cache   # depends on neither config nor seed
 def _check_decomposition() -> CheckResult:
     gain = np.geomspace(1e-3, 1e3, 61)
     phi, r, theta = ponderomotive_decompose(gain)
@@ -123,10 +125,15 @@ def _check_decomposition() -> CheckResult:
 
 # frequencies [Hz] of the checks against the exact pipeline
 _CHECK_HZ = np.array([12.0, 110.0, 980.0])
+_CHECK_OMEGA = TWO_PI * _CHECK_HZ
+_FDT_OMEGA = TWO_PI * np.geomspace(5.0, 5000.0, 25)   # of fdt_vs_loss_limit
 
-
-# readout angles [rad] of the optimal_vs_grid scan
+# readout angles [rad] of the optimal_vs_grid scan, and their cos and sin
 _GRID_ZETAS = (np.arange(4000) + 0.5) * math.pi / 4000
+_GRID_TRIG = (np.cos(_GRID_ZETAS), np.sin(_GRID_ZETAS))
+for _a in (_DRAW_LOW, _DRAW_HIGH, _SYMPLECTIC_LOW, _SYMPLECTIC_HIGH,
+           _CHECK_HZ, _CHECK_OMEGA, _FDT_OMEGA, _GRID_ZETAS, *_GRID_TRIG):
+    _a.flags.writeable = False
 
 
 def _check_exact(cfg, rng) -> tuple[CheckResult, CheckResult]:
@@ -147,10 +154,10 @@ def _check_exact(cfg, rng) -> tuple[CheckResult, CheckResult]:
             replace(cfg, eps_src_channels=(
                 *cfg.eps_src_channels,
                 f_src * (1.0 - sum(cfg.eps_src_channels)))))
-    solve = ifo._Solve(cfg, TWO_PI * _CHECK_HZ)
+    solve = ifo._Solve(cfg, _CHECK_OMEGA)
     s_opt = solve.read(ifo._Solve.optimal)
     # one row of the scan per frequency, one column per angle
-    grid_min = solve.read(lambda one: one.homodyne(_GRID_ZETAS)).min(axis=1)
+    grid_min = solve.read(lambda o: o.homodyne(_GRID_ZETAS, _GRID_TRIG)).min(1)
     s_more = []
     for c, name, f in zip(more, ("eps_arm", "eps_ext", "eps_src"), fractions):
         try:
@@ -162,17 +169,16 @@ def _check_exact(cfg, rng) -> tuple[CheckResult, CheckResult]:
                               index=error.index) from exc
     s_more = np.array(s_more)
     return (CheckResult("optimal_vs_grid", _worst(grid_min, s_opt), 1e-3),
-            CheckResult("loss_monotonicity", max(
-                0.0, float(np.max((s_opt - s_more) / s_opt))), 1e-12))
+            CheckResult("loss_monotonicity", float(np.max(
+                (s_opt - s_more) / s_opt, initial=0.0)), 1e-12))
 
 
 def _check_fdt(cfg) -> CheckResult:
     if cfg.eps_arm == 0.0:
         return CheckResult("fdt_vs_loss_limit", 0.0, 1e-3)
     arm_only = replace(cfg, eps_src_channels=(0.0,), eps_ext=0.0)
-    omega = TWO_PI * np.geomspace(5.0, 5000.0, 25)
-    closed = limits.loss_limit(arm_only, omega, limits.ALPHA_NO_INTERNAL)
-    oracle = fdt.loss_floor_fdt(arm_only, omega)
+    closed = limits.loss_limit(arm_only, _FDT_OMEGA, limits.ALPHA_NO_INTERNAL)
+    oracle = fdt.loss_floor_fdt(arm_only, _FDT_OMEGA)
     # compared where the closed form is a positive double: an eps_arm below
     # about 5e-278 underflows it to 0 and compares nothing, as 0 does
     positive = closed > 0.0
@@ -182,7 +188,7 @@ def _check_fdt(cfg) -> CheckResult:
 
 def _taylor_regime(cfg) -> IfoConfig:
     return replace(cfg, T_src=1e-3, Theta=0.0, r_input=0.0, theta_input=0.0,
-                   internal_sqz=InternalSqueeze(), residual_phase=0.0)
+                   internal_sqz=_NO_INTERNAL_SQZ, residual_phase=0.0)
 
 
 def _check_taylor_regime(cfg) -> tuple[CheckResult, CheckResult]:
@@ -193,12 +199,11 @@ def _check_taylor_regime(cfg) -> tuple[CheckResult, CheckResult]:
     taylor_loss_no_internal gives there.
     """
     small = _taylor_regime(cfg)
-    omega = TWO_PI * _CHECK_HZ
-    solve = ifo._Solve(small, omega)
+    solve = ifo._Solve(small, _CHECK_OMEGA)
     exact_qcrb = solve.read(ifo._Solve.qcrb)
     s_full = solve.read(ifo._Solve.optimal)
-    floor = limits.loss_limit(small, omega, limits.ALPHA_NO_INTERNAL)
-    shot = limits.taylor_qcrb_no_internal(small, omega)
+    floor = limits.loss_limit(small, _CHECK_OMEGA, limits.ALPHA_NO_INTERNAL)
+    shot = limits.taylor_qcrb_no_internal(small, _CHECK_OMEGA)
     deviations = [_worst(exact_qcrb, shot)]
     # without loss both loss terms vanish and only the lossless one compares
     if small.eps_arm or small.eps_ext or any(small.eps_src_channels):

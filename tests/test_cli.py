@@ -19,7 +19,7 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       config_hash, config_template, config_to_dict,
                       default_config,
                       evaluate_curve, homodyne_spectrum, ifo,
-                      io_relation, load_config, loss_limit,
+                      io_relation, load_config, loss_limit, quadrature,
                       resolve_band, run_budget,
                       run_validation, validation)
 from qnbudget.cli import build_parser, main
@@ -1023,6 +1023,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^seed: .*, got True$"):
             run_validation(default_config(), seed=True)
 
+    def test_nan_monotonicity_deviation_fails(self, cfg, monkeypatch,
+                                              capsys):
+        # max(0.0, nan) is 0.0: a NaN deviation once read as a PASS
+        monkeypatch.setattr(ifo._Solve, "optimal_with",
+                            lambda solve, c: np.full(solve.w.shape, np.nan))
+        assert main(["validate", "--seed", "7"]) == 1
+        assert ("FAIL  loss_monotonicity        max rel deviation nan "
+                "(tolerance 1.0e-12)") in capsys.readouterr().out.splitlines()
+
+    def test_nan_symplectic_deviation_fails(self, monkeypatch):
+        # one NaN matrix among the three, not the last: max(worst, nan)
+        # once kept the worst before it
+        monkeypatch.setattr(validation, "squeeze_matrix",
+                            lambda r, theta: np.full((r.size, 2, 2), np.nan))
+        check = validation._check_symplectic(np.random.default_rng(7))
+        assert math.isnan(check.deviation) and not check.passed
+
 
 def scan_by_frequency(cfg, omega, zetas):
     """homodyne_spectrum over zetas at each frequency in turn, as (N, M)
@@ -1081,6 +1098,71 @@ class TestGridScan:
         with pytest.raises(BlindQuadratureError) as info:
             ifo._Solve(cfg, self.OMEGA).homodyne(zetas)
         assert (str(info.value), info.value.index) == (str(want), k)
+
+
+class TestSharedValidationWork:
+    """validate computes what depends on neither config nor seed once per
+    process, and shares it read-only: no request changes a later one."""
+
+    OMEGA = TestGridScan.OMEGA
+
+    def test_rows_with_hoisted_trig_equal_the_scan(self):
+        rng = np.random.default_rng(25)
+        zetas, trig = validation._GRID_ZETAS, validation._GRID_TRIG
+        for i in range(200):
+            solve = ifo._Solve(validation.random_config(rng), self.OMEGA)
+            got = solve.homodyne(zetas, trig)
+            assert got.tobytes() == solve.homodyne(zetas).tobytes(), i
+
+    def test_shared_arrays_are_read_only(self):
+        shared = [*validation._GRID_TRIG, *(
+            v for v in vars(validation).values() if isinstance(v, np.ndarray))]
+        assert len(shared) >= 11
+        assert any(a is qnbudget.SYMPLECTIC_FORM for a in shared)
+        for a in shared:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            validation._GRID_TRIG[0][0] = 0.0
+
+    def test_in_process_requests_equal_a_fresh_process(self, tmp_path,
+                                                        capsys):
+        doc = config_to_dict(validation.random_config(
+            np.random.default_rng([25, 1])))
+        path = write_config(tmp_path, doc)
+        cfg = load_config(path)
+        src = os.path.dirname(os.path.dirname(qnbudget.__file__))
+        for seed in (1, 2, 1):
+            assert run_validation(cfg, seed) == run_validation(cfg, seed)
+            main(["validate", "--config", path, "--seed", str(seed)])
+            done = subprocess.run(
+                [sys.executable, "-m", "qnbudget", "validate", "--config",
+                 path, "--seed", str(seed)], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+            assert capsys.readouterr().out == done.stdout, seed
+
+    def test_decomposition_is_checked_once(self, cfg, monkeypatch):
+        first = run_validation(cfg, 3)
+        calls, decompose = [], quadrature.ponderomotive_decompose
+
+        def counted(gain):
+            calls.append(gain)
+            return decompose(gain)
+        for module in (validation, ifo, quadrature):
+            monkeypatch.setattr(module, "ponderomotive_decompose", counted)
+        assert cfg.internal_sqz.mode != "ponderomotive"
+        assert run_validation(cfg, 3) == first
+        assert calls == []
+
+    def test_budget_never_checks_the_decomposition(self):
+        src = os.path.dirname(os.path.dirname(qnbudget.__file__))
+        done = subprocess.run([sys.executable, "-c", (
+            "from qnbudget import validation; "
+            "from qnbudget.cli import main; "
+            "assert main(['budget', '--points', '4', '--out', '/dev/null']) == 0; "
+            "assert validation._check_decomposition.cache_info().misses == 0")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
 
 
 def draw_stream_digest(draws):
