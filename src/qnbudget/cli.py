@@ -38,8 +38,8 @@ class BudgetRequest:
     """Validated description of one budget sweep.
 
     band_hz is a pair of numbers, 0.1 <= fmin < fmax <= MAX_FREQUENCY_HZ.
-    points must be an integer.  curves is a sequence of curve names; a
-    single string is one name.
+    points must be an integer, not a bool.  curves is a sequence of curve
+    names, each kept once, at its first place; a single string is one name.
     """
 
     config: IfoConfig
@@ -59,6 +59,8 @@ class BudgetRequest:
         hi = _number("fmax", hi, lo, MAX_FREQUENCY_HZ, "(]")
         object.__setattr__(self, "band_hz", (lo, hi))
         try:
+            if isinstance(self.points, bool):   # an int to operator.index
+                raise TypeError
             points = operator.index(self.points)
         except TypeError:
             raise ConfigError(
@@ -79,7 +81,7 @@ class BudgetRequest:
             if not isinstance(name, str):
                 raise ConfigError(f"curves: expected a curve name, got {name!r}")
             parse_curve_name(name)
-        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "curves", tuple(dict.fromkeys(curves)))
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format: must be csv or json, got {self.fmt!r}")
 

@@ -88,27 +88,34 @@ CURVE_CHOICES = BASE_CURVES + ("full_fixed_zeta(<rad>)",)
 def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:
     """Evaluate one named curve as a PSD array over the frequency grid.
 
-    The grid runs in chunks of CHUNK_POINTS frequencies.  A degeneracy, or a
-    PSD value negative or not finite, is reported at its first grid frequency.
-    So is a closed form's OverflowError or ZeroDivisionError, at the chunk's
-    first frequency (see errors._as_degeneracy).
+    The grid is a 1-D array of frequencies [Hz], run in chunks of
+    CHUNK_POINTS frequencies.  A degeneracy, or a PSD value negative or not
+    finite, is reported at its first grid frequency.  So is a closed form's
+    OverflowError or ZeroDivisionError, at the chunk's first frequency (see
+    errors._as_degeneracy).
     """
     return _evaluate((name,), cfg, f_hz)[name]
 
 
 def _evaluate(names, cfg: IfoConfig, f_hz) -> dict:
-    """{name: PSD array} for the curves `names`, in their order.
+    """{name: PSD array} for the distinct curves `names`, in their order.
 
     Values, errors and warnings are those of a loop calling evaluate_curve
     on each name in turn: the first curve in order that fails raises, at
     its first failing frequency.  The exact curves walk the grid together
     when the first of them is reached, so they share one loop solve per
     chunk; every other curve walks it alone, in order, since only those
-    may warn.
+    may warn.  Python's once-per-location record of the warnings shown here
+    is dropped first, so each call prints what a fresh process prints and
+    the record does not grow over calls.
     """
+    globals().pop("__warningregistry__", None)
     f_hz = np.asarray(f_hz, dtype=float)
-    exact = tuple(dict.fromkeys(
-        name for name in names if parse_curve_name(name)[0] in _EXACT))
+    if f_hz.ndim != 1:
+        raise ValueError("frequency grid must be a 1-D array, "
+                         f"got shape {f_hz.shape}")
+    exact = tuple(name for name in names
+                  if parse_curve_name(name)[0] in _EXACT)
     spectra = {}
     for name in names:
         if name not in exact:

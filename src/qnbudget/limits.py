@@ -7,7 +7,9 @@ optimal-readout spectra.  The expansion formulas are valid for small
 recycling transmissivity and rotation angle; out-of-regime use emits a
 RegimeWarning rather than an error, since the exact pipeline in
 :mod:`qnbudget.ifo` remains authoritative.  The frequency-dependent forms
-take a scalar or an array of frequencies and return the same shape.
+take a scalar or an array of frequencies and return the same shape.  The
+loss floors and expansions share one prefactor (_prefactor), and the
+lossless expansion without internal squeezing is the one with it at r = 0.
 
 Angle convention: the squeeze angle ``theta`` appearing in the expansion
 formulas equals minus twice the ellipse angle of
@@ -56,7 +58,8 @@ def limit_params(t_src: float, theta_rot):
 
 
 def _warn_regime(**named) -> None:
-    """One warning per quantity, naming its first out-of-regime value."""
+    """One warning per quantity, naming its first out-of-regime value; it is
+    attributed to the caller of the public function whose helper calls this."""
     for name, (value, bound) in named.items():
         outside = np.abs(value) >= bound
         if np.any(outside):
@@ -66,7 +69,7 @@ def _warn_regime(**named) -> None:
             warnings.warn(
                 f"{name} = {value_i:.3g} is outside the expansion regime "
                 f"(|{name}| < {bound_i:g}); the exact pipeline is authoritative",
-                RegimeWarning, stacklevel=3)
+                RegimeWarning, stacklevel=4)
 
 
 def sql(cfg: IfoConfig, omega):
@@ -86,6 +89,7 @@ def qcrb_from_spp(s_pp: float, arm_length: float) -> float:
 
 
 def _prefactor(cfg: IfoConfig) -> float:
+    """hbar c^2 / (4 L^2 omega0 P) [1/Hz], the scale of the closed forms."""
     return HBAR * C_LIGHT**2 / (4.0 * cfg.L**2 * cfg.omega0 * cfg.P)
 
 
@@ -103,21 +107,13 @@ def loss_limit(cfg: IfoConfig, omega, alpha: float):
     return _prefactor(cfg) * (eps_int + alpha * cfg.T_src * cfg.eps_ext)
 
 
-def taylor_qcrb_internal(cfg: IfoConfig, omega):
-    """Leading-order lossless optimal-readout PSD with internal squeezing.
-
-    hbar c^2 (delta^2 - 4 r^2)^2 e^(-2 r_input)
-    / (16 L^2 omega0 P T_src [delta^2 + 4 r^2 + 4 delta r sin(theta + theta0)])
-
-    r and theta are the internal squeeze element's at omega, theta in the
-    expansion convention.  Vanishes identically at r = delta / 2.  A
-    non-positive denominator is outside the validity domain and raises
-    DegeneracyError for its first point.
-    """
+def _taylor_qcrb(cfg: IfoConfig, omega, internal: bool):
+    """The lossless expansion of taylor_qcrb_internal, in omega's shape; if
+    not `internal`, at r = 0, without reading the internal squeeze element."""
     _check_sideband(omega)
     t_src = cfg.T_src
     theta_rot = value_at(cfg.Theta, omega / TWO_PI)
-    r, theta_m, _ = _squeeze_state(cfg, omega)
+    r, theta_m, _ = _squeeze_state(cfg, omega) if internal else (0.0, 0.0, 0.0)
     theta = -2.0 * theta_m
     delta, theta0 = limit_params(t_src, theta_rot)
     _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA),
@@ -126,25 +122,41 @@ def taylor_qcrb_internal(cfg: IfoConfig, omega):
     _raise_first((np.broadcast_to(den <= 0.0, np.shape(omega)), DegeneracyError,
                   lambda i: ("outside validity: expansion denominator is <= 0 "
                              f"at Omega = {np.reshape(omega, -1)[i]:.6g} rad/s")))
-    num = (HBAR * C_LIGHT**2 * (delta**2 - 4.0 * r**2) ** 2
-           * math.exp(-2.0 * cfg.r_input))
-    return num / (16.0 * cfg.L**2 * cfg.omega0 * cfg.P * t_src * den)
+    s = (_prefactor(cfg) * (delta**2 - 4.0 * r**2) ** 2
+         * math.exp(-2.0 * cfg.r_input) / (4.0 * t_src * den))
+    # a frequency-independent Theta and squeeze leave s a scalar
+    return np.full(np.shape(omega), s)[()]
+
+
+def taylor_qcrb_internal(cfg: IfoConfig, omega):
+    """Leading-order lossless optimal-readout PSD with internal squeezing.
+
+    prefactor (delta^2 - 4 r^2)^2 e^(-2 r_input)
+    / (4 T_src [delta^2 + 4 r^2 + 4 delta r sin(theta + theta0)])
+
+    r and theta are the internal squeeze element's at omega, theta in the
+    expansion convention.  Vanishes identically at r = delta / 2.  A
+    non-positive denominator is outside the validity domain and raises
+    DegeneracyError for its first point.
+    """
+    return _taylor_qcrb(cfg, omega, internal=True)
 
 
 def taylor_qcrb_no_internal(cfg: IfoConfig, omega):
     """Leading-order shot-noise-only PSD, no internal squeezing.
 
-    hbar c^2 delta^2 e^(-2 r_input) / (16 T_src L^2 omega0 P)
-
-    The internal squeeze element of cfg is not read.
+    prefactor delta^2 e^(-2 r_input) / (4 T_src): taylor_qcrb_internal at
+    r = 0, bit for bit.  The internal squeeze element of cfg is not read.
     """
+    return _taylor_qcrb(cfg, omega, internal=False)
+
+
+def _taylor_loss(cfg: IfoConfig, omega, alpha: float):
+    """loss_limit(cfg, omega, alpha), warning outside the expansion regime."""
     _check_sideband(omega)
-    t_src = cfg.T_src
-    theta_rot = value_at(cfg.Theta, omega / TWO_PI)
-    delta, _ = limit_params(t_src, theta_rot)
-    _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA))
-    return (HBAR * C_LIGHT**2 * delta**2 * math.exp(-2.0 * cfg.r_input)
-            / (16.0 * t_src * cfg.L**2 * cfg.omega0 * cfg.P))
+    _warn_regime(T_src=(cfg.T_src, REGIME_T_SRC),
+                 Theta=(value_at(cfg.Theta, omega / TWO_PI), REGIME_THETA))
+    return loss_limit(cfg, omega, alpha)
 
 
 def taylor_loss_internal(cfg: IfoConfig, omega):
@@ -153,10 +165,7 @@ def taylor_loss_internal(cfg: IfoConfig, omega):
     prefactor * (eps_int + T_src eps_ext); the theta-minimised alpha = 1
     branch of the loss limit.
     """
-    _check_sideband(omega)
-    _warn_regime(T_src=(cfg.T_src, REGIME_T_SRC),
-                 Theta=(value_at(cfg.Theta, omega / TWO_PI), REGIME_THETA))
-    return loss_limit(cfg, omega, ALPHA_INTERNAL)
+    return _taylor_loss(cfg, omega, ALPHA_INTERNAL)
 
 
 def taylor_loss_no_internal(cfg: IfoConfig, omega):
@@ -165,10 +174,7 @@ def taylor_loss_no_internal(cfg: IfoConfig, omega):
     prefactor * (eps_int + T_src eps_ext / 4); the alpha = 1/4 branch,
     attained at zero rotation angle.
     """
-    _check_sideband(omega)
-    _warn_regime(T_src=(cfg.T_src, REGIME_T_SRC),
-                 Theta=(value_at(cfg.Theta, omega / TWO_PI), REGIME_THETA))
-    return loss_limit(cfg, omega, ALPHA_NO_INTERNAL)
+    return _taylor_loss(cfg, omega, ALPHA_NO_INTERNAL)
 
 
 def signal_response_ratio(theta: float, theta0: float) -> float:

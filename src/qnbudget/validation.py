@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fdt, ifo, limits
-from .config import IfoConfig, InternalSqueeze, config_hash
+from .config import TWO_PI_C, IfoConfig, InternalSqueeze, config_hash
 from .constants import TWO_PI
 from .errors import ConfigError, _as_degeneracy
 from .quadrature import (SYMPLECTIC_FORM, ponderomotive_decompose,
@@ -85,7 +85,7 @@ def random_config(rng: np.random.Generator) -> IfoConfig:
         L=length,
         M=mass,
         P=10.0 ** log_p,
-        omega0=TWO_PI * 299792458.0 / lambda0,
+        omega0=TWO_PI_C / lambda0,
         T_itm=t_itm,
         T_src=t_src,
         eps_arm=eps_arm,
@@ -195,14 +195,14 @@ def _check_taylor_regime(cfg) -> tuple[CheckResult, CheckResult]:
     """The taylor_vs_exact and first_order_split checks, which share spectra.
 
     Both compare the exact pipeline on the Taylor-regime copy of cfg with
-    its lossless optimum plus the alpha = 1/4 loss limit, which is what
-    taylor_loss_no_internal gives there.
+    its lossless optimum plus taylor_loss_no_internal, the alpha = 1/4 loss
+    limit.
     """
     small = _taylor_regime(cfg)
     solve = ifo._Solve(small, _CHECK_OMEGA)
     exact_qcrb = solve.read(ifo._Solve.qcrb)
     s_full = solve.read(ifo._Solve.optimal)
-    floor = limits.loss_limit(small, _CHECK_OMEGA, limits.ALPHA_NO_INTERNAL)
+    floor = limits.taylor_loss_no_internal(small, _CHECK_OMEGA)
     shot = limits.taylor_qcrb_no_internal(small, _CHECK_OMEGA)
     deviations = [_worst(exact_qcrb, shot)]
     # without loss both loss terms vanish and only the lossless one compares

@@ -76,6 +76,9 @@ class TestBudgetRequest:
          "curves: expected a curve name or a sequence of them, got 5"),
         ({"curves": "full_fixed_zeta(1e999)"},
          "curve 'full_fixed_zeta(1e999)': readout angle must be finite"),
+        # a bool is no point count, as it is no config number
+        ({"points": True}, "points: must be an integer, got True"),
+        ({"points": np.True_}, "points: must be an integer, got np.True_"),
     ])
     def test_invalid_request_names_key(self, cfg, kw, message):
         with pytest.raises(ConfigError) as info:
@@ -119,6 +122,42 @@ class TestBudgetRequest:
 
 
 class TestRunBudget:
+    def test_repeated_curve_kept_once(self, cfg, tmp_path):
+        req = BudgetRequest(config=cfg, points=5,
+                            curves=("sql", "loss_limit_a4", "sql"))
+        assert req.curves == ("sql", "loss_limit_a4")
+        for fmt in ("csv", "json"):
+            run_budget(replace(req, fmt=fmt, out_path=str(tmp_path / fmt)))
+        header = (tmp_path / "csv").read_text().splitlines()[0].split(",")
+        doc = json.loads((tmp_path / "json").read_text())
+        assert header == ["f_hz", *doc["metadata"]["curves"]]
+        assert sorted(header) == sorted(doc["columns"])
+        assert doc["metadata"]["curves"] == ["sql", "loss_limit_a4"]
+
+    @pytest.mark.parametrize("grid", [5.0, np.array(5.0), np.ones((2, 2))])
+    def test_grid_must_be_one_dimensional(self, cfg, grid):
+        with pytest.raises(ValueError) as info:
+            evaluate_curve("sql", cfg, grid)
+        assert str(info.value) == ("frequency grid must be a 1-D array, got "
+                                   f"shape {np.shape(grid)}")
+
+    def test_warning_registry_bounded_over_requests(self, cfg):
+        # each request prints what a fresh process prints, though every
+        # rotation angle gives a new warning text
+        from qnbudget import curves
+        sizes, printed = [], []
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("default")
+            for theta in np.linspace(0.1, 0.3, 12):
+                run_budget(BudgetRequest(
+                    config=replace(cfg, Theta=float(theta)), points=8,
+                    curves=("taylor_qcrb_no_internal", "taylor_loss_internal")))
+                sizes.append(len(curves.__warningregistry__))
+                printed.append(len(seen))
+                seen.clear()
+        assert sizes == [sizes[0]] * 12
+        assert printed == [4] * 12   # T_src and Theta, for each curve
+
     def test_returns_spectra_in_request_order(self, cfg, tmp_path):
         req = BudgetRequest(config=cfg, points=16,
                             curves=("loss_limit_a4", "sql"))

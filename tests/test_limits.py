@@ -11,7 +11,8 @@ from qnbudget import (ALPHA_INTERNAL, ALPHA_NO_INTERNAL, DegeneracyError,
                       homodyne_spectrum, io_relation, limit_params,
                       loop_matrix, loss_floor_fdt, loss_limit,
                       optimal_spectrum, ponderomotive_gain, qcrb_from_spp,
-                      qcrb_lossless, r_from_db, signal_response_ratio, sql,
+                      qcrb_lossless, r_from_db, random_config,
+                      signal_response_ratio, sql,
                       taylor_loss_internal, taylor_loss_no_internal,
                       taylor_qcrb_internal, taylor_qcrb_no_internal,
                       total_covariance)
@@ -186,11 +187,18 @@ class TestTaylorQcrb:
         assert s == 0.0
 
     def test_reduces_to_no_internal_at_r_zero(self, cfg):
+        # bit for bit: the no-internal expansion is the internal one at r = 0
         a = taylor_qcrb_internal(
             expansion_cfg(cfg, 1e-3, 1e-4, 0.0, 0.7, 0.5), OMEGA)
         b = taylor_qcrb_no_internal(
             expansion_cfg(cfg, 1e-3, 1e-4, r_input=0.5), OMEGA)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == b
+        omega = TWO_PI * np.geomspace(5.0, 5000.0, 40)
+        for k in range(50):
+            c = random_config(np.random.default_rng([26, k]))
+            np.testing.assert_array_equal(
+                taylor_qcrb_no_internal(c, omega), taylor_qcrb_internal(
+                    replace(c, internal_sqz=InternalSqueeze()), omega))
 
     def test_matches_exact_pipeline(self, cfg):
         c = replace(cfg, T_src=1e-3, Theta=1e-4,
@@ -245,6 +253,20 @@ class TestTaylorQcrb:
             taylor_qcrb_no_internal(expansion_cfg(cfg, 0.14, 0.0), OMEGA)
         with pytest.warns(RegimeWarning):
             taylor_qcrb_internal(expansion_cfg(cfg, 1e-3, 0.2), OMEGA)
+
+
+TAYLOR_ROUTES = [taylor_qcrb_internal, taylor_qcrb_no_internal,
+                 taylor_loss_internal, taylor_loss_no_internal]
+
+
+@pytest.mark.parametrize("route", TAYLOR_ROUTES)
+@pytest.mark.parametrize("omega", [OMEGA, np.array([OMEGA]),
+                                   TWO_PI * np.array([10.0, 100.0, 1000.0])])
+def test_taylor_returns_omega_shape(cfg, route, omega):
+    # constant Theta and squeeze too: the expansion does not depend on omega
+    fixed = replace(cfg, internal_sqz=InternalSqueeze("fixed", r=0.01))
+    for c in (cfg, fixed):
+        assert np.shape(route(c, omega)) == np.shape(omega)
 
 
 class TestTaylorLoss:
