@@ -22,7 +22,7 @@ import re
 
 import numpy as np
 
-from . import fdt, ifo, limits
+from . import errors, fdt, ifo, limits
 from .config import IfoConfig
 from .constants import TWO_PI
 from .errors import ConfigError, DegeneracyError, _as_degeneracy, _raise_first
@@ -105,11 +105,11 @@ def _evaluate(names, cfg: IfoConfig, f_hz) -> dict:
     its first failing frequency.  The exact curves walk the grid together
     when the first of them is reached, so they share one loop solve per
     chunk; every other curve walks it alone, in order, since only those
-    may warn.  Python's once-per-location record of the warnings shown here
-    is dropped first, so each call prints what a fresh process prints and
-    the record does not grow over calls.
+    may warn.  The once-per-location record of the RegimeWarnings
+    (errors._SHOWN) is emptied first, so each call prints what a fresh
+    process prints and the record does not grow over calls.
     """
-    globals().pop("__warningregistry__", None)
+    errors._SHOWN.clear()
     f_hz = np.asarray(f_hz, dtype=float)
     if f_hz.ndim != 1:
         raise ValueError("frequency grid must be a 1-D array, "

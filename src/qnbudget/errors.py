@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import warnings
+
 import numpy as np
 
 from .quadrature import all_true, any_true
@@ -33,6 +36,25 @@ class BlindQuadratureError(DegeneracyError):
 
 class RegimeWarning(UserWarning):
     """A closed-form result is being used outside its validity regime."""
+
+
+# Python's once-per-location record of the RegimeWarnings, one record per
+# function whose caller a warning is attributed to; curves._evaluate empties
+# it at each request, so each request prints what a fresh process prints
+_SHOWN: dict = {}
+
+
+def _regime_warning(message: str, stacklevel: int) -> None:
+    """warnings.warn(message, RegimeWarning, stacklevel), recorded in _SHOWN
+    rather than in the globals of the module it is attributed to, so a
+    wrapper around the warning function moves where it points, not how
+    often it prints or which record clears it."""
+    caller = sys._getframe(stacklevel)
+    registry = _SHOWN.setdefault(sys._getframe(stacklevel - 1).f_code, {})
+    warnings.warn_explicit(message, RegimeWarning, caller.f_code.co_filename,
+                           caller.f_lineno,
+                           caller.f_globals.get("__name__", "<string>"),
+                           registry, caller.f_globals)
 
 
 def _raise_first(*checks) -> None:

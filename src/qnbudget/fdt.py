@@ -16,12 +16,11 @@ its surface matches the rest of the package.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .config import IfoConfig
 from .constants import C_LIGHT, HBAR
-from .errors import DegeneracyError, RegimeWarning, _check_sideband
+from .errors import DegeneracyError, _check_sideband, _regime_warning
 
 # single-mode treatment needs the damping rate far below the resonance
 MODE_VALIDITY_RATIO = 1e3
@@ -42,10 +41,10 @@ class CavityMode:
         if not (self.omega_cav > 0 and self.gamma_eps > 0):
             raise ValueError("omega_cav and gamma_eps must be positive")
         if self.omega_cav / self.gamma_eps < MODE_VALIDITY_RATIO:
-            warnings.warn(
+            _regime_warning(
                 f"omega_cav/gamma_eps = {self.omega_cav / self.gamma_eps:.3g} "
                 f"< {MODE_VALIDITY_RATIO:g}: single-mode approximation is "
-                "unreliable", RegimeWarning, stacklevel=3)
+                "unreliable", stacklevel=3)
 
 
 def mode_for(cfg: IfoConfig) -> CavityMode:

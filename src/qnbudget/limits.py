@@ -21,14 +21,13 @@ of a config and make this conversion themselves.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .config import IfoConfig, value_at
 from .constants import C_LIGHT, HBAR, TWO_PI
-from .errors import (DegeneracyError, RegimeWarning, _check_sideband,
-                     _raise_first)
+from .errors import (DegeneracyError, _check_sideband, _raise_first,
+                     _regime_warning)
 from .ifo import _squeeze_state, effective_internal_loss
 from .quadrature import any_true, arccot
 
@@ -66,10 +65,10 @@ def _warn_regime(**named) -> None:
             i = np.argmax(outside)
             value_i = np.broadcast_to(value, np.shape(outside)).flat[i]
             bound_i = np.broadcast_to(bound, np.shape(outside)).flat[i]
-            warnings.warn(
+            _regime_warning(
                 f"{name} = {value_i:.3g} is outside the expansion regime "
                 f"(|{name}| < {bound_i:g}); the exact pipeline is authoritative",
-                RegimeWarning, stacklevel=4)
+                stacklevel=4)
 
 
 def sql(cfg: IfoConfig, omega):
@@ -122,8 +121,10 @@ def _taylor_qcrb(cfg: IfoConfig, omega, internal: bool):
     _raise_first((np.broadcast_to(den <= 0.0, np.shape(omega)), DegeneracyError,
                   lambda i: ("outside validity: expansion denominator is <= 0 "
                              f"at Omega = {np.reshape(omega, -1)[i]:.6g} rad/s")))
-    s = (_prefactor(cfg) * (delta**2 - 4.0 * r**2) ** 2
-         * math.exp(-2.0 * cfg.r_input) / (4.0 * t_src * den))
+    q = delta**2 - 4.0 * r**2
+    # q (q / den) / T_src stays in range where q^2 underflows (T_src < 1e-77)
+    s = (q * (q / den) / (4.0 * t_src)
+         * (_prefactor(cfg) * math.exp(-2.0 * cfg.r_input)))
     # a frequency-independent Theta and squeeze leave s a scalar
     return np.full(np.shape(omega), s)[()]
 

@@ -141,22 +141,34 @@ class TestRunBudget:
         assert str(info.value) == ("frequency grid must be a 1-D array, got "
                                    f"shape {np.shape(grid)}")
 
-    def test_warning_registry_bounded_over_requests(self, cfg):
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_warning_registry_bounded_over_requests(self, cfg, monkeypatch,
+                                                    wrapped):
         # each request prints what a fresh process prints, though every
-        # rotation angle gives a new warning text
-        from qnbudget import curves
+        # rotation angle gives a new warning text; so does a request whose
+        # expansions run through a wrapper, which moves where they point
+        from qnbudget import curves, errors, limits
+        if wrapped:
+            def wrap(fn):
+                return lambda *args: fn(*args)
+            for name in ("taylor_qcrb_no_internal", "taylor_loss_internal"):
+                monkeypatch.setattr(limits, name, wrap(getattr(limits, name)))
         sizes, printed = [], []
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("default")
             for theta in np.linspace(0.1, 0.3, 12):
+                # omega0 = 1e3 rad/s: fdt_floor's single-mode warning too
                 run_budget(BudgetRequest(
-                    config=replace(cfg, Theta=float(theta)), points=8,
-                    curves=("taylor_qcrb_no_internal", "taylor_loss_internal")))
-                sizes.append(len(curves.__warningregistry__))
+                    config=replace(cfg, Theta=float(theta), omega0=1e3),
+                    points=8, curves=("taylor_qcrb_no_internal",
+                                      "taylor_loss_internal", "fdt_floor")))
+                sizes.append((sum(map(len, errors._SHOWN.values())),
+                              len(vars(curves).get("__warningregistry__", ()))))
                 printed.append(len(seen))
                 seen.clear()
         assert sizes == [sizes[0]] * 12
-        assert printed == [4] * 12   # T_src and Theta, for each curve
+        # T_src and Theta, for each expansion, and the cavity mode
+        assert printed == [5] * 12
 
     def test_returns_spectra_in_request_order(self, cfg, tmp_path):
         req = BudgetRequest(config=cfg, points=16,

@@ -16,6 +16,7 @@ from qnbudget import (ALPHA_INTERNAL, ALPHA_NO_INTERNAL, DegeneracyError,
                       taylor_loss_internal, taylor_loss_no_internal,
                       taylor_qcrb_internal, taylor_qcrb_no_internal,
                       total_covariance)
+from qnbudget import limits
 from qnbudget.constants import C_LIGHT, HBAR
 
 TWO_PI = 2 * math.pi
@@ -199,6 +200,17 @@ class TestTaylorQcrb:
             np.testing.assert_array_equal(
                 taylor_qcrb_no_internal(c, omega), taylor_qcrb_internal(
                     replace(c, internal_sqz=InternalSqueeze()), omega))
+
+    @pytest.mark.parametrize("t_src", [1e-90, 1e-78, 1e-3])
+    def test_small_t_src_keeps_its_digits(self, cfg, t_src):
+        # delta^2 e^(-2 r_input) prefactor / (4 T_src), with delta = T_src
+        # at Theta = 0: no delta^4 is formed, which underflows below 1e-77
+        want = (limits._prefactor(cfg) * math.exp(-2.0 * 0.5)) * (t_src / 4.0)
+        for route in (taylor_qcrb_internal, taylor_qcrb_no_internal):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                got = route(expansion_cfg(cfg, t_src, 0.0, r_input=0.5), OMEGA)
+            assert got == pytest.approx(want, rel=1e-15) and got > 0.0
 
     def test_matches_exact_pipeline(self, cfg):
         c = replace(cfg, T_src=1e-3, Theta=1e-4,
