@@ -5,13 +5,14 @@ float(f"{x:.11e}"): the shortest text that reads back as that double.
 
 Each cell's 12-digit decimal is worked out in float and integer arrays, and
 its characters are gathered from small tables of 4-byte words into a byte
-buffer.  A CSV cell of a positive value is 18 bytes.  A JSON cell is a
-28-byte row with NUL in every byte its text does not use, and one
-bytes.translate per block deletes them.  Cells whose vectorised text could
-be wrong are formatted by Python and put in their place: zeros, NaN,
-infinities, three-digit exponents (subnormals among them), values near a
-12-digit rounding tie, and JSON cells whose rounding is an integer (repr
-writes those with ".0" or an exponent) or at least 1e7 in magnitude.
+buffer.  A CSV cell is 18 bytes.  A JSON cell is a 28-byte row with NUL in
+every byte its text does not use, and one bytes.translate per block deletes
+them.  Cells the vectorised text does not cover, or could get wrong, are
+formatted by Python and put in their place: negative values (no budget
+writes one), zeros, NaN, infinities, three-digit exponents (subnormals
+among them), values near a 12-digit rounding tie, and JSON cells whose
+rounding is an integer (repr writes those with ".0" or an exponent) or at
+least 1e7 in magnitude.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def _quads() -> np.ndarray:
 
 
 _QUAD = _quads()
-# CSV cell, 20 bytes: [pad, "-", first digit, "."] [4 digits] [4 digits]
+# CSV cell, 20 bytes: [2 pad bytes, first digit, "."] [4 digits] [4 digits]
 # [3 digits, "e"] [exponent sign, 2 exponent digits, separator]
-_CSV_LEAD = _table("\0-%d.", range(10))
+_CSV_LEAD = _table("\0\0%d.", range(10))
 _CSV_TRIPLE = _table("%03de", range(1000))
 _CSV_TAIL = {sep: _table("%+03d" + sep, range(-99, 100)) for sep in ",\n"}
 
@@ -90,15 +91,15 @@ _CSV_TAIL = {sep: _table("%+03d" + sep, range(-99, 100)) for sep in ",\n"}
 def csv_workspace(rows: int, ncols: int) -> tuple:
     """Buffers for csv_rows of up to `rows` rows of ncols columns."""
     return (np.empty((rows, ncols, 18), np.uint8),
-            np.empty((rows, 5), np.uint32), *np.empty((2, rows, ncols), bool))
+            np.empty((rows, 5), np.uint32), np.empty((rows, ncols), bool))
 
 
 def csv_rows(columns: list, work: tuple) -> list:
     """Rows of f"{x:.11e}" cells, comma-separated, newline-terminated: ASCII
     pieces built in the csv_workspace work, valid until its next use."""
     n, ncols = len(columns[0]), len(columns)
-    # out: the text of |x|, from the first digit to the separator
-    out, words, slow, neg = (a[:n] for a in work)
+    # out: the text of each cell, from its first digit to its separator
+    out, words, slow = (a[:n] for a in work)
     for j, col in enumerate(columns):
         m, e, fast = _decimal(col)
         first, upper, middle, lower = _groups(m)
@@ -108,22 +109,21 @@ def csv_rows(columns: list, work: tuple) -> list:
         words[:, 3] = _CSV_TRIPLE[lower]
         words[:, 4] = _CSV_TAIL["\n" if j == ncols - 1 else ","][e + 99]
         out[:, j] = words.view(np.uint8)[:, 2:]
-        slow[:, j], neg[:, j] = ~fast, np.signbit(col)
-    edits = np.flatnonzero(slow | neg)
-    # a Python-formatted text replaces the 17 bytes before its separator,
-    # and a minus sign goes in front of a negative value
+        slow[:, j] = ~fast | np.signbit(col)
+    # a Python-formatted text replaces the 17 bytes before its separator
     view, pieces, prev = memoryview(out.reshape(-1)), [], 0
-    for k, whole in zip(edits.tolist(), slow.ravel()[edits].tolist()):
-        cell = "%.11e" % columns[k % ncols][k // ncols] if whole else "-"
+    for k in np.flatnonzero(slow).tolist():
+        cell = "%.11e" % columns[k % ncols][k // ncols]
         pieces += (view[prev:18 * k], cell.encode())
-        prev = 18 * k + 17 * whole
+        prev = 18 * k + 17
     pieces.append(view[prev:])
     return pieces
 
 
 # JSON row, 28 bytes, NUL where the text leaves a byte unused:
-#   a: the sign, then "d0." (scientific; "d0" if no digit follows), "0.",
-#     zeros and d0 (fixed notation below one), or digits 0 .. e (fixed, e >= 0)
+#   a: a NUL (where a negative cell's sign would go; Python writes those),
+#     then "d0." (scientific; "d0" if no digit follows), "0.", zeros and d0
+#     (fixed notation below one), or digits 0 .. e (fixed, e >= 0)
 #   z: digits 1-8 less those in a; at fixed e >= 1 the point replaces digit e
 #   last: digits 9-11, then "e" or ","; exp: the exponent and "," (scientific)
 #   next: newline and the next cell's indent
@@ -191,12 +191,11 @@ def _json_rows(values: np.ndarray) -> bytearray:
     rows["z"], rows["last"] = frac | zdot[at], last | end[at]
     rows["exp"], rows["next"] = exp[at], int.from_bytes(b"\n   ", "little")
     z = (z << 8 | d0) & keep[at]
-    z = z << shift[at] | head[at] | dot[at] * point
-    z[np.signbit(values)] |= ord("-")
-    rows["a"] = z
-    # Python formats what _decimal leaves to it, roundings of 1e7 or more,
-    # whose fixed notation a cannot hold, and integers (no digit after ".")
-    slow = ~fast | (e > 6) | (e >= 0) & ~point
+    rows["a"] = z << shift[at] | head[at] | dot[at] * point
+    # Python formats what _decimal leaves to it, negative values, roundings
+    # of 1e7 or more, whose fixed notation a cannot hold, and integers (no
+    # digit after ".")
+    slow = ~fast | np.signbit(values) | (e > 6) | (e >= 0) & ~point
     if slow.any():
         # a Python-formatted line takes the place of its cell's row, at its end
         lines = (f"{json.dumps(float('%.11e' % x))},\n   "

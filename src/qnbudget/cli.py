@@ -39,7 +39,8 @@ class BudgetRequest:
 
     band_hz is a pair of numbers, 0.1 <= fmin < fmax <= MAX_FREQUENCY_HZ.
     points must be an integer, not a bool.  curves is a sequence of curve
-    names, each kept once, at its first place; a single string is one name.
+    names, one per parsed curve, kept at its first place and spelling; a
+    single string is one name.
     """
 
     config: IfoConfig
@@ -77,11 +78,12 @@ class BudgetRequest:
                               f"them, got {self.curves!r}") from None
         if not curves:
             raise ConfigError("curves: select at least one curve")
+        kept = {}   # one name per parsed curve, its first spelling
         for name in curves:
             if not isinstance(name, str):
                 raise ConfigError(f"curves: expected a curve name, got {name!r}")
-            parse_curve_name(name)
-        object.__setattr__(self, "curves", tuple(dict.fromkeys(curves)))
+            kept.setdefault(parse_curve_name(name), name)
+        object.__setattr__(self, "curves", tuple(kept.values()))
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format: must be csv or json, got {self.fmt!r}")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import C_LIGHT, TWO_PI
 from .errors import ConfigError
-from .quadrature import MAX_SQUEEZE_FACTOR
+from .quadrature import MAX_SQUEEZE_FACTOR, all_true
 
 DEFAULT_BAND_HZ = (5.0, 5000.0)
 MIN_FREQUENCY_HZ = 0.1
@@ -88,7 +88,7 @@ class FreqTable:
         """The table at a frequency [Hz], or at each of an array of them."""
         f = np.asarray(f_hz, dtype=float)[()]
         inside = (f >= self.f_hz[0]) & (f <= self.f_hz[-1])
-        if not (inside.all() if f.ndim else inside):
+        if not all_true(inside):
             bad = np.asarray(f)[~inside].flat[0]
             raise ConfigError(
                 f"table does not cover {bad:g} Hz (tabulated "

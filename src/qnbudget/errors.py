@@ -39,8 +39,9 @@ class RegimeWarning(UserWarning):
 
 
 # Python's once-per-location record of the RegimeWarnings, one record per
-# function whose caller a warning is attributed to; curves._evaluate empties
-# it at each request, so each request prints what a fresh process prints
+# function whose caller a warning is attributed to; curves._evaluate and
+# run_validation empty it at each request, so each request prints what a
+# fresh process prints
 _SHOWN: dict = {}
 
 

@@ -353,33 +353,6 @@ def homodyne_spectrum(cfg: IfoConfig, omega, zeta):
     return solve.read(lambda one: one.homodyne(zeta_arr))
 
 
-def _homodyne_from(w, zeta_arr, io: IoRelation, sigma, trig=None):
-    """homodyne_spectrum over w from its IoRelation and covariance entries.
-
-    One angle gives a value per point of w, angles at a scalar w a value per
-    angle, and a row of M angles against an (N,) w gives (N, M) values, one
-    row per frequency.  A frequency with a blind angle fails, and the
-    message names its first blind angle, as a loop over the frequencies and
-    then the angles meets it.  trig, if given, is (cos, sin) of zeta_arr.
-    """
-    s11, s12, _, s22 = sigma
-    v1, v2 = io.v
-    if w.ndim and zeta_arr.ndim:
-        # one row of angles per frequency
-        s11, s12, s22, v1, v2 = (np.reshape(e, (-1, 1))
-                                 for e in (s11, s12, s22, v1, v2))
-    c, s = (np.cos(zeta_arr), np.sin(zeta_arr)) if trig is None else trig
-    qv = c * v1 + s * v2
-    blind = np.abs(qv) < BLIND_TOL * np.sqrt(_abs2(v1) + _abs2(v2))
-    # a row of angles per point, one row for all where v is a constant
-    rows = np.reshape(blind, (-1, max(zeta_arr.size, 1)))[:w.size]
-    _raise_first((rows.any(axis=1), BlindQuadratureError, lambda i: (
-        f"readout angle {zeta_arr.flat[np.argmax(rows[i])]:.6g} "
-        "rad is orthogonal to the signal response")))
-    noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
-    return _scalar_or_array(noise / _abs2(qv))
-
-
 def optimal_spectrum(cfg: IfoConfig, omega):
     """Minimum strain-referred PSD over readout angles, and the optimal angle.
 
@@ -520,9 +493,28 @@ class _Solve:
         return _optimal_from(self.w, self.io, self.covariance)
 
     def homodyne(self, zeta, trig=None):
-        """homodyne_spectrum at zeta; a row of M angles gives (N, M)."""
-        return _homodyne_from(self.w, np.asarray(zeta, dtype=float), self.io,
-                              self.covariance[1], trig)
+        """homodyne_spectrum at zeta: a value per point of w for one angle,
+        per angle at a scalar w, and (N, M), a row per frequency, for a row
+        of M angles against an (N,) w.  A frequency with a blind angle
+        fails, naming its first blind angle, as a loop over the frequencies
+        and then the angles meets it.  trig, if given, is (cos, sin) of zeta."""
+        w, zeta = self.w, np.asarray(zeta, dtype=float)
+        v1, v2 = self.io.v
+        s11, s12, _, s22 = self.covariance[1]
+        if w.ndim and zeta.ndim:
+            # one row of angles per frequency
+            s11, s12, s22, v1, v2 = (np.reshape(e, (-1, 1))
+                                     for e in (s11, s12, s22, v1, v2))
+        c, s = (np.cos(zeta), np.sin(zeta)) if trig is None else trig
+        qv = c * v1 + s * v2
+        blind = np.abs(qv) < BLIND_TOL * np.sqrt(_abs2(v1) + _abs2(v2))
+        # a row of angles per point, one row for all where v is a constant
+        rows = np.reshape(blind, (-1, max(zeta.size, 1)))[:w.size]
+        _raise_first((rows.any(axis=1), BlindQuadratureError, lambda i: (
+            f"readout angle {zeta.flat[np.argmax(rows[i])]:.6g} "
+            "rad is orthogonal to the signal response")))
+        noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
+        return _scalar_or_array(noise / _abs2(qv))
 
     def optimal_with(self, cfg):
         """optimal() for cfg, the solved config with other losses; the

@@ -66,12 +66,6 @@ def arccot(x):
     return 0.5 * math.pi - np.arctan(x)
 
 
-def _all_finite(x) -> bool:
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return bool(np.isfinite(x).all())
-
-
 def rotation_entries(angle):
     """(m11, m12, m21, m22) of rotation_matrix(angle), unchecked."""
     c, s = np.cos(angle), np.sin(angle)
@@ -94,7 +88,7 @@ def rotation_matrix(angle) -> np.ndarray:
     for a detuned cavity the angle is frequency dependent.  A 1-D array of
     angles gives a stack of shape (N, 2, 2).
     """
-    if not _all_finite(angle):
+    if not all_true(np.isfinite(angle)):
         raise ValueError("rotation angle must be finite")
     return mat2(*rotation_entries(angle))
 
@@ -107,7 +101,7 @@ def squeeze_matrix(r, theta=0.0) -> np.ndarray:
     overflow guard.  r and theta may be scalars or 1-D arrays of one length
     N, which give a stack of shape (N, 2, 2).
     """
-    if not (_all_finite(r) and _all_finite(theta)):
+    if not (all_true(np.isfinite(r)) and all_true(np.isfinite(theta))):
         raise ValueError("squeeze parameters must be finite")
     size = np.abs(r)
     if any_true(size > MAX_SQUEEZE_FACTOR):
@@ -124,7 +118,7 @@ def ponderomotive_matrix(gain) -> np.ndarray:
     gains gives a stack of shape (N, 2, 2).
     """
     gain = np.asarray(gain, dtype=float)
-    if not _all_finite(gain) or any_true(gain < 0.0):
+    if not all_true(np.isfinite(gain) & (gain >= 0.0)):
         raise ValueError("ponderomotive gain must be finite and >= 0")
     one = np.ones_like(gain)
     return mat2(one, 0.0 * one, -gain, one)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fdt, ifo, limits
+from . import errors, fdt, ifo, limits
 from .config import TWO_PI_C, IfoConfig, InternalSqueeze, config_hash
 from .constants import TWO_PI
 from .errors import ConfigError, _as_degeneracy
@@ -67,8 +67,8 @@ _NO_INTERNAL_SQZ = InternalSqueeze()
 def random_config(rng: np.random.Generator) -> IfoConfig:
     """Draw a physically valid configuration, safe from the lasing threshold.
 
-    The sequence of generator calls is part of the contract: `validate
-    --seed` and the benchmark's config pool replay it.
+    The sequence of generator calls is part of the contract: the
+    benchmark's config pool and the tests replay it.
     """
     t_src = 10.0 ** rng.uniform(-2.0, math.log10(0.5))
     # unity round-trip gain needs e^|r| to reach 1/sqrt(1 - T_src)
@@ -174,21 +174,14 @@ def _check_exact(cfg, rng) -> tuple[CheckResult, CheckResult]:
 
 
 def _check_fdt(cfg) -> CheckResult:
-    if cfg.eps_arm == 0.0:
-        return CheckResult("fdt_vs_loss_limit", 0.0, 1e-3)
     arm_only = replace(cfg, eps_src_channels=(0.0,), eps_ext=0.0)
     closed = limits.loss_limit(arm_only, _FDT_OMEGA, limits.ALPHA_NO_INTERNAL)
     oracle = fdt.loss_floor_fdt(arm_only, _FDT_OMEGA)
-    # compared where the closed form is a positive double: an eps_arm below
-    # about 5e-278 underflows it to 0 and compares nothing, as 0 does
+    # compared where the closed form is a positive double: an eps_arm of 0,
+    # or one below about 5e-278, whose floor underflows, compares nothing
     positive = closed > 0.0
     return CheckResult("fdt_vs_loss_limit",
                        _worst(oracle[positive], closed[positive]), 1e-3)
-
-
-def _taylor_regime(cfg) -> IfoConfig:
-    return replace(cfg, T_src=1e-3, Theta=0.0, r_input=0.0, theta_input=0.0,
-                   internal_sqz=_NO_INTERNAL_SQZ, residual_phase=0.0)
 
 
 def _check_taylor_regime(cfg) -> tuple[CheckResult, CheckResult]:
@@ -198,7 +191,8 @@ def _check_taylor_regime(cfg) -> tuple[CheckResult, CheckResult]:
     its lossless optimum plus taylor_loss_no_internal, the alpha = 1/4 loss
     limit.
     """
-    small = _taylor_regime(cfg)
+    small = replace(cfg, T_src=1e-3, Theta=0.0, r_input=0.0, theta_input=0.0,
+                    internal_sqz=_NO_INTERNAL_SQZ, residual_phase=0.0)
     solve = ifo._Solve(small, _CHECK_OMEGA)
     exact_qcrb = solve.read(ifo._Solve.qcrb)
     s_full = solve.read(ifo._Solve.optimal)
@@ -224,6 +218,7 @@ def run_validation(cfg: IfoConfig, seed: int = 42) -> ValidationReport:
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or seed < 0):
         raise ConfigError(f"seed: must be a non-negative integer, got {seed!r}")
+    errors._SHOWN.clear()   # each request prints its warnings, as a budget's
     rng = np.random.default_rng(seed)
     resolved = ifo.resolve_band(cfg, (_CHECK_HZ[0], _CHECK_HZ[-1]))
     try:

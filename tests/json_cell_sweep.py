@@ -1,11 +1,14 @@
-"""Byte-identity sweep of celltext.json_blocks against the per-cell oracle.
+"""Byte-identity sweep of celltext's JSON and CSV text against per-cell
+oracles.
 
     PYTHONPATH=src python tests/json_cell_sweep.py [CELLS [SEED]]
 
 Formats CELLS (default 10**7) seeded random floats in runs of 1 to 8,192
 cells, each cut into 1 to 8 blocks that share one digit pass, as the
 budget writer's short columns do, and compares each block's text with
-json.dumps(float("%.11e" % x)) per cell.  The runs draw from both
+json.dumps(float("%.11e" % x)) per cell.  Each run is also written as CSV
+rows of 1 to 6 columns (the cells left over form one more column) and
+compared with "%.11e" % x per cell.  The runs draw from both
 notations and both signs: the whole double range, the fixed-notation range
 and past its ends, decimals of 1 to 12 significant digits (trailing zeros
 end at every digit), values within a few ulps of a 12-digit rounding tie,
@@ -21,7 +24,7 @@ import sys
 
 import numpy as np
 
-from qnbudget.celltext import json_blocks
+from qnbudget.celltext import csv_rows, csv_workspace, json_blocks
 
 SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310,
             2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1, 1e-4,
@@ -32,6 +35,24 @@ SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310,
 def oracle(values: np.ndarray) -> str:
     return ",\n".join("   " + json.dumps(float("%.11e" % x))
                       for x in values.tolist())
+
+
+def csv_oracle(columns: list) -> str:
+    return "".join(",".join("%.11e" % x for x in row) + "\n"
+                   for row in zip(*(c.tolist() for c in columns)))
+
+
+def csv_blocks(values: np.ndarray) -> list:
+    """The values as columns of one CSV block of 1 to 6 columns, cut from
+    the run in order (the column count follows from its length, so the
+    JSON draws stay those of the seed), and the cells left over as a
+    block of one column."""
+    ncols = min(1 + len(values) % 6, len(values))
+    rows = len(values) // ncols
+    blocks = [list(values[:rows * ncols].reshape(ncols, rows))]
+    if len(values) > rows * ncols:
+        blocks.append([values[rows * ncols:]])
+    return blocks
 
 
 def draw(rng, kind: int, n: int) -> np.ndarray:
@@ -81,8 +102,14 @@ def main(argv) -> int:
             cuts = rng.choice(np.arange(1, n), min(n - 1, rng.integers(8)),
                               replace=False)
             blocks = np.split(values, np.sort(cuts))
-            for block, text in zip(blocks, json_blocks(blocks), strict=True):
-                got, want = str(text, "ascii"), oracle(block)
+            texts = [(str(text, "ascii"), oracle(block)) for block, text
+                     in zip(blocks, json_blocks(blocks), strict=True)]
+            for columns in csv_blocks(values):
+                pieces = csv_rows(columns, csv_workspace(len(columns[0]),
+                                                         len(columns)))
+                texts.append((str(b"".join(pieces), "ascii"),
+                              csv_oracle(columns)))
+            for got, want in texts:
                 if got != want:
                     bad += 1
                     print([(g, w) for g, w in zip(got.split("\n"),

@@ -123,16 +123,21 @@ class TestBudgetRequest:
 
 class TestRunBudget:
     def test_repeated_curve_kept_once(self, cfg, tmp_path):
-        req = BudgetRequest(config=cfg, points=5,
-                            curves=("sql", "loss_limit_a4", "sql"))
-        assert req.curves == ("sql", "loss_limit_a4")
-        for fmt in ("csv", "json"):
-            run_budget(replace(req, fmt=fmt, out_path=str(tmp_path / fmt)))
-        header = (tmp_path / "csv").read_text().splitlines()[0].split(",")
-        doc = json.loads((tmp_path / "json").read_text())
-        assert header == ["f_hz", *doc["metadata"]["curves"]]
-        assert sorted(header) == sorted(doc["columns"])
-        assert doc["metadata"]["curves"] == ["sql", "loss_limit_a4"]
+        # by its name, or by spellings of one readout angle: the first
+        # spelling is kept
+        for curves, kept in (
+                (("sql", "loss_limit_a4", "sql"), ("sql", "loss_limit_a4")),
+                (("full_fixed_zeta(0.5)", "full_fixed_zeta(0.50)", "sql",
+                  "full_fixed_zeta(5e-1)"), ("full_fixed_zeta(0.5)", "sql"))):
+            req = BudgetRequest(config=cfg, points=5, curves=curves)
+            assert req.curves == kept
+            for fmt in ("csv", "json"):
+                run_budget(replace(req, fmt=fmt, out_path=str(tmp_path / fmt)))
+            header = (tmp_path / "csv").read_text().splitlines()[0].split(",")
+            doc = json.loads((tmp_path / "json").read_text())
+            assert header == ["f_hz", *doc["metadata"]["curves"]]
+            assert sorted(header) == sorted(doc["columns"])
+            assert doc["metadata"]["curves"] == list(kept)
 
     @pytest.mark.parametrize("grid", [5.0, np.array(5.0), np.ones((2, 2))])
     def test_grid_must_be_one_dimensional(self, cfg, grid):
@@ -972,13 +977,22 @@ class TestValidation:
         assert main(["validate", "--config", path]) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_fdt_check_compares_where_the_floor_is_positive(self, cfg):
-        # an arm-loss floor that underflows to 0 compares nothing
-        for eps_arm in (5e-324, 1e-310, 1e-300, 1e-280, 1e-278, 0.0):
-            report = run_validation(replace(cfg, eps_arm=eps_arm))
-            fdt_check = report.checks[4]
-            assert fdt_check.name == "fdt_vs_loss_limit"
-            assert fdt_check.deviation == 0.0 and report.passed
+    def test_fdt_check_compares_where_the_floor_is_positive(self, cfg,
+                                                             tmp_path, capsys):
+        # an arm-loss floor that is 0, or underflows to 0, compares nothing
+        # and warns of no regime
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", qnbudget.RegimeWarning)
+            for eps_arm in (5e-324, 1e-310, 1e-300, 1e-280, 1e-278, 0.0):
+                report = run_validation(replace(cfg, eps_arm=eps_arm))
+                fdt_check = report.checks[4]
+                assert fdt_check.name == "fdt_vs_loss_limit"
+                assert fdt_check.deviation == 0.0 and report.passed
+            path = write_config(tmp_path, {**config_to_dict(cfg),
+                                           "eps_arm": 0.0})
+            assert main(["validate", "--config", path]) == 0
+        assert ("PASS  fdt_vs_loss_limit        max rel deviation 0.000e+00 "
+                "(tolerance 1.0e-03)\n") in capsys.readouterr().out
         # a NaN deviation still fails: the mode leaves its regime and warns
         with pytest.warns(qnbudget.RegimeWarning, match="single-mode"):
             report = run_validation(replace(cfg, L=1e-150))
@@ -1190,6 +1204,17 @@ class TestSharedValidationWork:
                  path, "--seed", str(seed)], capture_output=True, text=True,
                 env={**os.environ, "PYTHONPATH": src})
             assert capsys.readouterr().out == done.stdout, seed
+
+    def test_each_request_prints_its_regime_warnings(self, cfg):
+        # as a fresh process does: fdt's single-mode warning, each time
+        printed = []
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("default")
+            for _ in range(3):
+                run_validation(replace(cfg, L=1e-150), 1)
+                printed.append(len(seen))
+                seen.clear()
+        assert printed == [1, 1, 1]
 
     def test_decomposition_is_checked_once(self, cfg, monkeypatch):
         first = run_validation(cfg, 3)

@@ -30,8 +30,10 @@ class TestRotation:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            rotation_matrix(bad)
+        # as a float, in a list and in an array
+        for angle in (bad, [0.1, bad], np.array([bad, 0.2])):
+            with pytest.raises(ValueError, match="must be finite"):
+                rotation_matrix(angle)
 
 
 class TestSqueeze:
@@ -65,6 +67,14 @@ class TestSqueeze:
             squeeze_matrix(25.0, 0.0)
         squeeze_matrix(20.0, 0.0)  # boundary value allowed
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        # r or theta, as a float, in a list and in an array
+        for value in (bad, [0.1, bad], np.array([bad, 0.2])):
+            for args in ((value, 0.3), (0.5, value)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    squeeze_matrix(*args)
+
     def test_pi_periodic_in_theta(self):
         assert np.allclose(squeeze_matrix(0.4, 0.2),
                            squeeze_matrix(0.4, 0.2 + math.pi), atol=1e-14)
@@ -82,8 +92,11 @@ class TestPonderomotive:
             1.0, abs=1e-15)
 
     def test_negative_gain_rejected(self):
-        with pytest.raises(ValueError):
-            ponderomotive_matrix(-1.0)
+        # as are NaN and infinities: as a float, in a list and in an array
+        for bad in (-1.0, -5e-324, math.nan, math.inf, -math.inf):
+            for gain in (bad, [2.0, bad], np.array([bad, 0.0])):
+                with pytest.raises(ValueError, match="finite and >= 0"):
+                    ponderomotive_matrix(gain)
 
     def test_decompose_known_point(self):
         phi, r, theta = ponderomotive_decompose(2.0)
