@@ -13,6 +13,8 @@ Curve names form a stable interface:
   taylor_qcrb_no_internal  expansion of the lossless bound (r = 0)
   taylor_loss_internal     expansion of the loss floor, alpha = 1
   taylor_loss_no_internal  expansion of the loss floor, alpha = 1/4
+
+The curves of a request, exact or closed-form, walk the grid in one pass.
 """
 
 from __future__ import annotations
@@ -78,9 +80,6 @@ _CURVES = {
         chunk.cfg, chunk.w),
 }
 
-# the kinds of the exact pipeline, which read the chunk's loop solve
-_EXACT = ("qcrb", "full_optimal", "full_fixed_zeta")
-
 BASE_CURVES = tuple(kind for kind in _CURVES if kind != "full_fixed_zeta")
 CURVE_CHOICES = BASE_CURVES + ("full_fixed_zeta(<rad>)",)
 
@@ -100,44 +99,25 @@ def evaluate_curve(name: str, cfg: IfoConfig, f_hz: np.ndarray) -> np.ndarray:
 def _evaluate(names, cfg: IfoConfig, f_hz) -> dict:
     """{name: PSD array} for the distinct curves `names`, in their order.
 
-    Values, errors and warnings are those of a loop calling evaluate_curve
-    on each name in turn: the first curve in order that fails raises, at
-    its first failing frequency.  The exact curves walk the grid together
-    when the first of them is reached, so they share one loop solve per
-    chunk; every other curve walks it alone, in order, since only those
-    may warn.  The once-per-location record of the RegimeWarnings
-    (errors._SHOWN) is emptied first, so each call prints what a fresh
-    process prints and the record does not grow over calls.
+    Every curve walks the grid in one pass over the chunks, so the exact
+    curves share one loop solve per chunk.  Values and errors are those of
+    a loop calling evaluate_curve on each name in turn: a failing curve
+    stops the walk for itself and every later name, which that loop would
+    not reach, and the first failing curve in order raises.  So are the
+    warnings on a grid of one chunk; on a longer grid they come chunk by
+    chunk.  numpy's warnings are off: the PSD check reports a value beyond
+    the double range at its frequency.  The once-per-location record of
+    the RegimeWarnings (errors._SHOWN) is emptied first, so each call
+    prints what a fresh process prints and the record does not grow.
     """
     errors._SHOWN.clear()
     f_hz = np.asarray(f_hz, dtype=float)
     if f_hz.ndim != 1:
         raise ValueError("frequency grid must be a 1-D array, "
                          f"got shape {f_hz.shape}")
-    exact = tuple(name for name in names
-                  if parse_curve_name(name)[0] in _EXACT)
-    spectra = {}
-    for name in names:
-        if name not in exact:
-            spectra.update(_walk((name,), cfg, f_hz))
-        elif name not in spectra:
-            spectra.update(_walk(exact, cfg, f_hz))
-        if isinstance(spectra[name], DegeneracyError):
-            raise spectra[name]
-    return {name: spectra[name] for name in names}
-
-
-def _walk(names, cfg: IfoConfig, f_hz: np.ndarray) -> dict:
-    """{name: PSD array, or the DegeneracyError it fails with}, from one walk
-    over the chunks.
-
-    A curve that fails stops the walk for itself and every name after it,
-    which a loop over the names would not reach.  numpy's warnings are off:
-    the PSD check reports a value beyond the double range at its frequency.
-    """
     live = [(name, *parse_curve_name(name)) for name in names]
     out = {name: np.empty(len(f_hz)) for name in names}
-    with np.errstate(all="ignore"):   # once per walk: each costs about 2 us
+    with np.errstate(all="ignore"):   # once per call: each costs about 2 us
         for start in range(0, len(f_hz), CHUNK_POINTS):
             chunk = f_hz[start:start + CHUNK_POINTS]
             solve = ifo._Solve(cfg, TWO_PI * chunk)
@@ -157,4 +137,7 @@ def _walk(names, cfg: IfoConfig, f_hz: np.ndarray) -> dict:
                     out[name].__cause__ = exc
                     del live[k:]
                     break
+    for spectrum in out.values():
+        if isinstance(spectrum, DegeneracyError):
+            raise spectrum
     return out

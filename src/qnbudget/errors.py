@@ -55,7 +55,7 @@ def _regime_warning(message: str, stacklevel: int) -> None:
     warnings.warn_explicit(message, RegimeWarning, caller.f_code.co_filename,
                            caller.f_lineno,
                            caller.f_globals.get("__name__", "<string>"),
-                           registry, caller.f_globals)
+                           registry)
 
 
 def _raise_first(*checks) -> None:

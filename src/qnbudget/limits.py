@@ -117,16 +117,17 @@ def _taylor_qcrb(cfg: IfoConfig, omega, internal: bool):
     delta, theta0 = limit_params(t_src, theta_rot)
     _warn_regime(T_src=(t_src, REGIME_T_SRC), Theta=(theta_rot, REGIME_THETA),
                  r=(r, delta))
-    den = delta**2 + 4.0 * r**2 + 4.0 * delta * r * np.sin(theta + theta0)
-    _raise_first((np.broadcast_to(den <= 0.0, np.shape(omega)), DegeneracyError,
+    # in omega's shape, so an empty batch divides by no point
+    den = np.broadcast_to(
+        delta**2 + 4.0 * r**2 + 4.0 * delta * r * np.sin(theta + theta0),
+        np.shape(omega))
+    _raise_first((den <= 0.0, DegeneracyError,
                   lambda i: ("outside validity: expansion denominator is <= 0 "
                              f"at Omega = {np.reshape(omega, -1)[i]:.6g} rad/s")))
     q = delta**2 - 4.0 * r**2
     # q (q / den) / T_src stays in range where q^2 underflows (T_src < 1e-77)
-    s = (q * (q / den) / (4.0 * t_src)
-         * (_prefactor(cfg) * math.exp(-2.0 * cfg.r_input)))
-    # a frequency-independent Theta and squeeze leave s a scalar
-    return np.full(np.shape(omega), s)[()]
+    return (q * (q / den) / (4.0 * t_src)
+            * (_prefactor(cfg) * math.exp(-2.0 * cfg.r_input)))[()]
 
 
 def taylor_qcrb_internal(cfg: IfoConfig, omega):

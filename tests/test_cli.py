@@ -282,8 +282,9 @@ def beyond_threshold(cfg):
 
 
 class TestSharedSolve:
-    """run_budget's exact curves share one loop solve per chunk, and the
-    request still answers as evaluating its curves one by one would."""
+    """run_budget's curves walk the grid in one pass, whose exact curves
+    share one loop solve per chunk, and the request still answers as
+    evaluating its curves one by one would."""
 
     EXACT = ("full_optimal", "qcrb", "full_fixed_zeta(0.5)")
 
@@ -294,14 +295,18 @@ class TestSharedSolve:
         monkeypatch.setattr(ifo, "_loop",
                             lambda c, w: calls.append(len(w)) or loop(c, w))
         points = 2 * curves.CHUNK_POINTS + 17
-        run_budget(BudgetRequest(config=cfg, points=points, curves=self.EXACT))
+        # the closed forms among the exact curves solve no loop of their own
+        mixed = ("sql", "full_optimal", "loss_limit_a4", "qcrb", "fdt_floor",
+                 "full_fixed_zeta(0.5)")
+        run_budget(BudgetRequest(config=cfg, points=points, curves=mixed))
         assert calls == [curves.CHUNK_POINTS, curves.CHUNK_POINTS, 17]
         calls.clear()
         for name in self.EXACT:
             evaluate_curve(name, cfg, np.geomspace(5.0, 5000.0, 40))
         assert calls == [40] * 3
 
-    def test_first_curve_in_order_wins_over_earlier_chunk(self, cfg):
+    def test_first_curve_in_order_wins_over_earlier_chunk(self, cfg,
+                                                           monkeypatch):
         from qnbudget import curves
         # on 5-40 Hz the loop passes its lasing threshold in the second
         # chunk, while the tuned signal is blind to zeta = 0 from the first
@@ -322,6 +327,28 @@ class TestSharedSolve:
         with pytest.raises(BlindQuadratureError) as info:
             run_budget(reordered)
         assert (str(info.value), info.value.index) == (str(want), 0)
+
+        # a closed form that fails in the first chunk, after and before an
+        # exact curve that fails in the second
+        def failing_sql(chunk, _):
+            psd = qnbudget.limits.sql(chunk.cfg, chunk.w)
+            psd[5] = -1.0
+            return psd
+
+        monkeypatch.setitem(curves._CURVES, "sql", failing_sql)
+        wanted = []
+        for names in (("full_optimal", "sql"), ("sql", "full_optimal")):
+            want = curve_by_curve(names, c, f_hz)
+            with pytest.raises(DegeneracyError) as info:
+                run_budget(replace(req, curves=names))
+            got = info.value
+            assert ((type(got), str(got), got.index, repr(got.__cause__))
+                    == (type(want), str(want), want.index,
+                        repr(want.__cause__)))
+            wanted.append((type(want), want.index))
+        assert wanted[0][0] is LasingThresholdError
+        assert curves.CHUNK_POINTS <= wanted[0][1] < 2 * curves.CHUNK_POINTS
+        assert wanted[1] == (DegeneracyError, 5)
 
     @pytest.mark.parametrize("curve_names", [
         ("full_fixed_zeta(0.5)", "qcrb", "full_optimal"),
@@ -380,8 +407,8 @@ class TestSharedSolve:
                       "qcrb") == (3, failed)
 
     def test_exact_warnings_follow_earlier_curves(self, cfg, monkeypatch):
-        # the exact curves walk the grid together when the first of them is
-        # reached, so what they warn follows the warnings of earlier curves
+        # each chunk runs the curves in request order, so what the exact
+        # curves warn follows the warnings of earlier curves
         from qnbudget import ifo
         optimal_from = ifo._optimal_from
 

@@ -102,6 +102,11 @@ class TestFdtSpectrum:
 class TestGwCoupling:
     def test_zero_power(self):
         assert gw_coupling(0.0, 1e15, 4000.0) == 0.0
+        # below zero power, or at zero omega0 or L, there is no coupling
+        for args in ((-1.0, 1e15, 4000.0), (1e5, 0.0, 4000.0),
+                     (1e5, 1e15, 0.0)):
+            with pytest.raises(ValueError, match="^power must be >= 0"):
+                gw_coupling(*args)
 
     def test_sqrt_power_scaling(self):
         assert gw_coupling(4e5, 1e15, 4000.0) == pytest.approx(

@@ -551,6 +551,13 @@ class TestConstantLoop:
         assert s.shape == zeta.shape == qcrb.shape == fixed.shape == (n,)
         loop, sigma = loop_matrix(cfg, omegas), total_covariance(cfg, omegas)
         assert loop.shape == sigma.shape == (n, 2, 2)
+        # a grid of two dimensions is not a batch of frequencies
+        for spectrum in (io_relation, total_covariance, loop_matrix,
+                         optimal_spectrum, qcrb_lossless,
+                         lambda c, w: homodyne_spectrum(c, w, 0.3)):
+            with pytest.raises(ValueError, match="^sideband frequency must "
+                                                 "be a scalar or a 1-D array$"):
+                spectrum(cfg, omegas[:, None])
         # each is bitwise the scalar call at its frequency; a scalar call
         # gives floats and (2, 2) matrices
         for k, w in enumerate(omegas):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -227,8 +230,10 @@ class TestTaylorQcrb:
         with pytest.raises(DegeneracyError, match="validity"):
             taylor_qcrb_internal(collapsed, OMEGA)
         # a batch without points has none that fails, as in the exact
-        # pipeline, although the denominator does not depend on frequency
-        with np.errstate(invalid="ignore"):   # its 0 / 0 fills no point
+        # pipeline, although the denominator does not depend on frequency;
+        # and it divides by no point, so numpy does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert taylor_qcrb_internal(collapsed, np.array([])).shape == (0,)
 
     def test_shot_noise_reduction_at_zero_rotation(self, cfg):
@@ -299,6 +304,24 @@ class TestTaylorLoss:
         with pytest.warns(RegimeWarning, match="Theta = 0.3"):
             route(c, TWO_PI * 1e4)
 
+    def test_warns_under_python_c(self):
+        # under `python -c` the warning's caller is a __main__ module that
+        # has no source loader; the warning prints and the call succeeds
+        src = os.path.dirname(os.path.dirname(limits.__file__))
+        for call, text in (
+                ("from qnbudget import default_config, taylor_loss_no_internal"
+                 "; taylor_loss_no_internal(default_config(), 100.0)",
+                 "T_src = 0.14 is outside the expansion regime (|T_src| < "
+                 "0.05); the exact pipeline is authoritative"),
+                ("from qnbudget.fdt import CavityMode; CavityMode(1.0, 0.5)",
+                 "omega_cav/gamma_eps = 2 < 1000: single-mode approximation "
+                 "is unreliable")):
+            done = subprocess.run([sys.executable, "-c", call],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+            assert (done.returncode, done.stdout, done.stderr) == (
+                0, "", f"<string>:1: RegimeWarning: {text}\n")
+
     def test_internal_equals_alpha1_loss_limit(self, cfg):
         for t_src in (1e-3, 0.14):
             c = replace(cfg, T_src=t_src)
@@ -351,6 +374,11 @@ class TestSignalResponseRatio:
 
     def test_half_at_zero_argument(self):
         assert signal_response_ratio(0.0, 0.0) == 0.5
+
+    @pytest.mark.parametrize("angles", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_angles_must_be_finite(self, angles):
+        with pytest.raises(ValueError, match="^angles must be finite$"):
+            signal_response_ratio(*angles)
 
     def test_stated_optimum_substitution(self):
         # theta = pi/2 + theta0 at zero rotation angle (theta0 = pi/2) gives
