@@ -13,11 +13,8 @@ a scalar omega runs the same code on numpy scalars and gives bitwise the
 matching element of an array call (each per-point square is written as a
 product, which numpy computes alike for scalars and arrays), except where a
 residual phase makes the loop complex: numpy rounds a product of two complex
-scalars differently from its vectorised loop.  Every exact spectrum, public
-or a budget curve or a validate check, is read from one loop solve, a
-_Solve.  Its stages compute failure masks, raised by _raise_first and
-ordered by _Solve.read as a loop over the points meets them: the lowest
-index, then pipeline order.
+scalars differently from its vectorised loop.  Every exact spectrum is read
+from one loop solve, a _Solve.
 """
 
 from __future__ import annotations
@@ -140,9 +137,14 @@ def effective_internal_loss(cfg: IfoConfig, omega):
     DEFAULT_BAND_HZ.  An array of omega gives an array.
     """
     _check_sideband(omega)
-    eps_src = effective_src_loss(cfg.eps_src_channels)
+    return _internal_loss(cfg, omega, cfg.eps_arm,
+                          effective_src_loss(cfg.eps_src_channels))
+
+
+def _internal_loss(cfg: IfoConfig, omega, eps_arm, eps_src):
+    """effective_internal_loss with eps_arm and the summed eps_src given."""
     q = omega / arm_bandwidth(cfg)
-    return cfg.eps_arm + 0.25 * cfg.T_itm * (1.0 + q * q) * eps_src
+    return eps_arm + 0.25 * cfg.T_itm * (1.0 + q * q) * eps_src
 
 
 def _frequencies(omega) -> np.ndarray:
@@ -270,7 +272,7 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
         # m_c @ (0, beta)
         v1, v2 = (math.sqrt(cfg.T_src) * (e * beta) for e in m_c[1::2])
         power = _abs2(v1) + _abs2(v2)
-        couplings, coupling_check = _couplings(cfg, w)
+        c_int, coupling_check = _coupling(cfg, w, effective_internal_loss(cfg, w))
     _raise_first(
         _squeeze_guard(size, w),
         (det_abs < LASING_DET_TOL, LasingThresholdError, lambda i: (
@@ -286,36 +288,32 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
         coupling_check)
     m_io = tuple(-sqrt_r_src * i + cfg.T_src * e
                  for i, e in zip(_EYE, _mul(m_c, x)))
-    return IoRelation(m_io, m_c, (v1, v2), *couplings)
+    return IoRelation(m_io, m_c, (v1, v2), c_int, math.sqrt(cfg.eps_ext))
 
 
-def _couplings(cfg: IfoConfig, w):
-    """((internal, external) loss couplings of io_relation(cfg, w), check).
-
-    The check, for _raise_first, fails where the internal coupling is not
-    finite, where (Omega / gamma)^2 overflows under the caller's errstate.
-    """
-    loss = effective_internal_loss(cfg, w)
+def _coupling(cfg: IfoConfig, w, loss):
+    """(sqrt(T_src * loss) over w, check); the check, for _raise_first,
+    fails where it is not finite, as where (Omega / gamma)^2 overflows."""
     coupling = np.sqrt(cfg.T_src * loss)
-    return (_scalar_or_array(coupling), math.sqrt(cfg.eps_ext)), (
+    return _scalar_or_array(coupling), (
         ~np.isfinite(coupling), DegeneracyError, lambda i: (
             f"internal loss {loss.flat[i]:.3g} is not finite at "
             f"Omega = {w.flat[i]:.6g} rad/s"))
 
 
-def _covariance_from(inputs, io: IoRelation | None = None):
-    """(F4 rows, Sigma entries, c_ext^2) of the output covariance
-    Sigma = F F^dag, from the entries of M_io S_in and io's couplings.
+def _covariance_from(inputs, couplings=None):
+    """(F4 rows, Sigma entries, c_ext^2) of the output covariance Sigma =
+    F F^dag from M_io S_in's entries and couplings = (c_int, M_c, c_ext^2).
 
     F4 = [M_io S_in, c_int M_c] is the first four columns of the
-    square-root factor F = [F4, c_ext I]; without io, F is M_io S_in alone,
-    the lossless covariance.  Each row of F4 is a tuple of entries.
+    square-root factor F = [F4, c_ext I]; without couplings, F is M_io S_in
+    alone, the lossless covariance.  Each row of F4 is a tuple of entries.
     Sigma's diagonal is real and Sigma_21 is conj(Sigma_12).
     """
     rows, ext_sq = (inputs[:2], inputs[2:]), 0.0
-    if io is not None:
-        ext_sq = io.external_coupling**2
-        c11, c12, c21, c22 = (io.internal_coupling * e for e in io.M_c)
+    if couplings is not None:
+        coupling, m_c, ext_sq = couplings
+        c11, c12, c21, c22 = (coupling * e for e in m_c)
         rows = (*rows[0], c11, c12), (*rows[1], c21, c22)
     s11, s22 = (sum(_abs2(e) for e in row) + ext_sq for row in rows)
     s12 = sum(a * np.conj(b) for a, b in zip(*rows))
@@ -451,15 +449,15 @@ def qcrb_lossless(cfg: IfoConfig, omega):
 
 
 class _Solve:
-    """One loop solve over a batch of omega; every exact spectrum, public or
-    internal, is read from one by read().
+    """One loop solve over a batch of omega; every exact spectrum, public,
+    a budget curve or a validate check, is read from one by read().
 
     io_relation(cfg, omega) runs once, when a spectrum first needs it.  The
     optimal and every fixed-angle readout share its covariance.  Readouts
-    with the losses of another config read the same M_io, M_c and v with
-    that config's couplings, since the loop does not depend on loss; the
-    lossless bound is one of them.  A failure is the one a loop over the
-    points meets first.
+    with other losses read the same M_io, M_c and v with their couplings,
+    as the loop does not depend on loss; the lossless bound is one of them.
+    Failures are masks raised by _raise_first, so the one raised is the one
+    a loop over the points meets first: lowest index, then pipeline order.
     """
 
     def __init__(self, cfg, omega):
@@ -476,12 +474,12 @@ class _Solve:
 
     @functools.cached_property
     def covariance(self):
-        return _covariance_from(self.inputs, self.io)
+        return _covariance_from(self.inputs, (self.io.internal_coupling,
+                                self.io.M_c, self.io.external_coupling**2))
 
     def read(self, spectra):
-        """spectra(self).  When it fails at point k, the points before k are
-        read first, since one of them may fail a later stage; so the failure
-        raised is the one a loop over the points meets first."""
+        """spectra(self); when it fails at point k, the points before k are
+        read first, since one of them may fail a later stage."""
         try:
             return spectra(self)
         except DegeneracyError as exc:
@@ -516,15 +514,19 @@ class _Solve:
         noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
         return _scalar_or_array(noise / _abs2(qv))
 
-    def optimal_with(self, cfg):
-        """optimal() for cfg, the solved config with other losses; the
-        loop's checks run before those of cfg's couplings."""
-        io = self.io
+    def optimal_with(self, losses):
+        """optimal() over the 1-D w for a (K, 3) array of losses, rows
+        (eps_arm, eps_ext, summed eps_src), as (K, N); an error's index is
+        into the flat stack, so one row fails as the config with it does."""
+        io, (eps_arm, _, eps_src) = self.io, losses.T[..., None]
+        # x ** 2 in Python, as for io's coupling: numpy's array square differs
+        ext_sq = np.array([[math.sqrt(e)**2] for e in losses[:, 1].tolist()])
+        w = np.broadcast_to(self.w, (len(losses), self.w.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            couplings, check = _couplings(cfg, self.w)
-            io = IoRelation(io.M_io, io.M_c, io.v, *couplings)
-            covariance = _covariance_from(self.inputs, io)
-        return _optimal_from(self.w, io, covariance, check)
+            coupling, check = _coupling(self.cfg, w, _internal_loss(
+                self.cfg, self.w, eps_arm, eps_src))
+            covariance = _covariance_from(self.inputs, (coupling, io.M_c, ext_sq))
+        return _optimal_from(w, io, covariance, check)
 
     def qcrb(self):
         """optimal() with every loss channel switched off, from M_io S_in

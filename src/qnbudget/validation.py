@@ -1,8 +1,8 @@
 """Cross-module consistency checks behind the `validate` CLI verb.
 
 Each check compares two independent routes to the same quantity, or, for
-loss_monotonicity, the configuration's optimal spectrum with those of copies
-with more loss, and reports the worst relative deviation against a fixed
+loss_monotonicity, the configuration's optimal spectrum with more loss and
+without, and reports the worst relative deviation against a fixed
 tolerance.  The randomized checks draw from a seeded generator, so a report
 is deterministic for a given configuration and seed.  What depends on
 neither is computed once per process and shared read-only.
@@ -19,7 +19,7 @@ import numpy as np
 from . import errors, fdt, ifo, limits
 from .config import TWO_PI_C, IfoConfig, InternalSqueeze, config_hash
 from .constants import TWO_PI
-from .errors import ConfigError, _as_degeneracy
+from .errors import ConfigError, DegeneracyError, _as_degeneracy
 from .quadrature import (SYMPLECTIC_FORM, ponderomotive_decompose,
                          ponderomotive_matrix, rotation_matrix, squeeze_matrix)
 
@@ -141,33 +141,31 @@ def _check_exact(cfg, rng) -> tuple[CheckResult, CheckResult]:
     solve of cfg at _CHECK_HZ.
 
     optimal_vs_grid compares the optimal spectrum with the minimum of a
-    scan over readout angles.  loss_monotonicity compares it with those of
-    three copies of cfg, each with one loss raised by a drawn fraction of
-    its headroom to 1: eps_arm, eps_ext, and the recycling loss eps_src, by
-    an added constant channel.  More loss must never lower the spectrum.  A
-    copy whose spectrum fails raises its error again, of the same type and
-    index, with a prefix that names the loss and the fraction.
+    scan over readout angles; loss_monotonicity with the spectra, read in
+    one pass, of three rows of losses, each raising one loss of cfg by a
+    drawn fraction of its headroom to 1: eps_arm, eps_ext and eps_src, the
+    sum of cfg's constant channels (cfg is resolved), which must not lower
+    it.  The first row that fails alone raises its error again, of the same
+    type and index, with a prefix naming the loss and the fraction.
     """
-    fractions = f_arm, f_ext, f_src = rng.uniform(0.0, 0.1, size=3)
-    more = (replace(cfg, eps_arm=cfg.eps_arm + f_arm * (1.0 - cfg.eps_arm)),
-            replace(cfg, eps_ext=cfg.eps_ext + f_ext * (1.0 - cfg.eps_ext)),
-            replace(cfg, eps_src_channels=(
-                *cfg.eps_src_channels,
-                f_src * (1.0 - sum(cfg.eps_src_channels)))))
+    fractions = rng.uniform(0.0, 0.1, size=3)
+    base = np.array([cfg.eps_arm, cfg.eps_ext, sum(cfg.eps_src_channels)])
+    raised = base + np.diag(fractions * (1.0 - base))   # one loss raised a row
     solve = ifo._Solve(cfg, _CHECK_OMEGA)
     s_opt = solve.read(ifo._Solve.optimal)
     # one row of the scan per frequency, one column per angle
     grid_min = solve.read(lambda o: o.homodyne(_GRID_ZETAS, _GRID_TRIG)).min(1)
-    s_more = []
-    for c, name, f in zip(more, ("eps_arm", "eps_ext", "eps_src"), fractions):
-        try:
-            s_more.append(solve.optimal_with(c))
-        except ArithmeticError as exc:
-            error = _as_degeneracy(exc)
-            raise type(error)(f"loss_monotonicity: with {name} raised by "
-                              f"{f:.3g} of its headroom: {error}",
-                              index=error.index) from exc
-    s_more = np.array(s_more)
+    try:
+        s_more = solve.optimal_with(raised)
+    except DegeneracyError:
+        for k, name in enumerate(("eps_arm", "eps_ext", "eps_src")):
+            try:
+                solve.optimal_with(raised[k:k + 1])
+            except DegeneracyError as exc:
+                raise type(exc)(f"loss_monotonicity: with {name} raised by "
+                                f"{fractions[k]:.3g} of its headroom: {exc}",
+                                index=exc.index) from exc
+        raise
     return (CheckResult("optimal_vs_grid", _worst(grid_min, s_opt), 1e-3),
             CheckResult("loss_monotonicity", float(np.max(
                 (s_opt - s_more) / s_opt, initial=0.0)), 1e-12))

@@ -15,7 +15,7 @@ import pytest
 import qnbudget.ifo
 import qnbudget.limits
 import qnbudget.validation
-from qnbudget import default_config
+from qnbudget import IfoConfig, default_config
 
 QNBENCH = Path(__file__).resolve().parent.parent / "qnbench"
 IMPORTING_FILES = ("probe.py", "reference.py", "workloads.py", "selftest.py")
@@ -93,3 +93,20 @@ def test_validate_solves_the_loop_twice(monkeypatch):
     assert calls["ifo.io_relation"] == 2
     for name in ("optimal_spectrum", "homodyne_spectrum", "qcrb_lossless"):
         assert calls[f"ifo.{name}"] == 0, name
+
+
+def test_validate_copies_the_config_twice(monkeypatch):
+    # the raised losses of loss_monotonicity are values, not configs: the
+    # only copies left are fdt_vs_loss_limit's arm-only config and the
+    # Taylor-regime config, each a new IfoConfig and so a schema walk
+    cfg = default_config()
+    copies = []
+    post_init = IfoConfig.__post_init__
+
+    def spy(self):
+        copies.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(IfoConfig, "__post_init__", spy)
+    assert qnbudget.validation.run_validation(cfg, 7).passed
+    assert len(copies) == 2

@@ -1026,55 +1026,112 @@ class TestValidation:
         assert math.isnan(report.checks[4].deviation)
         assert not report.checks[4].passed
 
+    @staticmethod
+    def losses(cfg):
+        """The (eps_arm, eps_ext, summed eps_src) row of a resolved cfg."""
+        return np.array([cfg.eps_arm, cfg.eps_ext, sum(cfg.eps_src_channels)])
+
+    def spy_raised_rows(self, monkeypatch, failing=None, error=None):
+        """Record each (solved config, stack of losses) a loop solve reads;
+        a stack with a row that raises the loss in column failing raises
+        error instead."""
+        calls, optimal_with = [], ifo._Solve.optimal_with
+
+        def spy(solve, losses):
+            calls.append((solve.cfg, losses))
+            if failing is not None and any(
+                    losses[:, failing] > self.losses(solve.cfg)[failing]):
+                raise error
+            return optimal_with(solve, losses)
+
+        monkeypatch.setattr(ifo._Solve, "optimal_with", spy)
+        return calls
+
     def test_monotonicity_raises_each_loss_of_the_validated_config(
             self, cfg, monkeypatch):
         # the tabulated channel is resolved over the checks' band first
         cfg = replace(cfg, eps_src_channels=(
             1e-3, FreqTable((1.0, 1e4), (2e-4, 1e-3))))
         resolved = resolve_band(cfg, (12.0, 980.0))
-        calls = []
-        optimal_with = ifo._Solve.optimal_with
-
-        def spy(solve, more):
-            calls.append((solve.cfg, more))
-            return optimal_with(solve, more)
-
-        monkeypatch.setattr(ifo._Solve, "optimal_with", spy)
+        calls = self.spy_raised_rows(monkeypatch)
         assert run_validation(cfg, 4).passed
-        raised = [more for solved, more in calls if solved == resolved]
-        assert len(raised) == 3
-        for more, name in zip(raised, ("eps_arm", "eps_ext")):
-            assert more == replace(resolved, **{name: getattr(more, name)})
-            headroom = 1.0 - getattr(resolved, name)
-            assert 0.0 < getattr(more, name) - getattr(resolved, name) \
-                < 0.1 * headroom
-        *kept, added = raised[2].eps_src_channels
-        assert raised[2] == replace(resolved, eps_src_channels=(*kept, added))
-        assert tuple(kept) == resolved.eps_src_channels
-        assert 0.0 < added < 0.1 * (1.0 - sum(kept))
+        stacks = [losses for solved, losses in calls if solved == resolved]
+        # one stack, a row per raised loss
+        assert len(stacks) == 1 and stacks[0].shape == (3, 3)
+        base = self.losses(resolved)
+        for k, row in enumerate(stacks[0]):
+            kept = np.arange(3) != k
+            assert np.array_equal(row[kept], base[kept])
+            assert 0.0 < row[k] - base[k] < 0.1 * (1.0 - base[k])
+
+    def test_stacked_readout_reads_as_the_solved_config(self, cfg):
+        # an eps_ext whose coupling squares one ulp apart as Python's
+        # x ** 2 and numpy's array x * x, which moves the spectrum
+        cfg = replace(cfg, eps_ext=0.16213706896903546)
+        solve = ifo._Solve(cfg, validation._CHECK_OMEGA)
+        own = self.losses(cfg)[None]
+        assert solve.optimal_with(own)[0].tobytes() == \
+            solve.optimal().tobytes()
+        # a failing row's index is into the flat stack; alone, the row
+        # fails at its own index with the same message
+        bad = own + [np.inf, 0.0, 0.0]
+        with pytest.raises(DegeneracyError) as stacked:
+            solve.optimal_with(np.concatenate([own, bad]))
+        with pytest.raises(DegeneracyError) as alone:
+            solve.optimal_with(bad)
+        assert (stacked.value.index, alone.value.index) == (3, 0)
+        assert str(stacked.value) == str(alone.value) == (
+            "internal loss inf is not finite at Omega = 75.3982 rad/s")
 
     def test_failing_raised_copy_is_named(self, cfg, monkeypatch, capsys):
-        # a planted failure of the copy with the added recycling channel
+        # a planted failure of every stack with the raised recycling loss,
+        # read once as a stack, then row by row up to the failing one
         planted = LasingThresholdError("planted at 75.3982 rad/s", index=1)
-        optimal_with = ifo._Solve.optimal_with
-        added = []
-
-        def spy(solve, more):
-            if len(more.eps_src_channels) > len(solve.cfg.eps_src_channels):
-                added.append(more.eps_src_channels[-1]
-                             / (1.0 - sum(solve.cfg.eps_src_channels)))
-                raise planted
-            return optimal_with(solve, more)
-
-        monkeypatch.setattr(ifo._Solve, "optimal_with", spy)
+        calls = self.spy_raised_rows(monkeypatch, 2, planted)
         with pytest.raises(LasingThresholdError) as info:
             run_validation(cfg, 4)
+        stacks = [losses for _, losses in calls]
+        assert [len(s) for s in stacks] == [3, 1, 1, 1]
+        assert np.array_equal(np.concatenate(stacks[1:]), stacks[0])
+        base = self.losses(cfg)
+        added = (stacks[-1][0, 2] - base[2]) / (1.0 - base[2])
         assert str(info.value) == (
-            f"loss_monotonicity: with eps_src raised by {added[0]:.3g} of its "
+            f"loss_monotonicity: with eps_src raised by {added:.3g} of its "
             "headroom: planted at 75.3982 rad/s")
         assert info.value.index == 1 and info.value.__cause__ is planted
         assert main(["validate", "--seed", "4"]) == 3
         assert capsys.readouterr().err == f"numerical degeneracy: {info.value}\n"
+
+    def test_failing_middle_row_alone_is_named(self, cfg, monkeypatch):
+        # the eps_ext row fails, and the eps_src row after it is not read
+        planted = DegeneracyError("planted", index=2)
+        calls = self.spy_raised_rows(monkeypatch, 1, planted)
+        with pytest.raises(DegeneracyError) as info:
+            run_validation(cfg, 4)
+        assert [len(losses) for _, losses in calls] == [3, 1, 1]
+        assert type(info.value) is DegeneracyError
+        assert str(info.value).startswith(
+            "loss_monotonicity: with eps_ext raised by ")
+        assert str(info.value).endswith(" of its headroom: planted")
+        assert info.value.index == 2 and info.value.__cause__ is planted
+
+    def test_failing_base_optimal_wins_over_failing_row(self, cfg,
+                                                        monkeypatch, capsys):
+        # every row fails too, but the base spectrum is read first
+        base = LasingThresholdError("planted at 75.3982 rad/s", index=0)
+        calls = self.spy_raised_rows(
+            monkeypatch, 0, DegeneracyError("planted row", index=0))
+
+        def optimal(solve):
+            raise base
+
+        monkeypatch.setattr(ifo._Solve, "optimal", optimal)
+        with pytest.raises(LasingThresholdError) as info:
+            run_validation(cfg, 4)
+        assert info.value is base and not calls
+        assert main(["validate", "--seed", "4"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical degeneracy: planted at 75.3982 rad/s\n")
 
     def test_losses_near_one_stay_valid_when_raised(self, tmp_path, capsys):
         path = write_config(tmp_path, {
@@ -1117,9 +1174,16 @@ class TestValidation:
 
     def test_nan_monotonicity_deviation_fails(self, cfg, monkeypatch,
                                               capsys):
-        # max(0.0, nan) is 0.0: a NaN deviation once read as a PASS
-        monkeypatch.setattr(ifo._Solve, "optimal_with",
-                            lambda solve, c: np.full(solve.w.shape, np.nan))
+        # max(0.0, nan) is 0.0: a NaN deviation once read as a PASS; one
+        # NaN row of the stack fails the check
+        optimal_with = ifo._Solve.optimal_with
+
+        def spy(solve, losses):
+            spectra = optimal_with(solve, losses)
+            spectra[1] = np.nan
+            return spectra
+
+        monkeypatch.setattr(ifo._Solve, "optimal_with", spy)
         assert main(["validate", "--seed", "7"]) == 1
         assert ("FAIL  loss_monotonicity        max rel deviation nan "
                 "(tolerance 1.0e-12)") in capsys.readouterr().out.splitlines()

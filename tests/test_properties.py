@@ -5,7 +5,8 @@ one of four variants (as drawn, ponderomotive internal squeezing, a
 tabulated rotation angle, a residual round-trip phase), plus a set of
 sideband frequencies; the loss-limit property draws `random_config` as is,
 or with a residual phase, over 1 Hz - 10 kHz.  The config-document
-round trip also draws tabulated fixed internal squeezing.  The
+round trip and the raised-loss stack also draw tabulated fixed internal
+squeezing with a tabulated recycling-loss channel.  The
 output-format examples draw columns of arbitrary floats.
 """
 
@@ -31,13 +32,13 @@ from qnbudget import (ALPHA_NO_INTERNAL, BASE_CURVES, BlindQuadratureError,
                       config_hash, config_template, config_to_dict,
                       default_config,
                       effective_internal_loss, evaluate_curve,
-                      homodyne_spectrum, io_relation, loop_matrix,
+                      homodyne_spectrum, ifo, io_relation, loop_matrix,
                       loss_floor_fdt, loss_limit, mat2, mat_inv,
                       optimal_spectrum, ponderomotive_decompose,
                       ponderomotive_gain, qcrb_lossless, random_config,
-                      rotation_matrix,
+                      resolve_band, rotation_matrix,
                       run_budget, squeeze_matrix, taylor_qcrb_internal,
-                      total_covariance, value_at)
+                      total_covariance, validation, value_at)
 from qnbudget.cli import main, write_budget
 from qnbudget.constants import C_LIGHT, HBAR
 from qnbudget.curves import CHUNK_POINTS
@@ -375,6 +376,43 @@ def tabulated_squeeze_config(seed):
                    internal_sqz=InternalSqueeze("fixed", r=table(-0.05, 0.05),
                                                 theta=table(0.0, math.pi)),
                    eps_src_channels=cfg.eps_src_channels + (table(0.0, 1e-3),))
+
+
+@settings(PROFILE, max_examples=100)
+@given(st.one_of(configs, st.builds(tabulated_squeeze_config,
+                                    st.integers(0, 2**32 - 1))),
+       st.integers(0, 2**32 - 1))
+def test_stacked_raised_losses_equal_raised_copies(cfg, seed):
+    # validate's loss_monotonicity reads its three raised-loss spectra as
+    # one stack of loss values from the validated config's loop solve; each
+    # row is bitwise the spectrum of the config copy with that one loss
+    # raised, the route kept here as the oracle
+    resolved = resolve_band(cfg, (12.0, 980.0))
+    f_arm, f_ext, f_src = np.random.default_rng(seed).uniform(0.0, 0.1, 3)
+    channels = resolved.eps_src_channels
+    copies = (
+        replace(resolved, eps_arm=resolved.eps_arm
+                + f_arm * (1.0 - resolved.eps_arm)),
+        replace(resolved, eps_ext=resolved.eps_ext
+                + f_ext * (1.0 - resolved.eps_ext)),
+        replace(resolved, eps_src_channels=(
+            *channels, f_src * (1.0 - sum(channels)))))
+    stacks, optimal_with = [], ifo._Solve.optimal_with
+
+    def spy(solve, losses):
+        stacks.append(optimal_with(solve, losses))
+        return stacks[-1]
+
+    with (mock.patch.object(ifo._Solve, "optimal_with", spy),
+          np.errstate(all="ignore")):
+        try:
+            validation._check_exact(resolved, np.random.default_rng(seed))
+        except DegeneracyError:
+            assume(False)
+    (stack,) = stacks
+    for row, copy in zip(stack, copies):
+        want = optimal_spectrum(copy, validation._CHECK_OMEGA)[0]
+        assert row.tobytes() == want.tobytes()
 
 
 @PROFILE
