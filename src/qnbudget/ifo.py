@@ -516,8 +516,8 @@ class _Solve:
 
     def optimal_with(self, losses):
         """optimal() over the 1-D w for a (K, 3) array of losses, rows
-        (eps_arm, eps_ext, summed eps_src), as (K, N); an error's index is
-        into the flat stack, so one row fails as the config with it does."""
+        (eps_arm, eps_ext, summed eps_src), as (K, N); an error is the first
+        failing row's own, its flat index divided by N that row and point."""
         io, (eps_arm, _, eps_src) = self.io, losses.T[..., None]
         # x ** 2 in Python, as for io's coupling: numpy's array square differs
         ext_sq = np.array([[math.sqrt(e)**2] for e in losses[:, 1].tolist()])

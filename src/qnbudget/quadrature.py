@@ -88,6 +88,7 @@ def rotation_matrix(angle) -> np.ndarray:
     for a detuned cavity the angle is frequency dependent.  A 1-D array of
     angles gives a stack of shape (N, 2, 2).
     """
+    angle = np.asarray(angle, dtype=float)
     if not all_true(np.isfinite(angle)):
         raise ValueError("rotation angle must be finite")
     return mat2(*rotation_entries(angle))
@@ -101,6 +102,7 @@ def squeeze_matrix(r, theta=0.0) -> np.ndarray:
     overflow guard.  r and theta may be scalars or 1-D arrays of one length
     N, which give a stack of shape (N, 2, 2).
     """
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
     if not (all_true(np.isfinite(r)) and all_true(np.isfinite(theta))):
         raise ValueError("squeeze parameters must be finite")
     size = np.abs(r)

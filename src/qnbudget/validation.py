@@ -145,8 +145,8 @@ def _check_exact(cfg, rng) -> tuple[CheckResult, CheckResult]:
     one pass, of three rows of losses, each raising one loss of cfg by a
     drawn fraction of its headroom to 1: eps_arm, eps_ext and eps_src, the
     sum of cfg's constant channels (cfg is resolved), which must not lower
-    it.  The first row that fails alone raises its error again, of the same
-    type and index, with a prefix naming the loss and the fraction.
+    it.  A failing stack's flat index divided by N gives the failing row and
+    point, where its error is raised again, naming the loss and fraction.
     """
     fractions = rng.uniform(0.0, 0.1, size=3)
     base = np.array([cfg.eps_arm, cfg.eps_ext, sum(cfg.eps_src_channels)])
@@ -157,15 +157,12 @@ def _check_exact(cfg, rng) -> tuple[CheckResult, CheckResult]:
     grid_min = solve.read(lambda o: o.homodyne(_GRID_ZETAS, _GRID_TRIG)).min(1)
     try:
         s_more = solve.optimal_with(raised)
-    except DegeneracyError:
-        for k, name in enumerate(("eps_arm", "eps_ext", "eps_src")):
-            try:
-                solve.optimal_with(raised[k:k + 1])
-            except DegeneracyError as exc:
-                raise type(exc)(f"loss_monotonicity: with {name} raised by "
-                                f"{fractions[k]:.3g} of its headroom: {exc}",
-                                index=exc.index) from exc
-        raise
+    except DegeneracyError as exc:
+        k, i = divmod(exc.index, _CHECK_OMEGA.size)   # row, its point
+        name = ("eps_arm", "eps_ext", "eps_src")[k]
+        raise type(exc)(f"loss_monotonicity: with {name} raised by "
+                        f"{fractions[k]:.3g} of its headroom: {exc}",
+                        index=i) from exc
     return (CheckResult("optimal_vs_grid", _worst(grid_min, s_opt), 1e-3),
             CheckResult("loss_monotonicity", float(np.max(
                 (s_opt - s_more) / s_opt, initial=0.0)), 1e-12))

@@ -415,6 +415,46 @@ def test_stacked_raised_losses_equal_raised_copies(cfg, seed):
         assert row.tobytes() == want.tobytes()
 
 
+@settings(PROFILE, max_examples=100)
+@given(configs, st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.sampled_from([math.inf, math.nan, 1e308,
+                                           0.999999])), max_size=4))
+def test_stacked_error_names_its_row(cfg, seed, planted):
+    # a failing (3, 3) stack raises what its first failing row raises
+    # alone, at the row and point its flat index divided by N gives: the
+    # row-by-row read, kept here as the oracle of validate's one read
+    resolved = resolve_band(cfg, (12.0, 980.0))
+    base = np.array([resolved.eps_arm, resolved.eps_ext,
+                     sum(resolved.eps_src_channels)])
+    fractions = np.random.default_rng(seed).uniform(0.0, 0.1, 3)
+    raised = base + np.diag(fractions * (1.0 - base))
+    for row, column, value in planted:
+        raised[row, column] = value
+    solve = ifo._Solve(resolved, validation._CHECK_OMEGA)
+    with np.errstate(all="ignore"):
+        try:
+            solve.io
+        except DegeneracyError:
+            assume(False)
+        errors = []
+        for rows in (raised, *(raised[k:k + 1] for k in range(3))):
+            try:
+                solve.optimal_with(rows)
+                errors.append(None)
+            except DegeneracyError as exc:
+                errors.append(exc)
+    stacked, *alone = errors
+    failing = [k for k, exc in enumerate(alone) if exc is not None]
+    assert (stacked is None) == (not failing)
+    if failing:
+        first = alone[failing[0]]
+        assert divmod(stacked.index, validation._CHECK_OMEGA.size) == (
+            failing[0], first.index)
+        assert type(stacked) is type(first)
+        assert str(stacked) == str(first)
+
+
 @PROFILE
 @given(st.one_of(configs, st.builds(tabulated_squeeze_config,
                                     st.integers(0, 2**32 - 1))))

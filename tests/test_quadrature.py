@@ -125,6 +125,20 @@ class TestPonderomotive:
             ponderomotive_decompose(bad)
 
 
+# each constructor computes in float64 whatever the dtype of its argument:
+# a float32 r once moved the matrix by 5e-8, and a bool gave a float16 one
+@pytest.mark.parametrize("value", [
+    np.float32(0.3), np.array([0.3, -1.7], dtype=np.float32), True,
+    np.array([True, False]), 2, np.array([2, 0, 1]), np.int8(1)])
+@pytest.mark.parametrize("build", [
+    rotation_matrix, squeeze_matrix, lambda x: squeeze_matrix(0.4, x),
+    lambda x: ponderomotive_matrix(np.abs(x))])
+def test_arguments_are_read_as_float64(build, value):
+    got, want = build(value), build(np.asarray(value, dtype=float))
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 class TestDecibels:
     def test_known_values(self):
         assert db_from_r(0.0) == 0.0
