@@ -25,10 +25,10 @@ import numpy as np
 
 # 10**k for k in [-88, 110], correctly rounded; _POW10[k + 88]
 _POW10 = np.array([float(f"1e{k}") for k in range(-88, 111)])
-# s = |x| * 10**(11 - e) < 1e12 is off from its exact value by at most two
-# roundings of relative size 2**-53 (the power's and the product's), about
-# 2.2e-4, so outside this distance from n + 1/2 both round alike
-_TIE_MARGIN = 1e-3
+# s = |x| * 10**(11 - e) <= 1e12 is off its exact value by two roundings of
+# relative size 2**-53 (the power's, the product's), by under 1e12 * (2**-52
+# + 2**-106) < 2.2205e-4: where |s - rint(s)| < 1/2 - 2.5e-4, both round alike
+_TIE_MARGIN = 2.5e-4
 
 
 def _decimal(x: np.ndarray):
@@ -50,7 +50,7 @@ def _decimal(x: np.ndarray):
         m = np.rint(s)
         carry = m == 1e12
         e += carry
-        fast &= (np.abs(s - np.floor(s) - 0.5) > _TIE_MARGIN) & (e <= 99)
+        fast &= (np.abs(s - m) < 0.5 - _TIE_MARGIN) & (e <= 99)
     m = np.where(fast & ~carry, m, 1e11).astype(np.int64)
     return m, np.where(fast, e, 0), fast
 
@@ -85,36 +85,36 @@ _QUAD = _quads()
 # [3 digits, "e"] [exponent sign, 2 exponent digits, separator]
 _CSV_LEAD = _table("\0\0%d.", range(10))
 _CSV_TRIPLE = _table("%03de", range(1000))
-_CSV_TAIL = {sep: _table("%+03d" + sep, range(-99, 100)) for sep in ",\n"}
+_CSV_TAIL = np.concatenate([_table("%+03d" + sep, range(-99, 100))
+                            for sep in ",\n"])
+_CSV_CELL = np.dtype([("pad", "V2"), ("text", "V18")])
 
 
-def csv_workspace(rows: int, ncols: int) -> tuple:
-    """Buffers for csv_rows of up to `rows` rows of ncols columns."""
-    return (np.empty((rows, ncols, 18), np.uint8),
-            np.empty((rows, 5), np.uint32), np.empty((rows, ncols), bool))
+def csv_workspace(cells: int) -> tuple:
+    """Buffers for csv_rows of up to `cells` cells."""
+    return np.empty(cells), np.empty(cells, "V18"), np.empty((cells, 5), "u4")
 
 
 def csv_rows(columns: list, work: tuple) -> list:
-    """Rows of f"{x:.11e}" cells, comma-separated, newline-terminated: ASCII
+    """Comma-separated rows of f"{x:.11e}" cells, in one digit pass: ASCII
     pieces built in the csv_workspace work, valid until its next use."""
     n, ncols = len(columns[0]), len(columns)
-    # out: the text of each cell, from its first digit to its separator
-    out, words, slow = (a[:n] for a in work)
-    for j, col in enumerate(columns):
-        m, e, fast = _decimal(col)
-        first, upper, middle, lower = _groups(m)
-        words[:, 0] = _CSV_LEAD[first]
-        words[:, 1] = _QUAD[upper]
-        words[:, 2] = _QUAD[middle]
-        words[:, 3] = _CSV_TRIPLE[lower]
-        words[:, 4] = _CSV_TAIL["\n" if j == ncols - 1 else ","][e + 99]
-        out[:, j] = words.view(np.uint8)[:, 2:]
-        slow[:, j] = ~fast | np.signbit(col)
+    # out: each cell's text, row by row, from its first digit to separator
+    values, out, words = (a[:n * ncols] for a in work)
+    np.stack(columns, 1, out=values.reshape(n, ncols))
+    m, e, fast = _decimal(values)
+    first, upper, middle, lower = _groups(m)
+    words[:, 0] = _CSV_LEAD[first]
+    words[:, 1] = _QUAD[upper]
+    words[:, 2] = _QUAD[middle]
+    words[:, 3] = _CSV_TRIPLE[lower]
+    e.reshape(n, ncols)[:, -1] += 199   # "\n" words, after the "," words
+    words[:, 4] = _CSV_TAIL[e + 99]
+    out[:] = words.view(_CSV_CELL)["text"][:, 0]
     # a Python-formatted text replaces the 17 bytes before its separator
-    view, pieces, prev = memoryview(out.reshape(-1)), [], 0
-    for k in np.flatnonzero(slow).tolist():
-        cell = "%.11e" % columns[k % ncols][k // ncols]
-        pieces += (view[prev:18 * k], cell.encode())
+    view, pieces, prev = memoryview(out.view(np.uint8)), [], 0
+    for k in np.flatnonzero(~fast | np.signbit(values)).tolist():
+        pieces += (view[prev:18 * k], ("%.11e" % values[k]).encode())
         prev = 18 * k + 17
     pieces.append(view[prev:])
     return pieces
@@ -158,7 +158,7 @@ def _json_tables():
     layout = np.array([(*fixed[e], ord(",") << 24, 0) if e in fixed
                        else (0xFF, 8, 0, point << 16, -1, 0, ord("e") << 24, w)
                        for e, w in zip(range(-99, 100),
-                                       _CSV_TAIL[","].tolist())],
+                                       _CSV_TAIL[:199].tolist())],
                       np.int64).T.copy()
     quads = np.concatenate([_QUAD, _stripped(_QUAD)]).astype(np.int64)
     return quads, quads[10**4:10**4 + 1000] >> 8, layout
@@ -198,10 +198,10 @@ def _json_rows(values: np.ndarray) -> bytearray:
     slow = ~fast | np.signbit(values) | (e > 6) | (e >= 0) & ~point
     if slow.any():
         # a Python-formatted line takes the place of its cell's row, at its end
-        lines = (f"{json.dumps(float('%.11e' % x))},\n   "
-                 for x in values[slow].tolist())
+        cells = json.dumps([float("%.11e" % x) for x in values[slow].tolist()])
         rows[slow] = np.frombuffer(b"".join(
-            line.encode().rjust(_ROW.itemsize, b"\0") for line in lines), _ROW)
+            f"{cell},\n   ".encode().rjust(_ROW.itemsize, b"\0")
+            for cell in cells[1:-1].split(", ")), _ROW)
     return text
 
 

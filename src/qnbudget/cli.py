@@ -88,10 +88,6 @@ class BudgetRequest:
             raise ConfigError(f"format: must be csv or json, got {self.fmt!r}")
 
 
-def _blocks(n: int):
-    return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, n, CHUNK_POINTS))
-
-
 def write_budget(write, req: BudgetRequest, f_hz: np.ndarray,
                  spectra: dict) -> None:
     """Write the curves {name: PSD array} in the request's format, CSV or
@@ -108,9 +104,11 @@ def write_budget(write, req: BudgetRequest, f_hz: np.ndarray,
     columns = {"f_hz": f_hz, **spectra}
     if req.fmt == "csv":
         write(",".join(columns).encode() + b"\n")
-        work = csv_workspace(min(len(f_hz), CHUNK_POINTS), len(columns))
-        for rows in _blocks(len(f_hz)):
-            for piece in csv_rows([c[rows] for c in columns.values()], work):
+        rows = max(1, CHUNK_POINTS // len(columns))   # per digit pass
+        work = csv_workspace(min(len(f_hz), rows) * len(columns))
+        for lo in range(0, len(f_hz), rows):
+            block = [c[lo:lo + rows] for c in columns.values()]
+            for piece in csv_rows(block, work):
                 write(piece)
         return
     # the document json.dumps(sort_keys=True, indent=1) writes: "columns"
@@ -129,14 +127,14 @@ def write_budget(write, req: BudgetRequest, f_hz: np.ndarray,
     # pass per block, as no tail fits beside the next column's full block
     per = max(1, CHUNK_POINTS // len(f_hz))
     texts = (text for k in range(0, len(names), per)
-             for rows in _blocks(len(f_hz))
-             for text in json_blocks([columns[name][rows]
+             for lo in range(0, len(f_hz), CHUNK_POINTS)
+             for text in json_blocks([columns[name][lo:lo + CHUNK_POINTS]
                                       for name in names[k:k + per]]))
     write(b'{\n "columns": {\n')
     for k, name in enumerate(names):
         write(((",\n" if k else "") + f"  {json.dumps(name)}: [\n").encode())
-        for j, _ in enumerate(_blocks(len(f_hz))):
-            write(b",\n" if j else b"")
+        for lo in range(0, len(f_hz), CHUNK_POINTS):
+            write(b",\n" if lo else b"")
             write(next(texts))
         write(b"\n  ]")
     write(("\n },\n" + metadata.removeprefix("{\n") + "\n").encode())

@@ -12,7 +12,8 @@ compared with "%.11e" % x per cell.  The runs draw from both
 notations and both signs: the whole double range, the fixed-notation range
 and past its ends, decimals of 1 to 12 significant digits (trailing zeros
 end at every digit), values within a few ulps of a 12-digit rounding tie,
-integers and near-integers, zeros, NaN, infinities and subnormals,
+values whose digits past the 12th lie uniformly within 2e-3 of a tie (on
+both sides of the margin inside which Python formats a cell), integers and near-integers, zeros, NaN, infinities and subnormals,
 frequency grids and PSD-scale values; half of the runs interleave two
 kinds.  Prints the cell count and every mismatching block; exits 1 if
 there was one.
@@ -78,7 +79,13 @@ def draw(rng, kind: int, n: int) -> np.ndarray:
         return rng.choice(SPECIALS, n)
     if kind == 6:
         return np.geomspace(rng.uniform(0.1, 10.0), rng.uniform(100.0, 1e7), n)
-    return 10.0 ** rng.uniform(-50.0, -40.0, n)
+    if kind == 7:
+        return 10.0 ** rng.uniform(-50.0, -40.0, n)
+    # (m + 1/2 + u) 10**(e - 11), u uniform in [-2e-3, 2e-3], |e| <= 99
+    return np.array([float(f"{m}{u:09d}e{k}") for m, u, k in zip(
+        rng.integers(10**11, 10**12, n).tolist(),
+        rng.integers(498 * 10**6, 502 * 10**6 + 1, n).tolist(),
+        rng.integers(-119, 80, n).tolist())])
 
 
 def _nudged(x: float, ulps: int) -> float:
@@ -94,9 +101,9 @@ def main(argv) -> int:
     with np.errstate(over="ignore"):
         while done < total:
             n = int(rng.integers(1, 8193))
-            values = draw(rng, int(rng.integers(8)), n)
+            values = draw(rng, int(rng.integers(9)), n)
             if rng.random() < 0.5:   # interleave a second kind
-                other = draw(rng, int(rng.integers(8)), n)
+                other = draw(rng, int(rng.integers(9)), n)
                 values = np.where(np.arange(n) % 2 == 1, other, values)
             values *= rng.choice([1.0, -1.0], n)
             cuts = rng.choice(np.arange(1, n), min(n - 1, rng.integers(8)),
@@ -105,8 +112,7 @@ def main(argv) -> int:
             texts = [(str(text, "ascii"), oracle(block)) for block, text
                      in zip(blocks, json_blocks(blocks), strict=True)]
             for columns in csv_blocks(values):
-                pieces = csv_rows(columns, csv_workspace(len(columns[0]),
-                                                         len(columns)))
+                pieces = csv_rows(columns, csv_workspace(len(values)))
                 texts.append((str(b"".join(pieces), "ascii"),
                               csv_oracle(columns)))
             for got, want in texts:

@@ -596,7 +596,8 @@ CELLS = st.one_of(
       for values in (NEAR_TIES, NEAR_POWERS, THREE_DIGIT_EXPONENTS,
                      SHORT_DECIMALS)),
 )
-COLUMN_NAMES = ("sql", "qcrb", "loss_limit_a4", "full_fixed_zeta(0.5)")
+COLUMN_NAMES = ("sql", "qcrb", "loss_limit_a4", "full_fixed_zeta(0.5)",
+                "fdt_floor")
 
 
 @settings(PROFILE, max_examples=300)
@@ -678,6 +679,29 @@ def test_packed_json_passes_equal_per_cell_formatting(ncols, rows):
                            lambda v: passes.append(len(v)) or json_rows(v)):
         assert written(req, columns, "json") == json_oracle(req, columns)
     assert passes == PACKED[ncols, rows]
+
+
+# CSV budgets cut into digit passes of CHUNK_POINTS // columns rows, each
+# over all the columns (columns with f_hz, rows), as cell counts: one pass
+# for a 1,000-point budget of four columns; passes of 1,365 rows, then an
+# 890-row tail; 2 * CHUNK_POINTS + 17 rows of three columns, in passes of
+# 2,730 rows and a 21-row tail
+CSV_PACKED = {(4, 1000): [4000], (6, 20000): [6 * 1365] * 14 + [6 * 890],
+              (3, 2 * CHUNK_POINTS + 17): [3 * 2730] * 6 + [3 * 21]}
+
+
+@pytest.mark.parametrize("ncols, rows", CSV_PACKED)
+def test_packed_csv_passes_equal_per_cell_formatting(ncols, rows):
+    from qnbudget import celltext
+    columns = packed_columns(ncols, rows)
+    req = BudgetRequest(config=default_config(), points=rows,
+                        curves=tuple(columns)[1:])
+    passes, decimal = [], celltext._decimal
+    with mock.patch.object(celltext, "_decimal",
+                           lambda v: passes.append(len(v)) or decimal(v)):
+        assert written(req, columns, "csv") == csv_oracle(columns)
+    assert passes == CSV_PACKED[ncols, rows]
+    assert max(passes) <= CHUNK_POINTS and sum(passes) == ncols * rows
 
 
 # cells whose text is shorter or longer than a PSD value's, or which Python
