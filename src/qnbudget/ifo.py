@@ -385,14 +385,9 @@ def _optimal_from(w, io: IoRelation, covariance, *checks):
         y1 = v1 / l11
         y2 = (v2 - l21 * y1) / l22
         quad = _abs2(y1) + _abs2(y2)
-        # lstsq's rank test sigma_min > 6 eps sigma_max on the singular
-        # values of F, which are those of L: their product is |det L| and
-        # their squares sum to |L|_F^2 = |F|_F^2
-        det_l = l11 * l22
-        frob = g11 + g22
-        sigma_max_sq = 0.5 * (frob + np.sqrt(np.maximum(
-            frob * frob - 4.0 * det_l * det_l, 0.0)))
-        full_rank = det_l > _RANK_TOL * sigma_max_sq
+        # lstsq's sigma_min > 6 eps sigma_max, times sigma_max: sigma_max^2 is
+        # tr Sigma in rounding below det L = 2^-28 tr Sigma; both pass above it
+        full_rank = l11 * l22 > _RANK_TOL * (g11 + g22)
     _raise_first(
         *checks,
         (~(full_rank & np.isfinite(y1) & np.isfinite(y2)), DegeneracyError,
@@ -412,15 +407,14 @@ def _optimal_angle(io: IoRelation, covariance):
     # A = Re Sigma and B = Re(v v^dag); the best q spans the null space of
     # C = det(A) B - lam A for the larger root lam of
     # det(A) lam^2 - p lam + det(A) det(B) = 0.  Scaling by det(A) keeps a
-    # singular A finite: it then yields A's null direction.  The angle does
-    # not depend on the scale of B, which is divided by the power of two
-    # of its largest entry: an exact step that keeps a strong signal's
-    # products below overflow.
-    a12 = g21.real
-    b11, b22 = _abs2(v1), _abs2(v2)
-    b12 = (v1 * v2.conj()).real
-    _, exponent = np.frexp(np.maximum(np.maximum(b11, b22), np.abs(b12)))
-    b11, b22, b12 = (np.ldexp(b, -exponent) for b in (b11, b22, b12))
+    # singular A finite: it then yields A's null direction.  A and v are
+    # divided by the power of two of their largest entries, exact steps the
+    # angle does not see, so no product of a strong noise or signal overflows.
+    _, a_exp = np.frexp(np.maximum(g11, g22))
+    _, v_exp = np.frexp(np.maximum(np.abs(v1), np.abs(v2)))
+    g11, a12, g22 = (np.ldexp(a, -a_exp) for a in (g11, g21.real, g22))
+    v1, v2 = (v * np.ldexp(1.0, -v_exp) for v in (v1, v2))
+    b11, b22, b12 = _abs2(v1), _abs2(v2), (v1 * v2.conj()).real
     det_a = g11 * g22 - a12 * a12
     p = g11 * b22 + g22 * b11 - 2.0 * a12 * b12
     lam = 0.5 * (p + np.sqrt(np.maximum(

@@ -752,6 +752,61 @@ class TestOptimal:
                              OMEGA * np.array([1.0, 2.0]))
         assert info.value.index == 0
 
+    def test_rank_rule_is_lstsqs(self, monkeypatch):
+        # the rank rule det L > 6 eps tr Sigma against lstsq's
+        # sigma_min > 6 eps sigma_max, times sigma_max, with sigma_max^2
+        # from det L and tr Sigma as the oracle.  A factor with orthogonal
+        # rows of norms a and b has det L = a b and tr Sigma = a^2 + b^2;
+        # det L / tr Sigma lies within 8 ulps of the threshold, within about
+        # 0.2 % of it or within a factor of 10^10 of it, over tr Sigma in
+        # [1e-20, 1e150]
+        rng = np.random.default_rng(11)
+        n = 40_000
+        trace = 10.0 ** rng.uniform(-20.0, 150.0, 3 * n)
+        tol = ifo._RANK_TOL
+        ratio = np.concatenate([
+            tol * (1.0 + rng.integers(-8, 9, n) * 2.0**-52),
+            tol * 10.0 ** rng.normal(0.0, 1e-3, n),
+            tol * 10.0 ** rng.uniform(-10.0, 10.0, n)])
+        seen = []
+        monkeypatch.setattr(ifo, "_raise_first",
+                            lambda *checks: seen.extend(checks))
+
+        def full_rank(trace, ratio):
+            a = np.sqrt(0.5 * trace * (1.0 + np.sqrt(1.0 - 4.0 * ratio**2)))
+            b = ratio * trace / a
+            zero = np.zeros_like(a)
+            io = ifo.IoRelation(None, None, (zero + 1.0, zero + 1.0), 0.0, 0.0)
+            seen.clear()
+            ifo._optimal_from(a, io, (((a, zero), (zero, b)),
+                                      (a * a, zero, zero, b * b), 0.0))
+            det_l, frob = a * b, a * a + b * b
+            with np.errstate(over="ignore", invalid="ignore"):
+                sigma_max_sq = 0.5 * (frob + np.sqrt(np.maximum(
+                    frob * frob - 4.0 * det_l * det_l, 0.0)))
+            return ~seen[0][0], det_l > tol * sigma_max_sq
+
+        new, old = full_rank(trace, ratio)
+        np.testing.assert_array_equal(new, old)
+        assert 0.2 < new.mean() < 0.8
+        # where (tr Sigma)^2 overflows only the new rule passes
+        new, old = full_rank(10.0 ** rng.uniform(154.2, 300.0, 1000),
+                             10.0 ** rng.uniform(-10.0, math.log10(0.5), 1000))
+        assert new.all() and not old.any()
+
+    @pytest.mark.parametrize("arm_length", [1e90, 1e100, 1e120, 1e135])
+    def test_covariance_beyond_square_overflow(self, cfg, arm_length):
+        # tr Sigma beyond 1.3e154, whose square overflows: the optimum is
+        # finite, without a numpy warning, and equals the loss limit
+        c = replace(cfg, L=arm_length)
+        omega = TWO_PI * 10.0
+        s, zeta = optimal_spectrum(c, omega)
+        assert s == pytest.approx(loss_limit(c, omega, ALPHA_NO_INTERNAL),
+                                  rel=1e-14)
+        assert zeta == pytest.approx(math.pi / 2, rel=1e-15)
+        if arm_length < 1e134:   # beyond it |v|^2 overflows in the readout
+            assert s <= homodyne_spectrum(c, omega, 0.5)
+
     def test_equals_qcrb_when_lossless(self, lossless):
         assert optimal_spectrum(lossless, OMEGA)[0] == pytest.approx(
             qcrb_lossless(lossless, OMEGA), rel=1e-14)

@@ -4,10 +4,11 @@ Each configuration example draws a configuration with `random_config` and
 one of four variants (as drawn, ponderomotive internal squeezing, a
 tabulated rotation angle, a residual round-trip phase), plus a set of
 sideband frequencies; the loss-limit property draws `random_config` as is,
-or with a residual phase, over 1 Hz - 10 kHz.  The config-document
-round trip and the raised-loss stack also draw tabulated fixed internal
-squeezing with a tabulated recycling-loss channel.  The
-output-format examples draw columns of arbitrary floats.
+or with a residual phase, over 1 Hz - 10 kHz.  The internal-loss floor
+property (over the same band), the config-document round trip and the
+raised-loss stack also draw tabulated fixed internal squeezing with a
+tabulated recycling-loss channel.  The output-format examples draw columns
+of arbitrary floats.
 """
 
 import contextlib
@@ -18,17 +19,19 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qnbudget import (ALPHA_NO_INTERNAL, BASE_CURVES, BlindQuadratureError,
                       BudgetRequest, DegeneracyError, FreqTable,
-                      InternalSqueeze, __version__, config_from_dict,
+                      InternalSqueeze, LasingThresholdError,
+                      __version__, config_from_dict,
                       config_hash, config_template, config_to_dict,
                       default_config,
                       effective_internal_loss, evaluate_curve,
@@ -352,9 +355,11 @@ def test_more_loss_never_lowers_optimal_spectrum(cfg, f_hz, channel, data):
 @settings(PROFILE, max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 80), data=st.data())
 def test_exact_optimum_never_below_loss_limit(phase, seed, n, data):
-    # the paper's headline claim: no configuration beats the loss-induced
-    # limit; the exact optimum is compared with no tolerance, and 200
-    # examples are enough to catch an optimum 3 % too low
+    # the full loss_limit, readout-loss term included, on 200 derandomized
+    # seeds, compared with no tolerance.  It is not a floor: seeds 7984 and
+    # 1938, which these seeds miss, beat it (test_readout_loss_term_is_beaten);
+    # the floor the program claims is tested by
+    # test_exact_optimum_never_below_internal_loss_floor
     cfg = replace(random_config(np.random.default_rng(seed)),
                   residual_phase=data.draw(phase, label="residual phase"))
     omega = TWO_PI * np.geomspace(1.0, 1e4, n)
@@ -376,6 +381,37 @@ def tabulated_squeeze_config(seed):
                    internal_sqz=InternalSqueeze("fixed", r=table(-0.05, 0.05),
                                                 theta=table(0.0, math.pi)),
                    eps_src_channels=cfg.eps_src_channels + (table(0.0, 1e-3),))
+
+
+@settings(PROFILE, max_examples=300)
+@given(st.one_of(configs, st.builds(tabulated_squeeze_config,
+                                    st.integers(0, 2**32 - 1))))
+@example(make_config(7984, "plain"))
+@example(make_config(1938, "plain"))
+def test_exact_optimum_never_below_internal_loss_floor(cfg):
+    # the floor the program claims for every readout and input state,
+    # prefactor * eps_int: loss_limit without its readout-loss term.  It is
+    # compared with no tolerance where it is tight: the lowest full_optimal
+    # / floor found over 20,000 seeds is 1.00095
+    f_hz = np.geomspace(1.0, 1e4, 60)
+    try:
+        s_opt = evaluate_curve("full_optimal", cfg, f_hz)
+    except LasingThresholdError:   # a ponderomotive loop lases at low Omega
+        assume(False)
+    floor = loss_limit(replace(cfg, eps_ext=0.0), TWO_PI * f_hz,
+                       ALPHA_NO_INTERNAL)
+    assert np.all(s_opt >= floor)
+
+
+@pytest.mark.parametrize("seed", [7984, 1938])
+def test_readout_loss_term_is_beaten(seed):
+    # two plain draws whose amplifying internal squeeze beats loss_limit_a4's
+    # readout-loss term, with no RegimeWarning: 0.508 and 0.526 of it at 1 Hz
+    cfg = random_config(np.random.default_rng(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s_opt = evaluate_curve("full_optimal", cfg, np.array([1.0]))[0]
+        assert s_opt < 0.53 * loss_limit(cfg, TWO_PI, ALPHA_NO_INTERNAL)
 
 
 @settings(PROFILE, max_examples=100)
