@@ -14,7 +14,7 @@ matching element of an array call (each per-point square is written as a
 product, which numpy computes alike for scalars and arrays), except where a
 residual phase makes the loop complex: numpy rounds a product of two complex
 scalars differently from its vectorised loop.  Every exact spectrum is read
-from one loop solve, a _Solve.
+from one loop solve, a _Solve, per unit coupling and scaled by _prefactor.
 """
 
 from __future__ import annotations
@@ -53,13 +53,14 @@ class IoRelation:
     """Per-frequency ingredients of the input-output relation.
 
     M_io maps the input field to the output, M_c maps intra-cavity noise to
-    the output, v is the strain response vector, and the coupling factors
-    scale the internal (sqrt(T_src * eps_int)) and external (sqrt(eps_ext))
-    loss channels.  The matrices are entry tuples (m11, m12, m21, m22) and
-    v is (v1, v2); mat2(*io.M_io) gives the matrix.  Each entry, and the
-    internal coupling, is a scalar for one frequency and an (N,) array for
-    a batch of N, or a scalar, which broadcasts against omega, where it
-    does not depend on frequency.  The external coupling is a float.
+    the output, v is the strain response per unit coupling (a spectrum read
+    from it is in units of _prefactor), and the coupling factors scale the
+    internal (sqrt(T_src * eps_int)) and external (sqrt(eps_ext)) loss
+    channels.  The matrices are entry tuples (m11, m12, m21, m22) and v is
+    (v1, v2); mat2(*io.M_io) gives the matrix.  Each entry, and the internal
+    coupling, is a scalar for one frequency and an (N,) array for a batch of
+    N, or a scalar, which broadcasts against omega, where it does not depend
+    on frequency.  The external coupling is a float.
     """
 
     M_io: tuple
@@ -67,6 +68,15 @@ class IoRelation:
     v: tuple
     internal_coupling: float
     external_coupling: float
+
+
+def _prefactor(cfg: IfoConfig, x=1.0):
+    """x hbar c^2 / (4 L^2 omega0 P) [1/Hz], the scale of every spectrum; L^2
+    divides last, so a subnormal scale keeps x's digits."""
+    l_sq = cfg.L**2 if np.size(x) else 1.0   # a batch of no points: none fails
+    if l_sq == 0.0:   # an array would divide by it silently, to inf
+        raise ZeroDivisionError("L**2 underflows to 0")
+    return HBAR * C_LIGHT**2 / (4.0 * cfg.omega0 * cfg.P) * x / l_sq
 
 
 def arm_bandwidth(cfg: IfoConfig) -> float:
@@ -248,18 +258,14 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
     omega where the loop does not depend on frequency.  The lowest failing
     index raises, for the first check it fails: the internal squeeze's
     overflow guard; the round-trip gain of the loop at unity (no cavity
-    inverse) or above it (no steady state), a LasingThresholdError; the
-    signal response not finite or vanishing (its squared norm underflows
-    to 0); the internal loss not finite.
+    inverse) or above it (no steady state), a LasingThresholdError; a
+    vanishing signal response (|v|^2 underflows); the internal loss not finite.
     """
     w = _frequencies(omega)
     sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
-    # overflow, a vanishing det and a lost signal are left to the check below
+    # overflow and a vanishing det are left to the checks below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         *x, size = _loop(cfg, w)
-        # the signal coupling, inf where it overflows
-        beta = 2.0 * math.sqrt(cfg.omega0 * np.float64(cfg.L)**2 * cfg.P
-                               / (HBAR * C_LIGHT**2))
         t11, t12, t21, t22 = (i - sqrt_r_src * e for i, e in zip(_EYE, x))
         det = t11 * t22 - t12 * t21
         det_abs = np.abs(det)
@@ -269,9 +275,7 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
         root = np.sqrt(g * g - det + 0j)
         round_trip = np.maximum(np.abs(1.0 - g - root), np.abs(1.0 - g + root))
         m_c = (t22 / det, -t12 / det, -t21 / det, t11 / det)
-        # m_c @ (0, beta)
-        v1, v2 = (math.sqrt(cfg.T_src) * (e * beta) for e in m_c[1::2])
-        power = _abs2(v1) + _abs2(v2)
+        v1, v2 = (math.sqrt(cfg.T_src) * e for e in m_c[1::2])   # m_c @ (0, 1)
         c_int, coupling_check = _coupling(cfg, w, effective_internal_loss(cfg, w))
     _raise_first(
         _squeeze_guard(size, w),
@@ -281,9 +285,7 @@ def io_relation(cfg: IfoConfig, omega) -> IoRelation:
         (round_trip > 1.0, LasingThresholdError, lambda i: (
             "recycling loop beyond lasing threshold (round-trip eigenvalue "
             f"{round_trip.flat[i]:.4g}) at Omega = {w.flat[i]:.6g} rad/s")),
-        (~(np.isfinite(v1) & np.isfinite(v2)), DegeneracyError, lambda i: (
-            f"signal response is not finite at Omega = {w.flat[i]:.6g} rad/s")),
-        (power == 0.0, DegeneracyError, lambda i: (
+        (_abs2(v1) + _abs2(v2) == 0.0, DegeneracyError, lambda i: (
             f"signal response vanishes at Omega = {w.flat[i]:.6g} rad/s")),
         coupling_check)
     m_io = tuple(-sqrt_r_src * i + cfg.T_src * e
@@ -408,8 +410,8 @@ def _optimal_angle(io: IoRelation, covariance):
     # C = det(A) B - lam A for the larger root lam of
     # det(A) lam^2 - p lam + det(A) det(B) = 0.  Scaling by det(A) keeps a
     # singular A finite: it then yields A's null direction.  A and v are
-    # divided by the power of two of their largest entries, exact steps the
-    # angle does not see, so no product of a strong noise or signal overflows.
+    # divided by powers of two, exact steps the angle does not see, so the
+    # products of a strong noise or a faint signal (tiny T_src) stay in range.
     _, a_exp = np.frexp(np.maximum(g11, g22))
     _, v_exp = np.frexp(np.maximum(np.abs(v1), np.abs(v2)))
     g11, a12, g22 = (np.ldexp(a, -a_exp) for a in (g11, g21.real, g22))
@@ -446,12 +448,13 @@ class _Solve:
     """One loop solve over a batch of omega; every exact spectrum, public,
     a budget curve or a validate check, is read from one by read().
 
-    io_relation(cfg, omega) runs once, when a spectrum first needs it.  The
-    optimal and every fixed-angle readout share its covariance.  Readouts
-    with other losses read the same M_io, M_c and v with their couplings,
-    as the loop does not depend on loss; the lossless bound is one of them.
-    Failures are masks raised by _raise_first, so the one raised is the one
-    a loop over the points meets first: lowest index, then pipeline order.
+    io_relation(cfg, omega) runs once, when a spectrum first needs it, and
+    each spectrum is read per unit coupling, then scaled by _prefactor.  The
+    optimal and every fixed-angle readout share the covariance.  Readouts
+    with other losses read the same M_io, M_c and v with their couplings;
+    the lossless bound is one of them.  Failures are masks raised by
+    _raise_first, so the one raised is the one a loop over the points meets
+    first: lowest index, then pipeline order.
     """
 
     def __init__(self, cfg, omega):
@@ -482,7 +485,7 @@ class _Solve:
             raise
 
     def optimal(self):
-        return _optimal_from(self.w, self.io, self.covariance)
+        return _prefactor(self.cfg, _optimal_from(self.w, self.io, self.covariance))
 
     def homodyne(self, zeta, trig=None):
         """homodyne_spectrum at zeta: a value per point of w for one angle,
@@ -506,7 +509,7 @@ class _Solve:
             f"readout angle {zeta.flat[np.argmax(rows[i])]:.6g} "
             "rad is orthogonal to the signal response")))
         noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
-        return _scalar_or_array(noise / _abs2(qv))
+        return _prefactor(self.cfg, _scalar_or_array(noise / _abs2(qv)))
 
     def optimal_with(self, losses):
         """optimal() over the 1-D w for a (K, 3) array of losses, rows
@@ -520,9 +523,10 @@ class _Solve:
             coupling, check = _coupling(self.cfg, w, _internal_loss(
                 self.cfg, self.w, eps_arm, eps_src))
             covariance = _covariance_from(self.inputs, (coupling, io.M_c, ext_sq))
-        return _optimal_from(w, io, covariance, check)
+        return _prefactor(self.cfg, _optimal_from(w, io, covariance, check))
 
     def qcrb(self):
         """optimal() with every loss channel switched off, from M_io S_in
         alone; io_relation's coupling check covers the lossless one."""
-        return _optimal_from(self.w, self.io, _covariance_from(self.inputs))
+        return _prefactor(self.cfg, _optimal_from(self.w, self.io,
+                                                  _covariance_from(self.inputs)))

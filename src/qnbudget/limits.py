@@ -8,8 +8,8 @@ recycling transmissivity and rotation angle; out-of-regime use emits a
 RegimeWarning rather than an error, since the exact pipeline in
 :mod:`qnbudget.ifo` remains authoritative.  The frequency-dependent forms
 take a scalar or an array of frequencies and return the same shape.  The
-loss floors and expansions share one prefactor (_prefactor), and the
-lossless expansion without internal squeezing is the one with it at r = 0.
+loss floors and expansions share the exact spectra's prefactor (_prefactor),
+and the lossless expansion without internal squeezing is the one at r = 0.
 
 Angle convention: the squeeze angle ``theta`` appearing in the expansion
 formulas equals minus twice the ellipse angle of
@@ -28,7 +28,7 @@ from .config import IfoConfig, value_at
 from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import (DegeneracyError, _check_sideband, _raise_first,
                      _regime_warning)
-from .ifo import _squeeze_state, effective_internal_loss
+from .ifo import _prefactor, _squeeze_state, effective_internal_loss
 from .quadrature import any_true, arccot
 
 REGIME_T_SRC = 0.05
@@ -87,11 +87,6 @@ def qcrb_from_spp(s_pp: float, arm_length: float) -> float:
     return HBAR**2 * C_LIGHT**2 / (2.0 * s_pp * arm_length**2)
 
 
-def _prefactor(cfg: IfoConfig) -> float:
-    """hbar c^2 / (4 L^2 omega0 P) [1/Hz], the scale of the closed forms."""
-    return HBAR * C_LIGHT**2 / (4.0 * cfg.L**2 * cfg.omega0 * cfg.P)
-
-
 def loss_limit(cfg: IfoConfig, omega, alpha: float):
     """First-order-in-loss sensitivity floor [1/Hz].
 
@@ -105,7 +100,7 @@ def loss_limit(cfg: IfoConfig, omega, alpha: float):
     if alpha not in _ALPHAS:
         raise ValueError(f"alpha must be one of {_ALPHAS}, got {alpha!r}")
     eps_int = effective_internal_loss(cfg, omega)
-    return _prefactor(cfg) * (eps_int + alpha * cfg.T_src * cfg.eps_ext)
+    return _prefactor(cfg, eps_int + alpha * cfg.T_src * cfg.eps_ext)
 
 
 def _taylor_qcrb(cfg: IfoConfig, omega, internal: bool):
@@ -128,8 +123,8 @@ def _taylor_qcrb(cfg: IfoConfig, omega, internal: bool):
                              f"at Omega = {np.reshape(omega, -1)[i]:.6g} rad/s")))
     q = delta**2 - 4.0 * r**2
     # q (q / den) / T_src stays in range where q^2 underflows (T_src < 1e-77)
-    return (q * (q / den) / (4.0 * t_src)
-            * (_prefactor(cfg) * math.exp(-2.0 * cfg.r_input)))[()]
+    return _prefactor(cfg, q * (q / den) / (4.0 * t_src)
+                      * math.exp(-2.0 * cfg.r_input))[()]
 
 
 def taylor_qcrb_internal(cfg: IfoConfig, omega):

@@ -715,13 +715,13 @@ class TestCliExitCodes:
         ({"Theta": 1e30}, "taylor_qcrb_internal", "theta0 = 0 must lie in"),
         ({"Theta": 1.7e308}, "taylor_qcrb_no_internal", "delta = inf must be"),
         ({"L": 1e300}, "sql", "cfg.L**2"),
-        ({"L": 1e300}, "full_optimal", "signal response is not finite at"),
+        ({"L": 1e300}, "full_optimal", "internal loss inf is not finite at"),
         ({"M": 5e-324, "internal_sqz": "ponderomotive"}, "full_optimal",
          "|r| = inf exceeds the overflow guard"),
         ({"lambda0": 1e-150}, "fdt_floor", "mode.omega_cav**2"),
-        ({"P": 1e300}, "full_optimal", "signal response is not finite at"),
-        ({"L": 2.7e-269}, "full_optimal", "signal response vanishes at"),
-        ({"L": 2.7e-269}, "full_fixed_zeta(0.5)", "signal response vanishes at"),
+        ({"L": 2.7e-269}, "loss_limit_a4", "L**2 underflows to 0"),
+        ({"L": 2.7e-269}, "full_optimal", "L**2 underflows to 0"),
+        ({"L": 2.7e-269}, "full_fixed_zeta(0.5)", "L**2 underflows to 0"),
         ({"T_itm": 1e-300}, "full_optimal", "internal loss inf is not finite at"),
         ({"L": 1e308}, "fdt_floor", "loss damping rate c * eps_arm / (4 L) is 0"),
     ])
@@ -741,7 +741,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("change", [
         {"M": 5e-324, "internal_sqz": "ponderomotive"},
-        {"P": 1e300},
+        {"L": 1e300},
         {"L": 2.7e-269},
         {"T_itm": 1e-300},
     ])
@@ -759,11 +759,13 @@ class TestCliExitCodes:
             "numerical degeneracy: curve 'full_optimal' failed at 5 Hz: ")
         assert done.stderr.count("\n") == 1
 
-    # beta = 0, so the signal's squared norm underflows; and an arm
+    # L^2 underflows to 0 in the scale of every spectrum; and an arm
     # bandwidth so narrow that (Omega / gamma)^2 overflows
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("change,message", [
-        ({"L": 2.7e-269}, "signal response vanishes at Omega = 31.4159 rad/s"),
+        ({"L": 2.7e-269}, "arithmetic on the config's constants failed in "
+         '`raise ZeroDivisionError("L**2 underflows to 0")` '
+         "(ZeroDivisionError: L**2 underflows to 0)"),
         ({"T_itm": 1e-300},
          "internal loss inf is not finite at Omega = 31.4159 rad/s"),
     ])
@@ -880,6 +882,17 @@ class TestCliExitCodes:
                   if fmt == "csv" else json.loads(out)["columns"]["fdt_floor"])
         assert [math.copysign(1.0, x) for x in values] == [1.0] * 4
         assert values == [0.0] * 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_scale_reads_zero(self, tmp_path, capsys):
+        # hbar c^2 / (4 L^2 omega0 P) lies below the least subnormal at
+        # P = 1e300, for the exact curves as for the closed forms
+        path = write_config(tmp_path, {**config_template(), "P": 1e300})
+        curves = "full_optimal,qcrb,full_fixed_zeta(0.5),loss_limit_a4"
+        assert main(["budget", "--config", path, "--points", "4", "--curves",
+                     curves, "--format", "json"]) == 0
+        columns = json.loads(capsys.readouterr().out)["columns"]
+        assert all(columns[name] == [0.0] * 4 for name in curves.split(","))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_bytes_equal_out_bytes(self, tmp_path, capsys, fmt):
@@ -1144,8 +1157,8 @@ class TestValidation:
                          "--seed", str(seed)]) != 2
             assert "config error" not in capsys.readouterr().err
 
-    # signal responses beyond 1e77, where the optimal angle's products
-    # overflowed; the tiny wavelength also overflows the fdt oracle's
+    # strong signal couplings, whose scale hbar c^2 / (4 L^2 omega0 P) is
+    # far below 1; the tiny wavelength also overflows the fdt oracle's
     # resonance squared
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("change,code,err", [

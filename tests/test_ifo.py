@@ -10,7 +10,7 @@ from qnbudget import (ALPHA_NO_INTERNAL, DEFAULT_BAND_HZ,
                       BlindQuadratureError, ConfigError, DegeneracyError,
                       FreqTable,
                       InternalSqueeze, LasingThresholdError,
-                      arm_bandwidth, config_from_dict, config_template,
+                      arm_bandwidth,
                       default_config,
                       effective_internal_loss, effective_src_loss,
                       evaluate_curve, homodyne_spectrum, io_relation,
@@ -481,8 +481,13 @@ class TestConstantLoop:
         # the internal squeeze puts the loop on or beyond its threshold
         ({"r": 0.5}, LasingThresholdError, "recycling loop at lasing threshold"),
         ({"r": 1.0}, LasingThresholdError, "recycling loop beyond lasing"),
-        ({"L": 1e300}, DegeneracyError, "signal response is not finite"),
-        ({"L": 2.7e-269}, DegeneracyError, "signal response vanishes"),
+        # the extremes of the scale hbar c^2 / (4 L^2 omega0 P): at L = 1e300
+        # the internal loss's (Omega / gamma)^2 overflows, which io_relation
+        # reports before L^2 is formed; at L = 2.7e-269 L^2 underflows to 0,
+        # and the two spectra that read no scale, io_relation and
+        # total_covariance, do not fail
+        ({"L": 1e300}, DegeneracyError, "internal loss inf is not finite"),
+        ({"L": 2.7e-269}, ZeroDivisionError, r"^L\*\*2 underflows to 0$"),
     ], ids=["at-threshold", "beyond-threshold", "signal-overflow",
             "signal-underflow"])
     def test_failure_is_the_scalar_call_at_index_0(self, cfg, spectrum, change,
@@ -492,6 +497,11 @@ class TestConstantLoop:
             cfg = replace(cfg, internal_sqz=InternalSqueeze("fixed", r=r))
         else:
             cfg = replace(cfg, **change)
+        if error is ZeroDivisionError and spectrum in (io_relation,
+                                                       total_covariance):
+            assert batch_failure(spectrum, cfg, self.OMEGAS) is None
+            assert first_scalar_failure(spectrum, cfg, self.OMEGAS) is None
+            return
         with pytest.raises(error, match=message) as one:
             spectrum(cfg, self.OMEGAS[0])
         want = failure(one.value, 0)
@@ -580,9 +590,9 @@ class TestIoRelation:
     def test_transparent_recycling_mirror(self, lossless):
         c = replace(lossless, T_src=1.0)
         io = io_relation(c, OMEGA)
-        beta = 2 * math.sqrt(c.omega0 * c.L**2 * c.P / (HBAR * C_LIGHT**2))
         assert np.allclose(mat2(*io.M_io), np.eye(2), atol=1e-14)
-        assert np.allclose(io.v, [0.0, beta], rtol=1e-14)
+        # the signal per unit coupling, whose scale the spectra carry
+        assert np.allclose(io.v, [0.0, 1.0], rtol=1e-14)
 
     def test_scalar_geometric_series(self, cfg):
         # tuned, no squeezing: every matrix is the same scalar times identity
@@ -708,7 +718,9 @@ class TestOptimal:
         c = replace(lossless, T_src=1.0)
         io = io_relation(c, OMEGA)
         s, zeta = optimal_spectrum(c, OMEGA)
-        assert s == pytest.approx(1.0 / np.linalg.norm(io.v)**2, rel=1e-12)
+        pref = HBAR * C_LIGHT**2 / (4 * c.L**2 * c.omega0 * c.P)
+        assert s == pytest.approx(pref / np.linalg.norm(io.v)**2, rel=1e-12,
+                                  abs=0.0)
         assert zeta == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_complex_angle_matches_generalised_eigenvector(self):
@@ -794,18 +806,30 @@ class TestOptimal:
                              10.0 ** rng.uniform(-10.0, math.log10(0.5), 1000))
         assert new.all() and not old.any()
 
-    @pytest.mark.parametrize("arm_length", [1e90, 1e100, 1e120, 1e135])
+    @pytest.mark.parametrize("arm_length", [1e90, 1e100, 1e120, 1.1e134,
+                                            1e135, 1e140])
     def test_covariance_beyond_square_overflow(self, cfg, arm_length):
         # tr Sigma beyond 1.3e154, whose square overflows: the optimum is
-        # finite, without a numpy warning, and equals the loss limit
+        # finite, without a numpy warning, and equals the loss limit; beyond
+        # L = 3e134 the scale is subnormal, and keeps the digits of both
         c = replace(cfg, L=arm_length)
         omega = TWO_PI * 10.0
         s, zeta = optimal_spectrum(c, omega)
         assert s == pytest.approx(loss_limit(c, omega, ALPHA_NO_INTERNAL),
-                                  rel=1e-14)
+                                  rel=1e-14, abs=0.0)
         assert zeta == pytest.approx(math.pi / 2, rel=1e-15)
-        if arm_length < 1e134:   # beyond it |v|^2 overflows in the readout
-            assert s <= homodyne_spectrum(c, omega, 0.5)
+        assert s <= homodyne_spectrum(c, omega, 0.5)
+        assert math.isfinite(qcrb_lossless(c, omega))
+
+    def test_subnormal_scale_keeps_its_digits(self, cfg):
+        # at 10 Hz, beyond L = 1e118, the recycling loss's (Omega / gamma)^2
+        # grows as L^2 and cancels the scale's 1 / L^2, which is subnormal
+        # from L = 3e134: both routes read the same digits at either length
+        f_hz = np.array([10.0])
+        for name in ("loss_limit_a4", "full_optimal"):
+            near, far = (evaluate_curve(name, replace(cfg, L=arm_length), f_hz)
+                         for arm_length in (1e120, 1e140))
+            assert far[0] == pytest.approx(near[0], rel=1e-12, abs=0.0)
 
     def test_equals_qcrb_when_lossless(self, lossless):
         assert optimal_spectrum(lossless, OMEGA)[0] == pytest.approx(
@@ -821,23 +845,21 @@ class TestOptimal:
                          replace(c, eps_ext=min(c.eps_ext + 0.05, 0.999))):
                 assert optimal_spectrum(bump, omega)[0] >= s0 * (1 - 1e-12)
 
-    # a signal response near 1e77 and beyond, where b11 * b22 overflows;
-    # at L = 1e300 the signal coupling itself overflows, which io_relation
-    # reports at the first frequency
+    # the angle where the signal's products leave the double range: a
+    # faint signal per unit coupling, |v| near 1e-135, from a T_src near
+    # 1e-270 in a detuned loop, whose b11 * b22 underflows unless v is
+    # rescaled; without the rescale the angle moves by up to 1.3 rad
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("change", [{"L": 1e57}, {"lambda0": 9.57e-195},
-                                        {"L": 1e300}])
+    @pytest.mark.parametrize("change", [
+        {"seed": 151, "T_src": 3e-273, "Theta": -0.046},
+        {"seed": 186, "T_src": 1e-271, "Theta": 0.034},
+        {"seed": 299, "T_src": 5e-257, "Theta": 0.088}])
     def test_angle_of_a_strong_signal(self, change):
-        c = config_from_dict({**config_template(), **change})
+        change = dict(change)
+        c = replace(random_config(np.random.default_rng([5, change.pop("seed")])),
+                    **change)
         omega = TWO_PI * np.geomspace(5.0, 5000.0, 50)
-        if c.L == 1e300:
-            with pytest.raises(DegeneracyError, match=(
-                    "^signal response is not finite at "
-                    f"Omega = {omega[0]:.6g} rad/s$")) as info:
-                io_relation(c, omega)
-            assert info.value.index == 0
-            return
-        assert np.abs(np.array(io_relation(c, omega).v)).max() > 1e77
+        assert np.abs(np.array(io_relation(c, omega).v)).max() < 1e-127
         s, zeta = optimal_spectrum(c, omega)
         assert np.all((0 <= zeta) & (zeta < math.pi))
         attained = np.array([homodyne_spectrum(c, w, z)

@@ -280,8 +280,7 @@ def stacked_matrix_oracle(cfg, omega):
     sqrt_r_src = math.sqrt(1.0 - cfg.T_src)
     m_c = mat_inv(np.eye(2) - sqrt_r_src * x)
     m_io = -sqrt_r_src * np.eye(2) + cfg.T_src * (m_c @ x)
-    beta = 2.0 * math.sqrt(cfg.omega0 * cfg.L**2 * cfg.P / (HBAR * C_LIGHT**2))
-    v = math.sqrt(cfg.T_src) * beta * m_c[:, :, 1]
+    v = math.sqrt(cfg.T_src) * m_c[:, :, 1]   # per unit signal coupling
     internal = np.sqrt(cfg.T_src * effective_internal_loss(cfg, omega))
     f4 = np.concatenate((m_io @ squeeze_matrix(cfg.r_input, cfg.theta_input),
                          internal[:, None, None] * m_c), axis=-1)
