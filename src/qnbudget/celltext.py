@@ -70,17 +70,11 @@ def _table(fmt: str, values) -> np.ndarray:
     return np.frombuffer((fmt * len(values) % values).encode(), np.uint32)
 
 
-def _quads() -> np.ndarray:
-    """uint32 words of the 4-digit texts 0000 .. 9999, from 2-digit pairs
-    (without 10**4 int objects, whose memory would stay with the process)."""
-    pairs = np.frombuffer(("%02d" * 100 % tuple(range(100))).encode(),
-                          np.uint16)
-    quads = np.empty((100, 100, 2), np.uint16)
-    quads[..., 0], quads[..., 1] = pairs[:, None], pairs
-    return quads.view(np.uint32).ravel()
-
-
-_QUAD = _quads()
+# uint32 words of the 4-digit texts 0000 .. 9999, each two 2-digit pairs
+# (10**4 int objects would leave their memory with the process)
+_PAIRS = np.frombuffer(("%02d" * 100 % tuple(range(100))).encode(), np.uint16)
+_QUAD = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), -1).view(
+    np.uint32).ravel()
 # CSV cell, 20 bytes: [2 pad bytes, first digit, "."] [4 digits] [4 digits]
 # [3 digits, "e"] [exponent sign, 2 exponent digits, separator]
 _CSV_LEAD = _table("\0\0%d.", range(10))
@@ -133,13 +127,6 @@ _ROW = np.dtype([("a", "<i8"), ("z", "<i8"), ("last", "<u4"),
                  ("exp", "<u4"), ("next", "<u4")])
 
 
-def _stripped(words: np.ndarray) -> np.ndarray:
-    """The words with the "0" bytes at their end turned to NUL."""
-    text = words.view(np.uint8).reshape(-1, 4)
-    zero = np.logical_and.accumulate(text[:, ::-1] == ord("0"), 1)[:, ::-1]
-    return np.where(zero, 0, text).view(np.uint32).ravel()
-
-
 @functools.cache
 def _json_tables():
     """(quads, triples, layout), built on the first JSON write: the 4-digit
@@ -160,7 +147,11 @@ def _json_tables():
                        for e, w in zip(range(-99, 100),
                                        _CSV_TAIL[:199].tolist())],
                       np.int64).T.copy()
-    quads = np.concatenate([_QUAD, _stripped(_QUAD)]).astype(np.int64)
+    # the 4-digit words, then the same with the "0" bytes at their end NUL
+    text = _QUAD.view(np.uint8).reshape(-1, 4)
+    zero = np.logical_and.accumulate(text[:, ::-1] == ord("0"), 1)[:, ::-1]
+    quads = np.concatenate([_QUAD, np.where(zero, 0, text).view(
+        np.uint32).ravel()]).astype(np.int64)
     return quads, quads[10**4:10**4 + 1000] >> 8, layout
 
 

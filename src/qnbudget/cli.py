@@ -28,6 +28,7 @@ from .constants import C_LIGHT, HBAR
 from .curves import CHUNK_POINTS, _evaluate, parse_curve_name
 from .errors import ConfigError, DegeneracyError
 from .ifo import resolve_band
+from .quadrature import all_true
 from .validation import run_validation
 
 MAX_POINTS = 10**6
@@ -153,7 +154,7 @@ def run_budget(req: BudgetRequest) -> tuple[np.ndarray, dict]:
     """
     lo, hi = req.band_hz
     f_hz = np.geomspace(lo, hi, req.points)
-    if not np.all(f_hz[1:] > f_hz[:-1]):
+    if not all_true(f_hz[1:] > f_hz[:-1]):
         raise ConfigError(f"points: {req.points} frequencies are not distinct "
                           f"doubles in the band {lo!r}..{hi!r} Hz")
     cfg = resolve_band(req.config, req.band_hz)

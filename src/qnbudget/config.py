@@ -188,9 +188,22 @@ _WALKS = {cls: tuple((f.name, prefix + f.name, _KINDS[f.type],
 
 
 def _quantity(key: str, q, tables: bool, lo: float, hi: float, ends: str):
-    """q as a float, or a FreqTable where tables are allowed, in the interval."""
+    """q as a float, or a FreqTable where tables are allowed, in the interval;
+    a table object {"f_hz": [...], "values": [...]} is read as a FreqTable."""
     if tables and isinstance(q, dict):
-        q = _table(key, q)
+        extra = set(q) - {"f_hz", "values"}
+        if extra:
+            raise ConfigError(f"{key}: unknown table keys {sorted(extra)}")
+        try:
+            f_hz, values = q["f_hz"], q["values"]
+        except KeyError as exc:
+            raise ConfigError(f"{key}: table needs 'f_hz' and 'values'") from exc
+        if not (isinstance(f_hz, list) and isinstance(values, list)):
+            raise ConfigError(f"{key}: table 'f_hz' and 'values' must be lists")
+        try:
+            q = FreqTable(tuple(f_hz), tuple(values))
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     if not (tables and isinstance(q, FreqTable)):
         return _number(key, q, lo, hi, ends)
     for x in q.values:
@@ -233,23 +246,6 @@ def default_config() -> IfoConfig:
         eps_src_channels=(1e-3,),
         eps_ext=0.1,
     )
-
-
-def _table(name: str, obj: dict) -> FreqTable:
-    """A table object {"f_hz": [...], "values": [...]} as a FreqTable."""
-    extra = set(obj) - {"f_hz", "values"}
-    if extra:
-        raise ConfigError(f"{name}: unknown table keys {sorted(extra)}")
-    try:
-        f_hz, values = obj["f_hz"], obj["values"]
-    except KeyError as exc:
-        raise ConfigError(f"{name}: table needs 'f_hz' and 'values'") from exc
-    if not (isinstance(f_hz, list) and isinstance(values, list)):
-        raise ConfigError(f"{name}: table 'f_hz' and 'values' must be lists")
-    try:
-        return FreqTable(tuple(f_hz), tuple(values))
-    except ConfigError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _from_dict(cls, doc, prefix: str = ""):

@@ -369,7 +369,7 @@ def optimal_spectrum(cfg: IfoConfig, omega):
         solve.optimal(), _optimal_angle(solve.io, solve.covariance)))
 
 
-def _optimal_from(w, io: IoRelation, covariance, *checks):
+def _optimal_from(cfg, w, io: IoRelation, covariance, *checks):
     """The spectrum of optimal_spectrum over w from its IoRelation and
     _covariance_from; checks, for _raise_first, run ahead of its own."""
     rows, (g11, _, g21, g22), ext_sq = covariance
@@ -387,6 +387,12 @@ def _optimal_from(w, io: IoRelation, covariance, *checks):
         y1 = v1 / l11
         y2 = (v2 - l21 * y1) / l22
         quad = _abs2(y1) + _abs2(y2)
+        # a subnormal quad (a faint v: T_src near 1e-318) has lost digits and
+        # 1 / quad overflows: there y * 2^256 is squared, and 2^512 undone last
+        up = 1.0
+        if any_true(quad < 2.0**-1022):
+            up = np.where(quad < 2.0**-1022, 2.0**256, 1.0)
+            quad = _abs2(y1 * up) + _abs2(y2 * up)
         # lstsq's sigma_min > 6 eps sigma_max, times sigma_max: sigma_max^2 is
         # tr Sigma in rounding below det L = 2^-28 tr Sigma; both pass above it
         full_rank = l11 * l22 > _RANK_TOL * (g11 + g22)
@@ -397,7 +403,7 @@ def _optimal_from(w, io: IoRelation, covariance, *checks):
         (~(np.isfinite(quad) & (quad > 0.0)), DegeneracyError,
          lambda i: ("degenerate covariance quadratic form at "
                     f"Omega = {w.flat[i]:.6g} rad/s")))
-    return _scalar_or_array(1.0 / quad)
+    return _scalar_or_array(_prefactor(cfg, 1.0 / quad) * (up * up))
 
 
 def _optimal_angle(io: IoRelation, covariance):
@@ -485,7 +491,7 @@ class _Solve:
             raise
 
     def optimal(self):
-        return _prefactor(self.cfg, _optimal_from(self.w, self.io, self.covariance))
+        return _optimal_from(self.cfg, self.w, self.io, self.covariance)
 
     def homodyne(self, zeta, trig=None):
         """homodyne_spectrum at zeta: a value per point of w for one angle,
@@ -501,15 +507,15 @@ class _Solve:
             s11, s12, s22, v1, v2 = (np.reshape(e, (-1, 1))
                                      for e in (s11, s12, s22, v1, v2))
         c, s = (np.cos(zeta), np.sin(zeta)) if trig is None else trig
-        qv = c * v1 + s * v2
-        blind = np.abs(qv) < BLIND_TOL * np.sqrt(_abs2(v1) + _abs2(v2))
-        # a row of angles per point, one row for all where v is a constant
-        rows = np.reshape(blind, (-1, max(zeta.size, 1)))[:w.size]
-        _raise_first((rows.any(axis=1), BlindQuadratureError, lambda i: (
-            f"readout angle {zeta.flat[np.argmax(rows[i])]:.6g} "
-            "rad is orthogonal to the signal response")))
+        qv = np.abs(c * v1 + s * v2)   # for the blind test and the spectrum
+        blind = qv < BLIND_TOL * np.sqrt(_abs2(v1) + _abs2(v2))
+        if any_true(blind) and w.size:   # the first blind entry in row order
+            i, j = divmod(int(np.argmax(blind)), max(zeta.size, 1))
+            raise BlindQuadratureError(f"readout angle {zeta.flat[j]:.6g} rad "
+                                       "is orthogonal to the signal response",
+                                       index=i)
         noise = c * c * s11 + 2.0 * c * s * np.real(s12) + s * s * s22
-        return _prefactor(self.cfg, _scalar_or_array(noise / _abs2(qv)))
+        return _prefactor(self.cfg, _scalar_or_array(noise / (qv * qv)))
 
     def optimal_with(self, losses):
         """optimal() over the 1-D w for a (K, 3) array of losses, rows
@@ -523,10 +529,10 @@ class _Solve:
             coupling, check = _coupling(self.cfg, w, _internal_loss(
                 self.cfg, self.w, eps_arm, eps_src))
             covariance = _covariance_from(self.inputs, (coupling, io.M_c, ext_sq))
-        return _prefactor(self.cfg, _optimal_from(w, io, covariance, check))
+        return _optimal_from(self.cfg, w, io, covariance, check)
 
     def qcrb(self):
         """optimal() with every loss channel switched off, from M_io S_in
         alone; io_relation's coupling check covers the lossless one."""
-        return _prefactor(self.cfg, _optimal_from(self.w, self.io,
-                                                  _covariance_from(self.inputs)))
+        return _optimal_from(self.cfg, self.w, self.io,
+                             _covariance_from(self.inputs))

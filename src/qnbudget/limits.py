@@ -61,7 +61,7 @@ def _warn_regime(**named) -> None:
     attributed to the caller of the public function whose helper calls this."""
     for name, (value, bound) in named.items():
         outside = np.abs(value) >= bound
-        if np.any(outside):
+        if any_true(outside):
             i = np.argmax(outside)
             value_i = np.broadcast_to(value, np.shape(outside)).flat[i]
             bound_i = np.broadcast_to(bound, np.shape(outside)).flat[i]

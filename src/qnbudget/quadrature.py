@@ -38,13 +38,16 @@ def mat2(m11, m12, m21, m22) -> np.ndarray:
 
 
 def any_true(mask) -> bool:
-    """Whether a boolean scalar or array holds any True entry."""
-    return bool(mask.any() if getattr(mask, "ndim", 0) else mask)
+    """Whether a boolean scalar or array holds any True entry; an array's
+    are counted (np.count_nonzero costs less than mask.any())."""
+    return bool(np.count_nonzero(mask) if getattr(mask, "ndim", 0) else mask)
 
 
 def all_true(mask) -> bool:
-    """Whether every entry of a boolean scalar or array is True."""
-    return bool(mask.all() if getattr(mask, "ndim", 0) else mask)
+    """Whether every entry of a boolean scalar or array is True; an array's
+    True entries are counted against its size."""
+    return bool(np.count_nonzero(mask) == mask.size
+                if getattr(mask, "ndim", 0) else mask)
 
 
 def mat_inv(m: np.ndarray) -> np.ndarray:

@@ -894,6 +894,26 @@ class TestCliExitCodes:
         columns = json.loads(capsys.readouterr().out)["columns"]
         assert all(columns[name] == [0.0] * 4 for name in curves.split(","))
 
+    def test_subnormal_quadratic_form_keeps_its_digits(self, tmp_path,
+                                                       capsys):
+        # a detuned loop with T_src = 1e-318 makes v^dag Sigma^-1 v per unit
+        # coupling subnormal, and its reciprocal overflows; the optimum and
+        # the lossless bound read the digits they read when the signal
+        # carried its coupling, 4.60073698095e+268 and 4.18248816450e+268,
+        # and every spectrum of the same loop at T_src = 1e-310 stays as it
+        # is, whose quadratic form is a normal double
+        rows = {}
+        for t_src in ("1e-318", "1e-310"):
+            path = write_config(tmp_path, {**config_template(), "Theta": 0.01,
+                                           "T_src": float(t_src)})
+            assert main(["budget", "--config", path, "--points", "3",
+                         "--curves", "full_optimal,qcrb"]) == 0
+            rows[t_src] = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows["1e-318"]] == [
+            ["4.60073698095e+268", "4.18248816450e+268"]] * 3
+        assert [row.split(",")[1:] for row in rows["1e-310"]] == [
+            ["4.60073122310e+260", "4.18248293009e+260"]] * 3
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_bytes_equal_out_bytes(self, tmp_path, capsys, fmt):
         # two full blocks and a tail, in both formats
@@ -1211,6 +1231,41 @@ class TestValidation:
         check = validation._check_symplectic(np.random.default_rng(7))
         assert math.isnan(check.deviation) and not check.passed
 
+    @staticmethod
+    def three_chains(rng):
+        """symplectic's deviation as m @ J @ m^T on each stack in turn."""
+        j = quadrature.SYMPLECTIC_FORM
+        angle, r, theta, log_gain = rng.uniform(
+            validation._SYMPLECTIC_LOW, validation._SYMPLECTIC_HIGH,
+            size=(200, 4)).T
+        return float(np.max([np.abs(m @ j @ m.swapaxes(1, 2) - j).max()
+                             for m in (quadrature.rotation_matrix(angle),
+                                       quadrature.squeeze_matrix(r, theta),
+                                       quadrature.ponderomotive_matrix(
+                                           10.0 ** log_gain))], initial=0.0))
+
+    def test_symplectic_deviation_is_the_three_chains(self):
+        # one @ over the joined stack, with M J taken as a column swap and
+        # a contiguous M^T, gives each seed's deviation bit for bit
+        for seed in range(500):
+            got = validation._check_symplectic(np.random.default_rng(seed))
+            want = self.three_chains(np.random.default_rng(seed))
+            assert got.deviation.hex() == want.hex(), seed
+
+    def test_perturbed_squeeze_fails_symplectic(self, monkeypatch):
+        # a squeeze whose (1, 1) entry is off by 1e-9 of itself is no longer
+        # symplectic, and the joined stack reports it
+        squeeze = validation.squeeze_matrix
+
+        def perturbed(r, theta):
+            m = squeeze(r, theta)
+            m[:, 1, 1] *= 1.0 + 1e-9
+            return m
+
+        monkeypatch.setattr(validation, "squeeze_matrix", perturbed)
+        check = validation._check_symplectic(np.random.default_rng(7))
+        assert check.deviation > 1e-10 and not check.passed
+
 
 def scan_by_frequency(cfg, omega, zetas):
     """homodyne_spectrum over zetas at each frequency in turn, as (N, M)
@@ -1269,6 +1324,24 @@ class TestGridScan:
         with pytest.raises(BlindQuadratureError) as info:
             ifo._Solve(cfg, self.OMEGA).homodyne(zetas)
         assert (str(info.value), info.value.index) == (str(want), k)
+
+    def test_blind_row_two_as_validate_scans_it(self):
+        # the first blind angle of a (3, M) scan in the second frequency's
+        # row, read as optimal_vs_grid reads it (hoisted cos and sin, one
+        # read of the solve): that row's index and that angle's message
+        cfg = replace(validation.random_config(np.random.default_rng(3)),
+                      internal_sqz=InternalSqueeze("ponderomotive"))
+        zetas = validation._GRID_ZETAS.copy()
+        zetas[1500] = self.blind_angle(cfg, self.OMEGA[1])
+        zetas[3900] = self.blind_angle(cfg, self.OMEGA[2])
+        trig = (np.cos(zetas), np.sin(zetas))
+        with pytest.raises(BlindQuadratureError) as info:
+            ifo._Solve(cfg, self.OMEGA).read(
+                lambda o: o.homodyne(zetas, trig))
+        assert info.value.index == 1
+        assert str(info.value) == (f"readout angle {zetas[1500]:.6g} rad is "
+                                   "orthogonal to the signal response")
+        assert homodyne_spectrum(cfg, self.OMEGA[0], zetas).shape == (4000,)
 
 
 class TestSharedValidationWork:

@@ -29,7 +29,7 @@ class TestCavityMode:
         m = mode_for(cfg)
         assert m.omega_cav == cfg.omega0
         assert m.gamma_eps == pytest.approx(
-            299792458.0 * 1e-4 / 16000.0, rel=1e-12)
+            299792458.0 * 1e-4 / 16000.0, rel=1e-12, abs=0.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestSusceptibilities:
         chi = chi_phase_phase(mode, 0.0)
         assert chi.imag == 0.0
         expect = mode.omega_cav / (HBAR * (mode.gamma_eps**2 + mode.omega_cav**2))
-        assert chi.real == pytest.approx(expect, rel=1e-12)
+        assert chi.real == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_dissipative_sign(self, mode):
         for w in np.geomspace(1e12, 2e15, 40):
@@ -70,7 +70,7 @@ class TestSusceptibilities:
     def test_phase_amp_static_value(self, mode):
         chi = chi_phase_amp(mode, 0.0)
         expect = -mode.gamma_eps / (HBAR * (mode.gamma_eps**2 + mode.omega_cav**2))
-        assert chi == pytest.approx(expect, rel=1e-12)
+        assert chi == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_phase_amp_peaks_at_resonance(self, mode):
         grid = np.linspace(0.5, 1.5, 2001) * mode.omega_cav
@@ -92,7 +92,8 @@ class TestFdtSpectrum:
         w = mode.omega_cav
         d = mode.gamma_eps**2 - 2j * mode.gamma_eps * w
         expect = (mode.omega_cav / (HBAR * d)).imag
-        assert chi_phase_phase(mode, w).imag == pytest.approx(expect, rel=1e-12)
+        assert chi_phase_phase(mode, w).imag == pytest.approx(
+            expect, rel=1e-12, abs=0.0)
 
     def test_positivity(self, mode):
         for w in np.geomspace(1e10, 3e15, 60):
@@ -110,11 +111,11 @@ class TestGwCoupling:
 
     def test_sqrt_power_scaling(self):
         assert gw_coupling(4e5, 1e15, 4000.0) == pytest.approx(
-            2 * gw_coupling(1e5, 1e15, 4000.0), rel=1e-12)
+            2 * gw_coupling(1e5, 1e15, 4000.0), rel=1e-12, abs=0.0)
 
     def test_default_value(self, cfg):
         g = gw_coupling(cfg.P, cfg.omega0, cfg.L)
-        assert g == pytest.approx(6.693080266457569e21, rel=1e-10)
+        assert g == pytest.approx(6.693080266457569e21, rel=1e-10, abs=0.0)
 
 
 class TestLossFloor:
@@ -123,7 +124,7 @@ class TestLossFloor:
         for f in np.geomspace(5.0, 5000.0, 20):
             closed = loss_limit(arm_only, TWO_PI * f, ALPHA_NO_INTERNAL)
             assert loss_floor_fdt(arm_only, TWO_PI * f) == pytest.approx(
-                closed, rel=1e-3)
+                closed, rel=1e-3, abs=0.0)
 
     def test_zero_arm_loss(self, cfg):
         c = replace(cfg, eps_arm=0.0)
@@ -150,8 +151,8 @@ class TestCoupledSusceptibilities:
             ratio0 = cpp.imag / abs(cpa) ** 2
             chi_free = rng.uniform(-3.0, 3.0) / abs(cpp)
             cpp2, cpa2 = coupled_susceptibilities(cpp, cpa, chi_free)
-            assert cpp2.imag / abs(cpa2) ** 2 == pytest.approx(ratio0,
-                                                               rel=1e-12)
+            assert cpp2.imag / abs(cpa2) ** 2 == pytest.approx(
+                ratio0, rel=1e-12, abs=0.0)
 
     def test_lossy_coupling_breaks_invariance(self, mode):
         w = 0.9e15

@@ -43,24 +43,26 @@ def small_cfg(cfg, t_src=1e-3, **kw):
 class TestScales:
     def test_arm_bandwidth_value(self, cfg):
         # c * 0.014 / 16000 by hand
-        assert arm_bandwidth(cfg) == pytest.approx(262.31840075, rel=1e-10)
-        assert arm_bandwidth(cfg) / TWO_PI == pytest.approx(41.75, rel=1e-3)
+        assert arm_bandwidth(cfg) == pytest.approx(262.31840075, rel=1e-10,
+                                                   abs=0.0)
+        assert arm_bandwidth(cfg) / TWO_PI == pytest.approx(41.75, rel=1e-3,
+                                                            abs=0.0)
 
     def test_arm_bandwidth_scaling(self, cfg):
         small_t = replace(cfg, T_itm=1e-6)
         assert arm_bandwidth(small_t) < 0.02
         assert arm_bandwidth(replace(cfg, L=8000.0)) == pytest.approx(
-            arm_bandwidth(cfg) / 2, rel=1e-12)
+            arm_bandwidth(cfg) / 2, rel=1e-12, abs=0.0)
 
     def test_gain_value(self, cfg):
         c = replace(cfg, omega0=1.77e15)
         k = ponderomotive_gain(c, OMEGA)
-        assert k == pytest.approx(0.015963278925323756, rel=1e-12)
-        assert k == pytest.approx(0.0159, rel=5e-3)
+        assert k == pytest.approx(0.015963278925323756, rel=1e-12, abs=0.0)
+        assert k == pytest.approx(0.0159, rel=5e-3, abs=0.0)
 
     def test_gain_scaling(self, cfg):
         assert ponderomotive_gain(cfg, 2 * OMEGA) == pytest.approx(
-            ponderomotive_gain(cfg, OMEGA) / 4, rel=1e-12)
+            ponderomotive_gain(cfg, OMEGA) / 4, rel=1e-12, abs=0.0)
         assert ponderomotive_gain(replace(cfg, P=1e-30), OMEGA) < 1e-30
 
     def test_gain_rejects_zero_frequency(self, cfg):
@@ -71,10 +73,12 @@ class TestScales:
 
 class TestEffectiveLosses:
     def test_single_constant_channel(self):
-        assert effective_src_loss((1e-3,)) == pytest.approx(1e-3, rel=1e-15)
+        assert effective_src_loss((1e-3,)) == pytest.approx(1e-3, rel=1e-15,
+                                                            abs=0.0)
 
     def test_constant_channels_sum(self):
-        assert effective_src_loss((4e-4, 6e-4)) == pytest.approx(1e-3, rel=1e-15)
+        assert effective_src_loss((4e-4, 6e-4)) == pytest.approx(
+            1e-3, rel=1e-15, abs=0.0)
 
     def test_rising_channel_min_at_band_edge(self):
         table = FreqTable(f_hz=(5.0, 5000.0), values=(1e-4, 1e-3))
@@ -82,7 +86,7 @@ class TestEffectiveLosses:
         # brute force over a fine grid
         grid = np.geomspace(5.0, 5000.0, 20000)
         brute = min(table.at(f) for f in grid)
-        assert got == pytest.approx(1e-4, rel=1e-12)
+        assert got == pytest.approx(1e-4, rel=1e-12, abs=0.0)
         assert got <= brute + 1e-15
 
     @settings(max_examples=150, deadline=None, derandomize=True,
@@ -121,13 +125,13 @@ class TestEffectiveLosses:
 
     def test_internal_loss_value(self, cfg):
         got = effective_internal_loss(cfg, 0.0)
-        assert got == pytest.approx(1.035e-4, rel=1e-12)
+        assert got == pytest.approx(1.035e-4, rel=1e-12, abs=0.0)
 
     def test_internal_loss_doubles_at_bandwidth(self, cfg):
         gamma = arm_bandwidth(cfg)
         lo = effective_internal_loss(cfg, 0.0) - cfg.eps_arm
         hi = effective_internal_loss(cfg, gamma) - cfg.eps_arm
-        assert hi == pytest.approx(2 * lo, rel=1e-12)
+        assert hi == pytest.approx(2 * lo, rel=1e-12, abs=0.0)
 
     def test_internal_loss_without_src_channel(self, cfg):
         c = replace(cfg, eps_src_channels=(0.0,))
@@ -166,13 +170,14 @@ class TestResolveBand:
         assert got.eps_src_channels == (
             effective_src_loss(c.eps_src_channels, (300.0, 1000.0)),)
         assert got.eps_src_channels[0] == pytest.approx(
-            5e-4 + V_TABLE.at(300.0), rel=1e-15)
+            5e-4 + V_TABLE.at(300.0), rel=1e-15, abs=0.0)
         assert replace(got, eps_src_channels=c.eps_src_channels) == c
 
     def test_unresolved_call_uses_default_band(self, cfg):
         c = replace(cfg, eps_src_channels=(5e-4, V_TABLE))
         resolved = resolve_band(c, DEFAULT_BAND_HZ)
-        assert resolved.eps_src_channels[0] == pytest.approx(1.5e-3, rel=1e-15)
+        assert resolved.eps_src_channels[0] == pytest.approx(1.5e-3, rel=1e-15,
+                                                             abs=0.0)
         for omega in (TWO_PI * 7.0, OMEGA, TWO_PI * 3000.0):
             assert optimal_spectrum(c, omega) == optimal_spectrum(resolved, omega)
             assert homodyne_spectrum(c, omega, 1.0) == \
@@ -614,8 +619,9 @@ class TestIoRelation:
         io = io_relation(cfg, OMEGA)
         eps_int = effective_internal_loss(cfg, OMEGA)
         assert io.internal_coupling == pytest.approx(
-            math.sqrt(cfg.T_src * eps_int), rel=1e-12)
-        assert io.external_coupling == pytest.approx(math.sqrt(0.1), rel=1e-12)
+            math.sqrt(cfg.T_src * eps_int), rel=1e-12, abs=0.0)
+        assert io.external_coupling == pytest.approx(math.sqrt(0.1), rel=1e-12,
+                                                     abs=0.0)
 
     def test_lasing_threshold_error(self, cfg):
         r_crit = -0.5 * math.log(1 - cfg.T_src)
@@ -671,13 +677,13 @@ class TestHomodyne:
         c = replace(lossless, T_src=1.0)
         beta = 2 * math.sqrt(c.omega0 * c.L**2 * c.P / (HBAR * C_LIGHT**2))
         s = homodyne_spectrum(c, OMEGA, math.pi / 2)
-        assert s == pytest.approx(1.0 / beta**2, rel=1e-12)
+        assert s == pytest.approx(1.0 / beta**2, rel=1e-12, abs=0.0)
 
     def test_grid_minimum_matches_optimal(self, cfg):
         zetas = (np.arange(20000) + 0.5) * math.pi / 20000
         s_grid = homodyne_spectrum(cfg, OMEGA, zetas)
         s_opt, z_opt = optimal_spectrum(cfg, OMEGA)
-        assert s_grid.min() == pytest.approx(s_opt, rel=1e-3)
+        assert s_grid.min() == pytest.approx(s_opt, rel=1e-3, abs=0.0)
         assert np.all(s_grid >= s_opt * (1 - 1e-12))
         assert 0 <= z_opt < math.pi
 
@@ -764,7 +770,7 @@ class TestOptimal:
                              OMEGA * np.array([1.0, 2.0]))
         assert info.value.index == 0
 
-    def test_rank_rule_is_lstsqs(self, monkeypatch):
+    def test_rank_rule_is_lstsqs(self, cfg, monkeypatch):
         # the rank rule det L > 6 eps tr Sigma against lstsq's
         # sigma_min > 6 eps sigma_max, times sigma_max, with sigma_max^2
         # from det L and tr Sigma as the oracle.  A factor with orthogonal
@@ -790,8 +796,8 @@ class TestOptimal:
             zero = np.zeros_like(a)
             io = ifo.IoRelation(None, None, (zero + 1.0, zero + 1.0), 0.0, 0.0)
             seen.clear()
-            ifo._optimal_from(a, io, (((a, zero), (zero, b)),
-                                      (a * a, zero, zero, b * b), 0.0))
+            ifo._optimal_from(cfg, a, io, (((a, zero), (zero, b)),
+                                           (a * a, zero, zero, b * b), 0.0))
             det_l, frob = a * b, a * a + b * b
             with np.errstate(over="ignore", invalid="ignore"):
                 sigma_max_sq = 0.5 * (frob + np.sqrt(np.maximum(
@@ -817,7 +823,7 @@ class TestOptimal:
         s, zeta = optimal_spectrum(c, omega)
         assert s == pytest.approx(loss_limit(c, omega, ALPHA_NO_INTERNAL),
                                   rel=1e-14, abs=0.0)
-        assert zeta == pytest.approx(math.pi / 2, rel=1e-15)
+        assert zeta == pytest.approx(math.pi / 2, rel=1e-15, abs=0.0)
         assert s <= homodyne_spectrum(c, omega, 0.5)
         assert math.isfinite(qcrb_lossless(c, omega))
 
@@ -833,7 +839,7 @@ class TestOptimal:
 
     def test_equals_qcrb_when_lossless(self, lossless):
         assert optimal_spectrum(lossless, OMEGA)[0] == pytest.approx(
-            qcrb_lossless(lossless, OMEGA), rel=1e-14)
+            qcrb_lossless(lossless, OMEGA), rel=1e-14, abs=0.0)
 
     def test_monotone_in_each_loss(self, cfg):
         rng = np.random.default_rng(5)
@@ -887,7 +893,7 @@ class TestQcrbLossless:
         dr = 0.8
         s0 = qcrb_lossless(c0, OMEGA)
         s1 = qcrb_lossless(replace(c0, r_input=dr), OMEGA)
-        assert s1 / s0 == pytest.approx(math.exp(-2 * dr), rel=1e-12)
+        assert s1 / s0 == pytest.approx(math.exp(-2 * dr), rel=1e-12, abs=0.0)
 
     def test_nulling_squeeze_suppression(self, cfg):
         t = 1e-3
@@ -897,7 +903,8 @@ class TestQcrbLossless:
 
     def test_ignores_configured_losses(self, cfg):
         assert qcrb_lossless(cfg, OMEGA) == pytest.approx(
-            qcrb_lossless(replace(cfg, eps_ext=0.5), OMEGA), rel=1e-14)
+            qcrb_lossless(replace(cfg, eps_ext=0.5), OMEGA), rel=1e-14,
+            abs=0.0)
 
 
 class TestFirstOrderSplit:

@@ -2,10 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qnbudget import (SYMPLECTIC_FORM, arccot, db_from_r, mat2, mat_inv,
                       ponderomotive_decompose, ponderomotive_matrix, r_from_db,
                       rotation_matrix, squeeze_matrix)
+from qnbudget.quadrature import all_true, any_true
+
+
+@st.composite
+def masks(draw):
+    """A bool array of a shape the program reduces, one value throughout
+    but for up to three flipped entries, or its transpose (a strided view)."""
+    shape = draw(st.sampled_from([(0,), (3,), (8192,), (3, 4000)]))
+    mask = np.full(shape, draw(st.booleans()))
+    flat = mask.reshape(-1)
+    for i in draw(st.lists(st.integers(0, max(mask.size - 1, 0)),
+                           max_size=3 if mask.size else 0)):
+        flat[i] = not flat[i]
+    return mask.T if draw(st.booleans()) else mask
+
+
+class TestMaskReductions:
+    """any_true and all_true count the True entries of an array; they read
+    as ndarray.any() and .all() on every mask, scalar masks included."""
+
+    @given(st.one_of(masks(),
+                     st.booleans().map(np.array),        # 0-d arrays
+                     st.booleans().map(np.bool_),        # numpy scalars
+                     st.booleans()))                     # Python bools
+    def test_read_as_any_and_all(self, mask):
+        assert any_true(mask) is bool(np.asarray(mask).any())
+        assert all_true(mask) is bool(np.asarray(mask).all())
 
 
 class TestRotation:
